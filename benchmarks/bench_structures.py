@@ -2,9 +2,10 @@
 """Per-structure microbenchmarks for the GPS hardware models.
 
 Isolates each structure on the replay hot path — remote write queue,
-GPS-TLB, SM coalescer, GPS page table, subscription manager, and the
-runtime's page bookkeeping — and reports ns/operation plus the structure's
-own rate metrics (queue hit rate, TLB hit rate, coalescer merge rate).
+GPS-TLB, SM coalescer, GPS page table, subscription manager, the runtime's
+page bookkeeping, and the warm-L2 hit-rate kernel — and reports
+ns/operation plus the structure's own rate metrics (queue hit rate, TLB hit
+rate, coalescer merge rate, L2 hit rate).
 Structures with both a scalar and a batched kernel report the speedup; the
 committed ``BENCH_structures.json`` pins those ratios and ``--check`` fails
 on >25% regression (microbenches are noisier than the end-to-end replay
@@ -231,6 +232,56 @@ def bench_runtime_pages() -> list[dict]:
     )]
 
 
+def bench_l2_warm() -> list[dict]:
+    from repro.cache.cache import Cache, set_count
+    from repro.cache.warm_lru import warm_lru_hits
+    from repro.config import default_system
+    from repro.system.analysis import ProgramAnalysis
+    from repro.workloads import get_workload
+
+    config = default_system(1)
+    gpu = config.gpu
+    num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+    # Figure 8's one-GPU ALS baseline: its longest kernel read stream
+    # overflows most L2 sets, so the closed-form cold pass and the lockstep
+    # warm pass both run.
+    program = get_workload("als").build(1, scale=0.15, iterations=2)
+    analysis = ProgramAnalysis(program, config)
+    streams = []
+    for phase in program.phases:
+        for kernel in phase.kernels:
+            reads = analysis.footprint(kernel).reads
+            if reads:
+                streams.append(np.concatenate([analysis.stream(fp.access).lines for fp in reads]))
+    fig08 = max(streams, key=len)
+    # Adversarial: every line maps to one set, twice as many lines as ways.
+    one_set = _rng().integers(0, 2 * gpu.l2_assoc, size=N_EVENTS).astype(np.int64) * num_sets
+
+    out = []
+    for label, lines in (("fig08-als-g1", fig08), ("one-set", one_set)):
+        def vec_pass():
+            return warm_lru_hits(lines, num_sets, gpu.l2_assoc)
+
+        def scalar_pass():
+            cache = Cache(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+            cache.simulate_stream(lines)
+            return cache.simulate_stream(lines).hits
+
+        hits = vec_pass()
+        if hits != scalar_pass():
+            raise AssertionError(f"l2_warm/{label}: vector and scalar hit counts differ")
+        vec_reps, vec_t = measure(vec_pass, min_time=0.4)
+        scalar_reps, scalar_t = measure(scalar_pass, min_time=1.0, max_reps=10)
+        out.append(_row(
+            "l2_warm", f"warm_hits/{label}",
+            vec_t / vec_reps / lines.shape[0] * 1e9,
+            scalar_t / scalar_reps / lines.shape[0] * 1e9,
+            lines=int(lines.shape[0]),
+            hit_rate=round(hits / lines.shape[0], 4),
+        ))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="write BENCH_structures.json here")
@@ -241,7 +292,8 @@ def main(argv=None) -> int:
 
     results = []
     for bench in (bench_write_queue, bench_gps_tlb, bench_sm_coalescer,
-                  bench_gps_page_table, bench_subscription, bench_runtime_pages):
+                  bench_gps_page_table, bench_subscription, bench_runtime_pages,
+                  bench_l2_warm):
         results.extend(bench())
     for row in results:
         speed = f"  {row['speedup']:>7.1f}x vs scalar" if "speedup" in row else ""

@@ -46,6 +46,21 @@ class CacheStats:
         )
 
 
+def set_count(size_bytes: int, block_size: int, assoc: int) -> int:
+    """Number of sets of a cache geometry; raises ``ConfigError`` if invalid."""
+    if size_bytes <= 0 or block_size <= 0 or assoc <= 0:
+        raise ConfigError("cache geometry values must be positive")
+    if not is_power_of_two(block_size):
+        raise ConfigError(f"block size must be a power of two, got {block_size}")
+    num_lines = size_bytes // block_size
+    if num_lines == 0 or num_lines % assoc != 0:
+        raise ConfigError(
+            f"cache of {size_bytes} B / {block_size} B lines does not divide "
+            f"into associativity {assoc}"
+        )
+    return num_lines // assoc
+
+
 class Cache:
     """A set-associative cache indexed by line address.
 
@@ -61,20 +76,10 @@ class Cache:
         assoc: int,
         policy_factory: Callable[[int], ReplacementPolicy] = LRUPolicy,
     ) -> None:
-        if size_bytes <= 0 or block_size <= 0 or assoc <= 0:
-            raise ConfigError("cache geometry values must be positive")
-        if not is_power_of_two(block_size):
-            raise ConfigError(f"block size must be a power of two, got {block_size}")
-        num_lines = size_bytes // block_size
-        if num_lines == 0 or num_lines % assoc != 0:
-            raise ConfigError(
-                f"cache of {size_bytes} B / {block_size} B lines does not divide "
-                f"into associativity {assoc}"
-            )
         self.size_bytes = size_bytes
         self.block_size = block_size
         self.assoc = assoc
-        self.num_sets = num_lines // assoc
+        self.num_sets = set_count(size_bytes, block_size, assoc)
         self._sets = [policy_factory(assoc) for _ in range(self.num_sets)]
         self.stats = CacheStats()
 

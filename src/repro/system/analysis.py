@@ -15,8 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..cache.cache import Cache
+from ..analysis.footprints import program_fingerprint
+from ..cache.cache import Cache, set_count
+from ..cache.warm_lru import warm_lru_hits
 from ..config import CACHE_BLOCK, SystemConfig
+from ..core.write_queue import scalar_replay_enabled
 from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from ..memory.address_space import AddressSpace
 from ..trace.expand import LineStream, expand_range
@@ -115,8 +118,8 @@ class ProgramAnalysis:
         self._store_streams: dict[KernelSpec, list] = {}
         self._coalescer_stats: dict[KernelSpec, CoalescerStats] = {}
         self._home_gpu_arr: "Optional[np.ndarray]" = None
-        self._phase_min_readers: dict[int, tuple] = {}
-        self._phase_max_writers: dict[int, tuple] = {}
+        self._phase_min_readers: dict[Phase, tuple] = {}
+        self._phase_max_writers: dict[Phase, tuple] = {}
 
     # -- layout ---------------------------------------------------------------
 
@@ -167,12 +170,11 @@ class ProgramAnalysis:
         Array form of ``min(phase_page_readers(phase)[vpn])`` — what the
         UM-hints contention rule asks of every remote page.
         """
-        key = id(phase)
-        if key not in self._phase_min_readers:
-            self._phase_min_readers[key] = self._phase_extreme(
+        if phase not in self._phase_min_readers:
+            self._phase_min_readers[phase] = self._phase_extreme(
                 phase, "read_pages", take_max=False
             )
-        return self._phase_min_readers[key]
+        return self._phase_min_readers[phase]
 
     def phase_max_writers(self, phase: Phase) -> "tuple[np.ndarray, np.ndarray]":
         """``(vpns, gpus)``: sorted unique store VPNs and each one's highest writer.
@@ -180,12 +182,11 @@ class ProgramAnalysis:
         Array form of ``phase_page_writers(phase)[vpn][-1]`` — RDL's
         post-phase last-writer update.
         """
-        key = id(phase)
-        if key not in self._phase_max_writers:
-            self._phase_max_writers[key] = self._phase_extreme(
+        if phase not in self._phase_max_writers:
+            self._phase_max_writers[phase] = self._phase_extreme(
                 phase, "store_pages", take_max=True
             )
-        return self._phase_max_writers[key]
+        return self._phase_max_writers[phase]
 
     def _phase_extreme(self, phase: Phase, attr: str, take_max: bool) -> tuple:
         arrays = []
@@ -299,16 +300,23 @@ class ProgramAnalysis:
         is the steady-state value iterative kernels see. This is the
         mechanism behind EQWP's super-linear scaling: a quarter-size
         per-GPU working set fits where the full one did not.
+        :func:`warm_lru_hits` counts the second pass's hits exactly;
+        ``REPRO_SCALAR_REPLAY=1`` walks both passes through :class:`Cache`
+        instead, the reference the two are tested against.
         """
         if not reads:
             return 0.0
         gpu = self.config.gpu
-        cache = Cache(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
         streams = [self.stream(fp.access).lines for fp in reads]
         all_lines = np.concatenate(streams) if len(streams) > 1 else streams[0]
-        cache.simulate_stream(all_lines)  # cold pass: warm the cache
-        warm = cache.simulate_stream(all_lines)
-        return warm.hit_rate
+        if scalar_replay_enabled():
+            cache = Cache(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+            cache.simulate_stream(all_lines)  # cold pass: warm the cache
+            return cache.simulate_stream(all_lines).hit_rate
+        if all_lines.shape[0] == 0:
+            return 0.0
+        num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+        return warm_lru_hits(all_lines, num_sets, gpu.l2_assoc) / all_lines.shape[0]
 
     # -- phase-level dataflow ------------------------------------------------------
 
@@ -365,17 +373,13 @@ def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis
 
     Running six paradigms over the same program repeats the same trace
     expansion and L2 simulation; the analysis is paradigm-independent, so
-    it is cached. The key covers everything expansion depends on: the
-    program's identity (name, GPU count, buffer layout, phase count, scale
-    metadata) and the cache/page geometry of the system.
+    it is cached. The key covers everything the analysis depends on: the
+    program's content (its fingerprint, which also covers the page size)
+    and the L2 geometry. Two programs that share a name and buffer layout
+    but differ in any access get separate entries.
     """
     key = (
-        program.name,
-        program.num_gpus,
-        tuple((b.name, b.size) for b in program.buffers),
-        len(program.phases),
-        program.metadata.get("scale"),
-        config.page_size,
+        program_fingerprint(program, config.page_size),
         config.gpu.l2_bytes,
         config.gpu.l2_assoc,
         config.gpu.cache_block,

@@ -1,13 +1,17 @@
 """Unit tests for program analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro
 from repro.memory.address_space import AddressSpace
+from repro.paradigms import PARADIGMS
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
+from repro.verify import canonical_payload
 
 PAGE = 65536
 
@@ -142,3 +146,37 @@ class TestSharedCache:
         a = get_analysis(program, repro.default_system(4))
         b = get_analysis(program, repro.default_system(4).with_page_size(repro.PAGE_2M))
         assert a is not b
+
+    def test_same_name_and_layout_with_other_accesses_not_shared(self):
+        # Stripping GPU 1's field_a accesses keeps jacobi's name, GPU count,
+        # buffer layout and phase count but makes field_a private to GPU 0,
+        # so memcpy moves fewer bytes. Analysing the original first in the
+        # same process must not leak its shared-buffer set into the result.
+        config = repro.default_system(2)
+        original = repro.get_workload("jacobi").build(2, scale=0.25, iterations=2)
+        stripped = _without_accesses(original, gpu=1, buffer="field_a")
+        assert stripped.name == original.name
+        assert stripped.buffers == original.buffers
+        clear_analysis_cache()
+        cold = canonical_payload(PARADIGMS["memcpy"](stripped, config).run())
+        clear_analysis_cache()
+        PARADIGMS["memcpy"](original, config).run()
+        warm = canonical_payload(PARADIGMS["memcpy"](stripped, config).run())
+        clear_analysis_cache()
+        assert warm == cold
+
+
+def _without_accesses(program: TraceProgram, gpu: int, buffer: str) -> TraceProgram:
+    """``program`` with every access ``gpu`` makes to ``buffer`` removed."""
+
+    def strip(kernel: KernelSpec) -> KernelSpec:
+        if kernel.gpu != gpu:
+            return kernel
+        kept = tuple(a for a in kernel.accesses if a.buffer != buffer)
+        return dataclasses.replace(kernel, accesses=kept)
+
+    phases = tuple(
+        dataclasses.replace(phase, kernels=tuple(strip(k) for k in phase.kernels))
+        for phase in program.phases
+    )
+    return dataclasses.replace(program, phases=phases)
