@@ -17,6 +17,10 @@ Execution model (paper sections 3-5):
 Because iterative programs repeat their kernels, the store-stream replay is
 performed once per (kernel, subscription epoch) and its outbound window
 reused across iterations — identical traffic, a fraction of the cost.
+Across jobs, each store stream goes to the GPS unit with a content key
+(access, subscription-filter mask, forwarded-as-atomic), so every config
+and variant of one program shares each window's write-queue replay through
+the analysis' window memo (:class:`repro.core.gps_unit.WindowMemo`).
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ class GPSExecutor(ParadigmExecutor):
         self.coalescing = coalescing
         self.profile_iteration = profile_iteration
         self.runtime = GPSRuntime(config)
+        for unit in self.runtime.gps_units:
+            unit.window_memo = self.analysis.window_memo
         for buf in program.buffers:
             alloc = self.runtime.malloc_gps(buf.name, buf.size)
             expected = self.analysis.buffer_base(buf.name)
@@ -93,6 +99,7 @@ class GPSExecutor(ParadigmExecutor):
         for fp, stream, atomic in self.analysis.store_streams(kernel):
             if fp.is_sys_scoped:
                 continue  # handled by the collapse path, never forwarded
+            mask_key = None
             if self._profiled:
                 page_mask = subs.multi_subscriber_mask(fp.pages)
                 if not page_mask.any():
@@ -103,7 +110,11 @@ class GPSExecutor(ParadigmExecutor):
                     stream = type(stream)(stream.lines[mask], stream.bytes_per_txn[mask])
                     if len(stream) == 0:
                         continue
-            unit.process_stores(stream, atomic=atomic or not self.coalescing)
+                    mask_key = page_mask.tobytes()
+            forward_atomic = atomic or not self.coalescing
+            unit.process_stores(
+                stream, atomic=forward_atomic, key=(fp.access, mask_key, forward_atomic)
+            )
         window = unit.sync()
         self._window_cache[key] = window
         return window

@@ -10,6 +10,8 @@ segments" (section 3.2) is what makes GPS profiling work at all.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +21,7 @@ from ..analysis.footprints import program_fingerprint
 from ..cache.cache import Cache, set_count
 from ..cache.warm_lru import warm_lru_hits
 from ..config import CACHE_BLOCK, SystemConfig
+from ..core.gps_unit import WindowMemo
 from ..core.write_queue import scalar_replay_enabled
 from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from ..memory.address_space import AddressSpace
@@ -120,6 +123,9 @@ class ProgramAnalysis:
         self._home_gpu_arr: "Optional[np.ndarray]" = None
         self._phase_min_readers: dict[Phase, tuple] = {}
         self._phase_max_writers: dict[Phase, tuple] = {}
+        #: GPS write-queue window outcomes, shared by every config and GPS
+        #: variant that runs this program (keyed by window content).
+        self.window_memo = WindowMemo()
 
     # -- layout ---------------------------------------------------------------
 
@@ -365,7 +371,16 @@ def _union(page_sets: list) -> np.ndarray:
 
 # -- analysis sharing across paradigm executors ---------------------------------
 
-_ANALYSIS_CACHE: dict = {}
+#: Analyses one process keeps, least recently used evicted first. Above the
+#: largest single harness grid, so no figure re-analyses a program: the
+#: page-size study needs 24 (8 workloads x 3 page sizes); fig01, fig08,
+#: fig11, fig12 and fig13 need 16 each (8 workloads x 2 GPU counts); the
+#: rest need 8 or fewer. The bound keeps a long-lived ``repro serve``
+#: process from growing with every distinct program it sees.
+ANALYSIS_CACHE_SIZE = 32
+
+_ANALYSIS_CACHE: "OrderedDict[tuple, ProgramAnalysis]" = OrderedDict()
+_ANALYSIS_LOCK = threading.Lock()
 
 
 def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis:
@@ -376,7 +391,8 @@ def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis
     it is cached. The key covers everything the analysis depends on: the
     program's content (its fingerprint, which also covers the page size)
     and the L2 geometry. Two programs that share a name and buffer layout
-    but differ in any access get separate entries.
+    but differ in any access get separate entries. The cache is an LRU of
+    :data:`ANALYSIS_CACHE_SIZE` entries; a hit refreshes recency.
     """
     key = (
         program_fingerprint(program, config.page_size),
@@ -384,11 +400,18 @@ def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis
         config.gpu.l2_assoc,
         config.gpu.cache_block,
     )
-    if key not in _ANALYSIS_CACHE:
-        _ANALYSIS_CACHE[key] = ProgramAnalysis(program, config)
-    return _ANALYSIS_CACHE[key]
+    with _ANALYSIS_LOCK:
+        analysis = _ANALYSIS_CACHE.get(key)
+        if analysis is not None:
+            _ANALYSIS_CACHE.move_to_end(key)
+            return analysis
+        analysis = _ANALYSIS_CACHE[key] = ProgramAnalysis(program, config)
+        while len(_ANALYSIS_CACHE) > ANALYSIS_CACHE_SIZE:
+            _ANALYSIS_CACHE.popitem(last=False)
+        return analysis
 
 
 def clear_analysis_cache() -> None:
     """Drop all memoised analyses (tests that tweak global state use this)."""
-    _ANALYSIS_CACHE.clear()
+    with _ANALYSIS_LOCK:
+        _ANALYSIS_CACHE.clear()

@@ -17,6 +17,28 @@ from ..errors import TraceError
 from .records import AccessRange, MemOp
 
 
+def _hash_once(self) -> int:
+    """The dataclass field-tuple hash, computed once per instance.
+
+    Kernels and phases key every per-program memo, and their default hash
+    walks all nested accesses on each lookup. The cached value is an
+    instance attribute, not a field, so ``eq``, ``repr`` and serialisation
+    never see it.
+    """
+    cached = self.__dict__.get("_hash")
+    if cached is None:
+        cached = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", cached)
+    return cached
+
+
+def _state_without_hash(self) -> dict:
+    """Pickle state minus the cached hash: ``str`` hashes differ per process."""
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class BufferSpec:
     """One shared or private data buffer of the application."""
@@ -47,6 +69,9 @@ class KernelSpec:
     #: Kernel launch overhead charged once per launch.
     launch_overhead: float = 5e-6
 
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
+
     def __post_init__(self) -> None:
         if self.gpu < 0:
             raise TraceError(f"kernel {self.name!r} has negative GPU id")
@@ -70,6 +95,9 @@ class Phase:
     kernels: tuple[KernelSpec, ...]
     #: Iteration index for iterative programs; -1 marks setup phases.
     iteration: int = 0
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __post_init__(self) -> None:
         gpus = [k.gpu for k in self.kernels]

@@ -23,9 +23,15 @@ with different payloads means the result assembly or a serialisation layer
 is lossy.
 
 On top of path identity, each case is checked against the invariant oracle
-(:mod:`repro.verify.oracle`) and two metamorphic relations: doubling link
-bandwidth never increases simulated time, and GPS with subscription
-tracking never moves more bytes than GPS with every GPU subscribed.
+(:mod:`repro.verify.oracle`) and three metamorphic relations: doubling link
+bandwidth never increases simulated time, GPS with subscription tracking
+never moves more bytes than GPS with every GPU subscribed, and a warm
+process gives the same bytes as a cold one (``differential-warm-cold``):
+``gps`` over a small write-queue x GPS-TLB grid, run interleaved in one
+process that already analysed the program, matches each config run after
+the analysis cache is cleared. The five paths above start every program
+from clean memo state, so only this relation sees a memo keyed on too
+little.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from dataclasses import dataclass, field
 from ..config import LinkConfig
 from ..harness.runner import SimJob, clear_run_cache, resolve_link, run_many
 from ..paradigms import PARADIGMS
+from ..system.analysis import clear_analysis_cache
 from ..system.results import SimulationResult
 from .fuzzer import FuzzSpec, generate_program
 from .oracle import Violation, check_execution, check_family, check_result
@@ -50,6 +57,10 @@ DEFAULT_PARADIGMS = ("gps", "gps_nosub", "memcpy", "infinite")
 
 #: Execution paths the harness compares, in the order they run.
 PATHS = ("direct", "cache", "store", "pool", "service")
+
+#: ``(write-queue entries, GPS-TLB entries)`` of the warm-process relation,
+#: in run order: two sizes of each, interleaved so consecutive jobs differ.
+WARM_COLD_GRID = ((32, 8), (512, 32), (32, 32), (512, 8))
 
 
 def canonical_payload(result: SimulationResult) -> str:
@@ -228,6 +239,37 @@ def _metamorphic_case(spec: FuzzSpec, paradigms, link, report: CaseReport) -> No
             )
 
 
+def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
+    """A warm process must produce the same payload bytes as a cold one."""
+    program = generate_program(
+        spec.seed, spec.num_gpus, scale=spec.scale, iterations=spec.iterations
+    )
+    base = SimJob(
+        spec.workload_name, "gps", spec.num_gpus, link, spec.scale, spec.iterations
+    ).resolved_config()
+    configs = [
+        dataclasses.replace(
+            base,
+            gps=dataclasses.replace(
+                base.gps, write_queue_entries=entries, gps_tlb_entries=tlb
+            ),
+        )
+        for entries, tlb in WARM_COLD_GRID
+    ]
+    warm = [canonical_payload(PARADIGMS["gps"](program, c).run()) for c in configs]
+    for (entries, tlb), config, payload in zip(WARM_COLD_GRID, configs, warm):
+        clear_analysis_cache()
+        if canonical_payload(PARADIGMS["gps"](program, config).run()) != payload:
+            report.violations.append(
+                Violation(
+                    "differential-warm-cold",
+                    f"gps (write queue {entries}, GPS-TLB {tlb}): payload after "
+                    "other configs in one process differs from a cold run",
+                )
+            )
+    clear_analysis_cache()
+
+
 def _compare_path(report: CaseReport, path: str, paradigm: str, payload: str) -> None:
     expected = report.payloads.get(paradigm, {}).get("direct")
     report.payloads.setdefault(paradigm, {})[path] = payload
@@ -297,6 +339,7 @@ def run_differential(
     for case in report.cases:
         _direct_case(case.spec, paradigms, link, case)
         _metamorphic_case(case.spec, paradigms, link, case)
+        _warm_cold_case(case.spec, link, case)
 
     # Cache path: populate a throwaway persistent cache, drop the memo so
     # the second pass must deserialise from disk, then compare.

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import GPSConfig
 from repro.core.gps_page_table import GPSPageTable
-from repro.core.gps_unit import GPSUnit
+from repro.core.gps_unit import GPSUnit, WindowMemo
 from repro.trace.expand import LineStream
 
 LINES_PER_PAGE = GPSConfig().page_size // 128
@@ -169,3 +171,176 @@ class TestSMCoalesceHook:
         unit, _ = setup
         out = unit.sm_coalesce(stream([5, 5, 6], payload=64))
         assert out.lines.tolist() == [5, 6]
+
+
+# -- content-keyed window memo --------------------------------------------------
+
+MEMO_PAGES = 6
+
+
+@st.composite
+def memo_windows(draw):
+    """A random window: streams, atomic flags, geometry, subscribers, TLB warm-up."""
+    pool = draw(
+        st.lists(
+            st.integers(0, MEMO_PAGES * LINES_PER_PAGE - 1), min_size=1, max_size=24
+        )
+    )
+    streams = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=160),
+                st.sampled_from((16, 64, 128)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    subscribers = draw(
+        st.lists(
+            st.sets(st.integers(1, 3)), min_size=MEMO_PAGES, max_size=MEMO_PAGES
+        )
+    )
+    return {
+        "streams": [(stream(lines, payload), atomic) for lines, payload, atomic in streams],
+        "write_queue": draw(st.sampled_from((2, 4, 8, 64))),
+        "subscribers": subscribers,
+        # Two jobs that share a window but differ in GPS-TLB geometry and
+        # in what earlier windows left in their TLBs.
+        "tlbs": draw(st.lists(st.sampled_from((8, 16, 32)), min_size=2, max_size=2)),
+        "warmups": draw(
+            st.lists(
+                st.lists(st.integers(0, MEMO_PAGES - 1), max_size=12),
+                min_size=2,
+                max_size=2,
+            )
+        ),
+    }
+
+
+def memo_unit(case, tlb_entries: int, warmup, memo=None):
+    config = GPSConfig(
+        write_queue_entries=case["write_queue"],
+        gps_tlb_entries=tlb_entries,
+        gps_tlb_assoc=4,
+    )
+    table = GPSPageTable(config, num_gpus=4)
+    for vpn, remotes in enumerate(case["subscribers"]):
+        for gpu in {0} | remotes:
+            table.install_replica(vpn, gpu, 100 * vpn + gpu)
+    unit = GPSUnit(0, config, table)
+    unit.tlb.translate_batch(warmup, len(warmup))
+    unit.window_memo = memo
+    return unit, table
+
+
+def window_keys(case):
+    return [("stream", i, atomic) for i, (_, atomic) in enumerate(case["streams"])]
+
+
+def run_window(unit, case, keyed: bool):
+    for key, (s, atomic) in zip(window_keys(case), case["streams"]):
+        unit.process_stores(s, atomic=atomic, key=key if keyed else None)
+    return unit.sync()
+
+
+def observed(unit, table, window):
+    return (
+        window.bytes_to,
+        window.writes_to,
+        unit.write_queue.stats,
+        unit.tlb.stats,
+        unit.tlb.walks,
+        table.lookups,
+    )
+
+
+class TestWindowMemo:
+    """A keyed window equals the eager ``process_stores`` + ``sync``, miss or hit."""
+
+    @given(case=memo_windows())
+    @settings(max_examples=120, deadline=None)
+    def test_keyed_window_equals_eager(self, case):
+        memo = WindowMemo()
+        for job, (tlb_entries, warmup) in enumerate(zip(case["tlbs"], case["warmups"])):
+            eager_unit, eager_table = memo_unit(case, tlb_entries, warmup)
+            eager = observed(eager_unit, eager_table, run_window(eager_unit, case, False))
+            keyed_unit, keyed_table = memo_unit(case, tlb_entries, warmup, memo)
+            keyed = observed(keyed_unit, keyed_table, run_window(keyed_unit, case, True))
+            assert keyed == eager
+            # The first job misses, the second hits despite another TLB.
+            assert (memo.misses, memo.hits) == (1, job)
+
+    @given(case=memo_windows())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_window_on_one_unit(self, case):
+        # Back-to-back windows: the second starts with a warm TLB and
+        # accumulated stats, which the hit must extend, not replace.
+        memo = WindowMemo()
+        eager_unit, eager_table = memo_unit(case, 16, [])
+        keyed_unit, keyed_table = memo_unit(case, 16, [], memo)
+        for _ in range(2):
+            eager = observed(eager_unit, eager_table, run_window(eager_unit, case, False))
+            keyed = observed(keyed_unit, keyed_table, run_window(keyed_unit, case, True))
+            assert keyed == eager
+        assert (memo.misses, memo.hits) == (1, 1)
+
+    def test_other_watermark_misses(self):
+        memo = WindowMemo()
+        case = {
+            "streams": [(stream(list(range(40)) * 2), False)],
+            "subscribers": [{1, 2}] * MEMO_PAGES,
+        }
+        for entries in (8, 32):
+            case["write_queue"] = entries
+            eager_unit, eager_table = memo_unit(case, 32, [])
+            keyed_unit, keyed_table = memo_unit(case, 32, [], memo)
+            assert observed(
+                keyed_unit, keyed_table, run_window(keyed_unit, case, True)
+            ) == observed(eager_unit, eager_table, run_window(eager_unit, case, False))
+        assert (memo.misses, memo.hits) == (2, 0)
+
+    def test_keyless_store_replays_deferred_ones_first(self):
+        case = {
+            "streams": [(stream([0, 1, 2] * 30), False), (stream([3, 0]), False)],
+            "write_queue": 4,
+            "subscribers": [{1, 2, 3}] * MEMO_PAGES,
+        }
+        eager_unit, eager_table = memo_unit(case, 32, [])
+        eager = observed(eager_unit, eager_table, run_window(eager_unit, case, False))
+        memo = WindowMemo()
+        mixed_unit, mixed_table = memo_unit(case, 32, [], memo)
+        (first, _), (second, _) = case["streams"]
+        mixed_unit.process_stores(first, key="first")
+        mixed_unit.process_stores(second)  # keyless: the window goes eager
+        assert observed(mixed_unit, mixed_table, mixed_unit.sync()) == eager
+        assert (memo.misses, memo.hits) == (0, 0)
+
+    def test_values_are_read_only_int64(self):
+        memo = WindowMemo()
+        case = {
+            "streams": [(stream(list(range(3 * LINES_PER_PAGE))), False)],
+            "write_queue": 8,
+            "subscribers": [{1}] * MEMO_PAGES,
+        }
+        unit, _ = memo_unit(case, 32, [], memo)
+        run_window(unit, case, True)
+        (value,) = memo._windows.values()
+        for arr in (value.heads, value.pages, value.page_payload, value.page_writes,
+                    value.stats_delta):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+
+    def test_scalar_replay_bypasses_memo(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALAR_REPLAY", "1")
+        memo = WindowMemo()
+        case = {
+            "streams": [(stream([0, 1, 0]), False)],
+            "write_queue": 8,
+            "subscribers": [{1}] * MEMO_PAGES,
+        }
+        unit, _ = memo_unit(case, 32, [], memo)
+        window = run_window(unit, case, True)
+        assert window.writes_to == {1: 2}
+        assert len(memo) == 0 and memo.misses == 0

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.memory.address_space import AddressSpace
 from repro.paradigms import PARADIGMS
+from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
@@ -146,6 +147,42 @@ class TestSharedCache:
         a = get_analysis(program, repro.default_system(4))
         b = get_analysis(program, repro.default_system(4).with_page_size(repro.PAGE_2M))
         assert a is not b
+
+    def test_lru_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(analysis_module, "ANALYSIS_CACHE_SIZE", 2)
+        clear_analysis_cache()
+        config = repro.default_system(4)
+        programs = [
+            repro.get_workload("jacobi").build(4, scale=scale, iterations=2)
+            for scale in (0.1, 0.15, 0.2)
+        ]
+        a, b, c = (get_analysis(p, config) for p in programs)
+        # Inserting the third evicted the oldest; the other two stay.
+        assert get_analysis(programs[2], config) is c
+        assert get_analysis(programs[1], config) is b
+        assert get_analysis(programs[0], config) is not a
+        clear_analysis_cache()
+
+    def test_lru_hit_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(analysis_module, "ANALYSIS_CACHE_SIZE", 2)
+        clear_analysis_cache()
+        config = repro.default_system(4)
+        programs = [
+            repro.get_workload("jacobi").build(4, scale=scale, iterations=2)
+            for scale in (0.1, 0.15, 0.2)
+        ]
+        a = get_analysis(programs[0], config)
+        b = get_analysis(programs[1], config)
+        assert get_analysis(programs[0], config) is a  # a is now the newest
+        get_analysis(programs[2], config)  # evicts b, not a
+        assert get_analysis(programs[0], config) is a
+        assert get_analysis(programs[1], config) is not b
+        clear_analysis_cache()
+
+    def test_lru_bound_covers_every_harness_grid(self):
+        # The largest grid, the page-size study, analyses 8 workloads at 3
+        # page sizes; fig08 needs 16. Neither may evict its own entries.
+        assert analysis_module.ANALYSIS_CACHE_SIZE > 3 * len(repro.workload_names())
 
     def test_same_name_and_layout_with_other_accesses_not_shared(self):
         # Stripping GPU 1's field_a accesses keeps jacobi's name, GPU count,

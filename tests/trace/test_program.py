@@ -132,3 +132,52 @@ class TestQueries:
             ),
         )
         assert [b.name for b in prog.shared_buffers()] == ["shared"]
+
+
+class TestCachedHash:
+    """Kernels and phases hash once; the cached value is invisible state."""
+
+    def test_hash_matches_field_tuple(self):
+        k = kernel()
+        assert hash(k) == hash((k.name, k.gpu, k.compute_ops, k.accesses, k.launch_overhead))
+        phase = Phase("p", (k,), iteration=3)
+        assert hash(phase) == hash(("p", (k,), 3))
+
+    def test_cache_is_not_a_field(self):
+        import dataclasses
+
+        from repro.analysis.footprints import program_fingerprint
+        from repro.trace.io import program_to_dict
+
+        fresh = program([Phase("p", (kernel(0), kernel(1)))])
+        hashed = program([Phase("p", (kernel(0), kernel(1)))])
+        for phase in hashed.phases:
+            hash(phase)
+            for k in phase.kernels:
+                hash(k)
+        assert "_hash" in vars(hashed.phases[0].kernels[0])
+        assert [f.name for f in dataclasses.fields(KernelSpec)] == [
+            "name", "gpu", "compute_ops", "accesses", "launch_overhead",
+        ]
+        assert hashed.phases == fresh.phases
+        assert repr(hashed.phases) == repr(fresh.phases)
+        assert program_to_dict(hashed) == program_to_dict(fresh)
+        assert program_fingerprint(hashed, 65536) == program_fingerprint(fresh, 65536)
+
+    def test_pickle_drops_the_cached_hash(self):
+        import pickle
+
+        k = kernel(gpu=2, name="stencil")
+        hash(k)
+        # A value cached in another process (str hashes are salted per
+        # process) must not travel: simulate one with a stale hash.
+        object.__setattr__(k, "_hash", hash(k) + 1)
+        phase = Phase("p", (k,))
+        hash(phase)
+        object.__setattr__(phase, "_hash", hash(phase) + 1)
+        k2 = pickle.loads(pickle.dumps(k))
+        phase2 = pickle.loads(pickle.dumps(phase))
+        assert "_hash" not in vars(k2) and "_hash" not in vars(phase2)
+        memo = {kernel(gpu=2, name="stencil"): "footprint"}
+        assert memo[k2] == "footprint"
+        assert {Phase("p", (kernel(gpu=2, name="stencil"),)): 1}[phase2] == 1

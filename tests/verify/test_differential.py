@@ -6,10 +6,12 @@ import os
 
 import pytest
 
+from repro.core.gps_unit import GPSUnit
 from repro.verify.differential import (
     CaseReport,
     _compare_path,
     _scoped_env,
+    _warm_cold_case,
     canonical_payload,
     run_differential,
 )
@@ -71,6 +73,26 @@ class TestCompareLocalisation:
         (violation,) = report.violations
         assert violation.check == "differential-service"
         assert "the scheduler diverged" in violation.message
+
+
+class TestWarmColdRelation:
+    def test_warm_process_matches_cold(self):
+        for seed in range(3):
+            report = CaseReport(FuzzSpec(seed, 2, 0.25, 2))
+            _warm_cold_case(report.spec, "pcie6", report)
+            assert report.ok, [str(v) for v in report.violations]
+
+    def test_catches_a_window_memo_keyed_without_the_watermark(self, monkeypatch):
+        def resolve_without_watermark(unit):
+            pending, unit._pending = unit._pending, []
+            key = (unit._lines_per_page, tuple(k for k, _, _ in pending))
+            return unit.window_memo.lookup(key, lambda: unit._replay_window(pending))
+
+        monkeypatch.setattr(GPSUnit, "_resolve_window", resolve_without_watermark)
+        report = CaseReport(FuzzSpec(0, 2, 0.25, 2))
+        _warm_cold_case(report.spec, "pcie6", report)
+        assert report.violations
+        assert {v.check for v in report.violations} == {"differential-warm-cold"}
 
 
 class TestRunDifferential:
