@@ -106,102 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser("cache", help="inspect or clear the persistent result cache")
     cache.add_argument("action", nargs="?", choices=("show", "clear"), default="show")
 
-    store = sub.add_parser(
-        "store",
-        help="inspect and maintain the versioned result store",
-        description=(
-            "Operate on the append-only, snapshot-versioned result store "
-            "(repro.store): summarise it, query stored results with "
-            "attribute filters, manage tags, compact partitions, vacuum "
-            "expired snapshots, and walk the commit history. "
-            "See docs/STORE.md."
-        ),
-    )
-    store_sub = store.add_subparsers(dest="store_action", required=True)
-
-    def _store_common(p) -> None:
-        p.add_argument(
-            "--dir",
-            metavar="DIR",
-            default=None,
-            help="store directory (default: REPRO_STORE_DIR or .repro-store)",
-        )
-        p.add_argument(
-            "--at",
-            metavar="REF",
-            default=None,
-            help="read at a snapshot id or tag instead of the current snapshot",
-        )
-
-    _store_common(store_sub.add_parser("show", help="snapshot/partition/tag summary"))
-
-    store_query = store_sub.add_parser(
-        "query", help="attribute-filtered scan over stored results"
-    )
-    _store_common(store_query)
-    store_query.add_argument(
-        "--where",
-        action="append",
-        default=[],
-        metavar="FIELD<OP>VALUE",
-        help="filter such as paradigm=gps or num_gpus>=8; repeatable, ANDed; "
-        "'=' with a comma list means membership",
-    )
-    store_query.add_argument(
-        "--columns", metavar="COL,COL", help="comma-separated column projection"
-    )
-    store_query.add_argument(
-        "--order-by",
-        dest="order_by",
-        metavar="COL",
-        help="sort column; prefix with '-' for descending",
-    )
-    store_query.add_argument("--limit", type=int, metavar="N")
-    store_query.add_argument(
-        "--json", action="store_true", help="emit rows as JSON instead of a table"
-    )
-
-    store_tags = store_sub.add_parser(
-        "tags", help="list tags, or tag/untag a snapshot"
-    )
-    _store_common(store_tags)
-    store_tags.add_argument(
-        "name", nargs="?", help="with NAME: tag the --at (or current) snapshot"
-    )
-    store_tags.add_argument(
-        "--drop", action="store_true", help="drop tag NAME instead of creating it"
-    )
-
-    _store_common(
-        store_sub.add_parser(
-            "compact", help="merge each cell's partition files, dropping shadowed copies"
-        )
-    )
-
-    store_vacuum = store_sub.add_parser(
-        "vacuum", help="expire old snapshots and delete unreachable partition files"
-    )
-    _store_common(store_vacuum)
-    store_vacuum.add_argument(
-        "--keep-last",
-        dest="keep_last",
-        type=int,
-        default=8,
-        metavar="N",
-        help="retain the N most recent snapshots plus every tagged one (default: 8)",
-    )
-    store_vacuum.add_argument(
-        "--no-expire",
-        action="store_true",
-        help="only remove already-unreachable files; expire no snapshots",
-    )
-
-    store_history = store_sub.add_parser(
-        "history", help="walk the snapshot log, newest first"
-    )
-    _store_common(store_history)
-    store_history.add_argument("--limit", type=int, default=20, metavar="N")
-
     sub.add_parser("list", help="list workloads, paradigms, and interconnects")
 
     trace = sub.add_parser(
@@ -351,12 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable distributed request tracing (also: REPRO_SERVICE_TRACE=0)",
     )
-    serve.add_argument(
-        "--store",
-        metavar="DIR",
-        help="persist completed jobs to this result store and enable GET /query",
-    )
-
     def _add_client_args(p) -> None:
         p.add_argument(
             "--url",
@@ -392,79 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
     result.add_argument("id", help="job id returned by 'repro submit'")
     _add_client_args(result)
 
-    events = sub.add_parser(
-        "events",
-        help="stream one job's lifecycle events (queued/scheduled/running/done)",
-    )
-    events.add_argument("id", help="job id returned by 'repro submit'")
-    events.add_argument(
-        "--no-follow",
-        action="store_true",
-        help="dump the log so far and exit instead of following to completion",
-    )
-    _add_client_args(events)
-
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate the service's SLOs (compliance, burn rate, error budget)",
-        description=(
-            "Read the live SLO evaluation off GET /healthz: per-objective "
-            "compliance over its trailing window, the burn rate "
-            "(bad fraction / error budget), and remaining budget. Exit code "
-            "1 when any SLO is out of budget. See docs/OBSERVABILITY.md."
-        ),
-    )
-    _add_client_args(slo)
-
-    query = sub.add_parser(
-        "query",
-        help="query a running service's result store (analytics SDK)",
-        description=(
-            "Read through GET /query: attribute-filtered, column-projected "
-            "rows out of the service's attached result lakehouse, or "
-            "server-side metric buckets via GET /query/buckets. Filters use "
-            "the 'repro store query' grammar (field<op>value, comma lists "
-            "for 'in'). See docs/SERVICE.md."
-        ),
-    )
-    query.add_argument(
-        "--where",
-        action="append",
-        metavar="EXPR",
-        help="filter clause, e.g. workload=stencil or num_gpus>=4 (repeatable)",
-    )
-    query.add_argument(
-        "--columns", metavar="A,B,C", help="project these columns, in order"
-    )
-    query.add_argument(
-        "--order-by", metavar="FIELD", help="sort field; prefix with - for descending"
-    )
-    query.add_argument("--limit", type=int, help="return at most this many rows")
-    query.add_argument(
-        "--at", metavar="SNAPSHOT", help="time-travel: read at this snapshot id or tag"
-    )
-    query.add_argument(
-        "--bucket",
-        metavar="SERIES",
-        help="instead of rows, bucket this metric series (e.g. jobs.run_s)",
-    )
-    query.add_argument(
-        "--bucket-s",
-        type=float,
-        default=60.0,
-        help="bucket width in seconds for --bucket (default 60)",
-    )
-    _add_client_args(query)
-
     verify = sub.add_parser(
         "verify",
         help="fuzz + invariant oracle + differential conformance harness",
         description=(
             "Generate analyzer-clean random trace programs, check every "
             "simulation against the invariant oracle, and assert that the "
-            "direct, disk-cache, result-store, process-pool, and "
-            "live-service execution "
-            "paths agree byte-for-byte. Failures write machine-readable "
+            "direct, disk-cache, process-pool, and live-service "
+            "execution paths agree byte-for-byte. Failures write machine-readable "
             "repro artifacts with greedily minimised programs. Exit code: "
             "0 when every case passes, 1 otherwise. See docs/VERIFY.md."
         ),
@@ -614,10 +447,6 @@ def _cmd_cache(args) -> int:
             ("model fingerprint", info["model"]),
             ("entries", f"{info['entries']} ({fmt_bytes(info['size_bytes'])})"),
         ]
-        if info.get("backend") == "store":
-            # Extra row only in store mode: the flat default keeps its
-            # pinned three-row layout.
-            rows.insert(1, ("backend", "store (repro.store lakehouse)"))
         stats = cache_stats()
         if stats.lookups:
             rows.append(("this process", stats.report()))
@@ -627,167 +456,6 @@ def _cmd_cache(args) -> int:
     if fleet.runs:
         print(fleet.report())
     return 0
-
-
-def _cmd_store(args) -> int:
-    """Dispatch one ``repro store`` verb; exits 1 on any store error."""
-    from .store import ResultStore, StoreError, default_store_dir
-
-    directory = args.dir or default_store_dir()
-    try:
-        store = ResultStore.open(directory)
-        return _STORE_ACTIONS[args.store_action](store, args)
-    except StoreError as exc:
-        print(f"store error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _store_show(store, args) -> int:
-    stats = store.stats()
-    at = store.resolve(args.at)
-    reachable = len(store.at(args.at).partitions())
-    rows = [
-        ("store", stats["directory"]),
-        ("current snapshot", stats["current_snapshot"]),
-        ("snapshots", stats["snapshots"]),
-        ("records", stats["records"]),
-        (
-            "partitions",
-            f"{stats['partitions']} live ({fmt_bytes(stats['bytes'])}), "
-            f"{stats['partition_files']} files on disk",
-        ),
-        ("tags", ", ".join(f"{n}@{s}" for n, s in sorted(stats["tags"].items())) or "-"),
-        (
-            "views",
-            ", ".join(
-                f"{name}@{state if state is not None else '-'}"
-                for name, state in sorted(stats["views"].items())
-            ),
-        ),
-    ]
-    if args.at is not None:
-        rows.insert(2, ("reading at", f"{at} ({reachable} partitions)"))
-    for label, value in rows:
-        print(f"{label:<17}: {value}")
-    return 0
-
-
-def _store_query(store, args) -> int:
-    import json as _json
-
-    columns = args.columns.split(",") if args.columns else None
-    result = store.query(
-        where=args.where,
-        columns=columns,
-        order_by=args.order_by,
-        limit=args.limit,
-        at=args.at,
-    )
-    if args.json:
-        print(_json.dumps(result.rows(), indent=2, sort_keys=True))
-        return 0
-    headers, rows = result.table()
-    shown = [
-        [f"{v:.6g}" if isinstance(v, float) else ("-" if v is None else v) for v in row]
-        for row in rows
-    ]
-    title = f"{len(result)} result{'s' if len(result) != 1 else ''}"
-    if args.at is not None:
-        title += f" @ {store.resolve(args.at)}"
-    print(format_table(headers, shown, title=title))
-    return 0
-
-
-def _store_tags(store, args) -> int:
-    if args.name and args.drop:
-        if store.drop_tag(args.name):
-            print(f"dropped tag {args.name}")
-            return 0
-        print(f"no such tag {args.name}", file=sys.stderr)
-        return 1
-    if args.name:
-        snapshot = store.tag(args.name, args.at)
-        print(f"tagged snapshot {snapshot} as {args.name}")
-        return 0
-    tags = store.tags()
-    if not tags:
-        print("no tags")
-        return 0
-    for name, snapshot in sorted(tags.items()):
-        print(f"{name:<24}: snapshot {snapshot}")
-    return 0
-
-
-def _store_compact(store, args) -> int:
-    from .store import compact
-
-    report = compact(store)
-    if report.cells_compacted == 0:
-        print("nothing to compact (every cell already has one partition file)")
-        return 0
-    print(
-        f"compacted {report.cells_compacted} cells: "
-        f"{report.files_before} -> {report.files_after} partition files, "
-        f"{report.records} records, {report.shadowed_dropped} shadowed copies dropped "
-        f"(snapshot {report.snapshot})"
-    )
-    return 0
-
-
-def _store_vacuum(store, args) -> int:
-    from .store import RetentionPolicy, vacuum
-
-    report = vacuum(
-        store,
-        RetentionPolicy(keep_last=args.keep_last),
-        expire=not args.no_expire,
-    )
-    print(
-        f"expired {len(report.expired_snapshots)} snapshots, "
-        f"removed {report.removed_partitions} partition files "
-        f"({fmt_bytes(report.removed_bytes)}), "
-        f"{report.removed_temp_files} temp files, "
-        f"{report.view_states_pruned} view states; "
-        f"{report.live_partitions} partitions live"
-    )
-    return 0
-
-
-def _store_history(store, args) -> int:
-    head = store.resolve(args.at)
-    if head is None:
-        print("empty store (no snapshots)")
-        return 0
-    tags_by_snapshot: "dict[int, list[str]]" = {}
-    for name, snapshot in store.tags().items():
-        tags_by_snapshot.setdefault(snapshot, []).append(name)
-    shown = 0
-    current = head
-    while current is not None and shown < max(0, args.limit):
-        snapshot = store.log.load(current)
-        marks = "".join(f" <{t}>" for t in sorted(tags_by_snapshot.get(current, [])))
-        delta = f"+{len(snapshot.added)}/-{len(snapshot.removed)} partitions"
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(snapshot.summary.items()))
-        print(
-            f"{current:>8}  {snapshot.operation:<8} {delta:<22} "
-            f"{detail}{marks}"
-        )
-        current = snapshot.parent
-        shown += 1
-    if current is not None:
-        print(f"... history continues at snapshot {current} (raise --limit)")
-    return 0
-
-
-#: ``repro store <verb>`` dispatch table.
-_STORE_ACTIONS = {
-    "show": _store_show,
-    "query": _store_query,
-    "tags": _store_tags,
-    "compact": _store_compact,
-    "vacuum": _store_vacuum,
-    "history": _store_history,
-}
 
 
 def _traced_run(args):
@@ -1007,17 +675,20 @@ def _cmd_serve(args) -> int:
     from .service import ServiceSettings, serve
 
     max_wait_s = args.max_wait_ms / 1000.0 if args.max_wait_ms is not None else None
-    settings = ServiceSettings.from_env(
-        host=args.host,
-        port=args.port,
-        queue_depth=args.queue_depth,
-        batch_size=args.batch_size,
-        max_wait_s=max_wait_s,
-        max_retries=args.max_retries,
-        max_workers=args.workers,
-        trace=False if args.no_trace else None,
-        store_dir=args.store,
-    )
+    try:
+        settings = ServiceSettings.from_env(
+            host=args.host,
+            port=args.port,
+            queue_depth=args.queue_depth,
+            batch_size=args.batch_size,
+            max_wait_s=max_wait_s,
+            max_retries=args.max_retries,
+            max_workers=args.workers,
+            trace=False if args.no_trace else None,
+        )
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
     return serve(settings)
 
 
@@ -1117,105 +788,6 @@ def _cmd_result(args) -> int:
         print(f"job {args.id} is still pending", file=sys.stderr)
         return 1
     _print_result_payload(payload, args.json)
-    return 0
-
-
-def _cmd_events(args) -> int:
-    import json as _json
-
-    from .service import ClientError, ServiceClient
-
-    client = ServiceClient(args.url)
-    try:
-        for event in client.events(args.id, follow=not args.no_follow):
-            if args.json:
-                print(_json.dumps(event, sort_keys=True), flush=True)
-            else:
-                detail = " ".join(
-                    f"{key}={value}"
-                    for key, value in sorted(event.items())
-                    if key not in ("seq", "t", "event")
-                )
-                print(f"[{event['seq']:3d}] {event['event']:<16} {detail}".rstrip(), flush=True)
-    except ClientError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_slo(args) -> int:
-    import json as _json
-
-    from .service import ClientError, ServiceClient
-
-    try:
-        slos = ServiceClient(args.url).slo()
-    except ClientError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(_json.dumps(slos, indent=2, sort_keys=True))
-        return 0 if all(item["ok"] for item in slos) else 1
-    print(f"{'SLO':<18} {'objective':>9} {'window':>8} {'samples':>8} "
-          f"{'compliance':>10} {'burn rate':>9} {'budget left':>11}  status")
-    for item in slos:
-        window = f"{item['window_s'] / 3600:.1f}h"
-        print(f"{item['name']:<18} {item['objective']:>9.3f} {window:>8} "
-              f"{item['total']:>8d} {item['compliance']:>10.4f} "
-              f"{item['burn_rate']:>9.2f} {item['error_budget_remaining']:>11.2f}  "
-              f"{'ok' if item['ok'] else 'BREACHED'}")
-    return 0 if all(item["ok"] for item in slos) else 1
-
-
-def _cmd_query(args) -> int:
-    import json as _json
-
-    from .service import ClientError, QueryClient
-
-    client = QueryClient(args.url)
-    try:
-        if args.bucket:
-            payload = client.buckets(args.bucket, bucket_s=args.bucket_s)
-            if args.json:
-                print(_json.dumps(payload, indent=2, sort_keys=True))
-                return 0
-            headers = ["bucket start", "n", "min", "max", "avg", "p50", "p99"]
-            rows = [
-                [
-                    f"{bucket['t']:.3f}",
-                    bucket["count"],
-                    *(f"{bucket[k]:.6g}" for k in ("min", "max", "avg", "p50", "p99")),
-                ]
-                for bucket in payload.get("buckets", [])
-            ]
-            print(format_table(
-                headers, rows,
-                title=f"{payload.get('name', args.bucket)} "
-                      f"({payload.get('bucket_s', args.bucket_s):g}s buckets)",
-            ))
-            return 0
-        frame = client.query(
-            where=args.where,
-            columns=args.columns.split(",") if args.columns else None,
-            order_by=args.order_by,
-            limit=args.limit,
-            at=args.at,
-        )
-    except ClientError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(_json.dumps(frame.rows(), indent=2, sort_keys=True))
-        return 0
-    headers, rows = frame.table()
-    shown = [
-        [f"{v:.6g}" if isinstance(v, float) else ("-" if v is None else v) for v in row]
-        for row in rows
-    ]
-    title = f"{len(frame)} result{'s' if len(frame) != 1 else ''}"
-    if frame.snapshot is not None:
-        title += f" @ {frame.snapshot}"
-    print(format_table(headers, shown, title=title))
     return 0
 
 
@@ -1352,14 +924,10 @@ def main(argv=None) -> int:
         "run-trace": _cmd_run_trace,
         "lint": _cmd_lint,
         "cache": _cmd_cache,
-        "store": _cmd_store,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "status": _cmd_status,
         "result": _cmd_result,
-        "events": _cmd_events,
-        "slo": _cmd_slo,
-        "query": _cmd_query,
         "verify": _cmd_verify,
     }
     return handlers[args.command](args)

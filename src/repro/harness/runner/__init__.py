@@ -38,13 +38,11 @@ from .parallel import (
     run_many_traced_settled,
 )
 from .stats import CacheStats, FleetStats, WorkerStats
-from .store_backend import StoreCache
 
 __all__ = [
     "CacheStats",
     "DEFAULT_CACHE_DIR",
     "FleetStats",
-    "StoreCache",
     "MODEL_FINGERPRINT",
     "SimJob",
     "WorkerStats",
@@ -141,7 +139,6 @@ def disk_cache_info() -> dict:
         return {"enabled": False}
     return {
         "enabled": True,
-        "backend": getattr(disk, "backend", "flat"),
         "directory": str(disk.directory),
         "entries": disk.entry_count(),
         "size_bytes": disk.size_bytes(),

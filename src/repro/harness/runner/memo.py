@@ -17,45 +17,32 @@ from ...system.results import SimulationResult
 from .disk import DEFAULT_CACHE_DIR, DiskCache
 from .stats import CacheStats
 
-from .store_backend import StoreCache
-
 _RESULT_CACHE: "dict[str, SimulationResult]" = {}
 _STATS = CacheStats()
-_DISK: "DiskCache | StoreCache | None" = None
+_DISK: "DiskCache | None" = None
 _DISK_ENV: "tuple | None" = None
-
-#: Default lakehouse directory when ``REPRO_RESULT_BACKEND=store`` is
-#: selected without an explicit ``REPRO_STORE_DIR``.
-DEFAULT_STORE_DIR = ".repro-store"
 
 
 def _cache_env() -> tuple:
     return (
         os.environ.get("REPRO_NO_CACHE") or "",
         os.environ.get("REPRO_CACHE_DIR") or "",
-        os.environ.get("REPRO_RESULT_BACKEND") or "",
-        os.environ.get("REPRO_STORE_DIR") or "",
     )
 
 
-def disk_cache() -> "DiskCache | StoreCache | None":
+def disk_cache() -> "DiskCache | None":
     """The active persistent cache, or ``None`` when disabled.
 
     ``REPRO_NO_CACHE`` set to anything but ``""``/``"0"`` disables the
     layer; ``REPRO_CACHE_DIR`` overrides the default ``.repro-cache/``.
-    ``REPRO_RESULT_BACKEND=store`` swaps the flat per-file cache for the
-    :mod:`repro.store` lakehouse rooted at ``REPRO_STORE_DIR`` (default
-    ``.repro-store/``), auto-importing the flat cache on first open.
     """
     global _DISK, _DISK_ENV
     env = _cache_env()
     if env != _DISK_ENV:
         _DISK_ENV = env
-        no_cache, cache_dir, backend, store_dir = env
+        no_cache, cache_dir = env
         if no_cache and no_cache != "0":
             _DISK = None
-        elif backend == "store":
-            _DISK = StoreCache(Path(store_dir or DEFAULT_STORE_DIR), _STATS)
         else:
             _DISK = DiskCache(Path(cache_dir or DEFAULT_CACHE_DIR), _STATS)
     return _DISK

@@ -39,7 +39,6 @@ from .export import (
     write_chrome_trace,
 )
 from .profile import ProfileRow, format_profile, self_time_profile
-from .promtext import prometheus_text, promtext_problems
 from .registry import Counter, CounterRegistry, Histogram
 from .span import Span
 
@@ -63,8 +62,6 @@ __all__ = [
     "metrics_csv",
     "metrics_json",
     "parse_traceparent",
-    "prometheus_text",
-    "promtext_problems",
     "run_manifest",
     "self_time_profile",
     "set_id_generator",

@@ -12,21 +12,18 @@ the full reference):
 * :class:`BatchScheduler` (``scheduler.py``) — drains the queue on a
   size/age window into :func:`repro.harness.runner.run_many_settled`
   batches, with bounded per-job retry and graceful drain;
-* :class:`SimulationService` (``server.py``) + the client SDKs
-  (``client.py`` / ``query_client.py``) — the asyncio HTTP frontend over
-  one queue and one scheduler, its blocking consumer, and the
-  :class:`QueryClient` analytics SDK over the attached result store
-  (``GET /query``, ``GET /query/buckets``);
+* :class:`SimulationService` (``server.py``) + :class:`ServiceClient`
+  (``client.py``) — the asyncio HTTP frontend over one queue and one
+  scheduler, and its blocking consumer;
 * :class:`ServiceMetrics` (``metrics.py``) — queue depth, latency
   histograms, coalescing/retry/rejection counters, published through
-  :class:`repro.obs.CounterRegistry` and served at ``GET /metrics`` (JSON
-  or Prometheus text exposition);
+  :class:`repro.obs.CounterRegistry` and served as JSON at
+  ``GET /metrics``;
 * observability (``timeseries.py`` / ``slo.py`` + the queue's tracer) —
   ring-buffered metric time-series with server-side bucketing
-  (``GET /metrics/series``), streamed job lifecycle events
-  (``GET /jobs/{id}/events``), distributed request traces
-  (``GET /traces/{id}``), and declarative SLOs with burn-rate evaluation
-  on ``/healthz`` (see ``docs/OBSERVABILITY.md``).
+  (``GET /metrics/series``), each job's lifecycle as distributed trace
+  spans (``GET /traces/{id}``), and declarative SLOs with burn-rate
+  evaluation on ``/healthz`` (see ``docs/OBSERVABILITY.md``).
 
 Everything is stdlib-only (asyncio + http.client); simulations themselves
 run through the existing cached, analyzed, process-pooled harness runner.
@@ -34,7 +31,6 @@ run through the existing cached, analyzed, process-pooled harness runner.
 
 from .client import ClientError, JobFailed, ServiceClient, service_url
 from .metrics import LATENCY_BUCKETS_S, ServiceMetrics
-from .query_client import QueryClient, QueryPayload
 from .queue import Job, JobQueue, JobState, QueueFull, ServiceClosed
 from .scheduler import BatchScheduler
 from .server import ServiceSettings, SimulationService, parse_job_payload, serve
@@ -51,8 +47,6 @@ __all__ = [
     "JobQueue",
     "JobState",
     "LATENCY_BUCKETS_S",
-    "QueryClient",
-    "QueryPayload",
     "QueueFull",
     "SLO",
     "SeriesStore",

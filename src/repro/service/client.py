@@ -19,10 +19,9 @@ service need no configuration at all.
 Observability: :meth:`ServiceClient.submit` mints a W3C trace context and
 sends it as a ``traceparent`` header (``trace=False`` opts out), so the
 server's spans parent under the client's trace; the submit payload echoes
-the minted ids as ``client_trace``. :meth:`ServiceClient.events` follows a
-job's lifecycle event stream, :meth:`ServiceClient.series` fetches bucketed
-metric time-series, :meth:`ServiceClient.trace` downloads the distributed
-trace (optionally as Perfetto/Chrome-trace JSON), and
+the minted ids as ``client_trace``. :meth:`ServiceClient.series` fetches
+bucketed metric time-series, :meth:`ServiceClient.trace` downloads the
+distributed trace (optionally as Perfetto/Chrome-trace JSON), and
 :meth:`ServiceClient.slo` reads the live SLO evaluation off ``/healthz``.
 """
 
@@ -33,7 +32,6 @@ import json
 import os
 import time
 import urllib.parse
-from typing import Iterator
 
 from ..errors import ServiceError
 from ..obs.distributed import TraceContext
@@ -127,25 +125,6 @@ class ServiceClient:
         """The service's counter-registry snapshot."""
         return _check(*self._request("GET", "/metrics"), accept=(200,))["metrics"]
 
-    def metrics_text(self) -> str:
-        """The Prometheus text-exposition scrape (``?format=prometheus``)."""
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request("GET", "/metrics?format=prometheus")
-            response = conn.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                raise ClientError(
-                    f"service returned HTTP {response.status}", status=response.status
-                )
-            return raw.decode("utf-8")
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            raise ClientError(
-                f"cannot reach service at http://{self.host}:{self.port}: {exc}"
-            ) from exc
-        finally:
-            conn.close()
-
     def submit(
         self,
         workload: str,
@@ -189,44 +168,6 @@ class ServiceClient:
                 "span_id": context.span_id,
             }
         return payload
-
-    def events(self, job_id: str, follow: bool = True) -> "Iterator[dict]":
-        """Stream one job's lifecycle events as they happen.
-
-        Yields one dict per event (``{"seq", "t", "event", ...}``). With
-        ``follow`` the stream stays open until the job reaches a terminal
-        state; ``follow=False`` dumps the log so far and closes.
-        """
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            path = f"/jobs/{job_id}/events" + ("" if follow else "?follow=0")
-            conn.request("GET", path)
-            response = conn.getresponse()
-            if response.status != 200:
-                raw = response.read()
-                try:
-                    message = json.loads(raw).get("error")
-                except ValueError:
-                    message = None
-                raise ClientError(
-                    message or f"service returned HTTP {response.status}",
-                    status=response.status,
-                )
-            # http.client undoes the chunked transfer encoding; readline
-            # yields one JSON event per line as the server flushes them.
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            raise ClientError(
-                f"cannot reach service at http://{self.host}:{self.port}: {exc}"
-            ) from exc
-        finally:
-            conn.close()
 
     def series(
         self,

@@ -18,20 +18,16 @@ matches the hardware counters the simulator already exports:
 Counters are created eagerly so the ``/metrics`` payload exposes a stable
 key set from the first scrape, before any job has been submitted.
 
-Two export shapes share the one registry: the JSON snapshot
-(:meth:`ServiceMetrics.snapshot`, ``GET /metrics``) and Prometheus text
-exposition (:meth:`ServiceMetrics.prometheus`,
-``GET /metrics?format=prometheus``) with full histogram families. Alongside
-the registry, a :class:`~repro.service.timeseries.SeriesStore` records
-*when* things happened (``jobs.wait_s`` / ``jobs.run_s`` / ``jobs.total_s``
-latency samples, ``jobs.ok`` success bits, ``queue.depth`` snapshots) for
-``GET /metrics/series`` bucketing and SLO evaluation.
+Alongside the registry, a :class:`~repro.service.timeseries.SeriesStore`
+records *when* things happened (``jobs.wait_s`` / ``jobs.run_s`` /
+``jobs.total_s`` latency samples, ``jobs.ok`` success bits, ``queue.depth``
+snapshots) for ``GET /metrics/series`` bucketing and SLO evaluation.
 """
 
 from __future__ import annotations
 
 from ..harness.runner import cache_stats, fleet_stats
-from ..obs import CounterRegistry, prometheus_text
+from ..obs import CounterRegistry
 from ..obs.registry import Number
 from .timeseries import DEFAULT_SERIES_SAMPLES, SeriesStore
 
@@ -52,8 +48,6 @@ _COUNTERS = (
     "scheduler.batched_jobs",
     "trace.spans_attached",
     "trace.evicted_spans",
-    "store.persisted",
-    "store.errors",
 )
 
 
@@ -146,16 +140,6 @@ class ServiceMetrics:
         """One job failed an attempt and was requeued."""
         self._scope.add("jobs.retried")
 
-    # -- result-store sink ---------------------------------------------------
-
-    def store_persisted(self, count: int) -> None:
-        """``count`` completed jobs were committed to the result lakehouse."""
-        self._scope.add("store.persisted", count)
-
-    def store_error(self) -> None:
-        """One lakehouse commit failed (jobs still completed normally)."""
-        self._scope.add("store.errors")
-
     # -- tracing -------------------------------------------------------------
 
     def spans_attached(self, count: int) -> None:
@@ -172,7 +156,3 @@ class ServiceMetrics:
     def snapshot(self) -> "dict[str, Number]":
         """The full registry snapshot served at ``GET /metrics``."""
         return self.registry.as_dict()
-
-    def prometheus(self) -> str:
-        """Text exposition 0.0.4 rendering (``GET /metrics?format=prometheus``)."""
-        return prometheus_text(self.registry)

@@ -22,21 +22,15 @@ dispatch FIFO. The heap orders groups by ``(-priority, seq)``, where
 ``seq`` is stamped once when a group is first queued — a retried group
 re-enters at its original position, ahead of work submitted after it.
 
-Beyond queueing, every job carries two observability channels (see
-``docs/OBSERVABILITY.md``):
-
-* an **event log** — an append-only list of timestamped lifecycle events
-  (``queued`` / ``coalesced`` / ``cache_hit`` / ``scheduled`` / ``running``
-  / ``attempt_failed`` / ``spans_attached`` / ``done`` / ``failed``) that
-  the streaming ``GET /jobs/{id}/events`` endpoint follows live; always on.
-* **distributed trace spans** — when the queue owns a
-  :class:`~repro.obs.distributed.TraceStore` (``tracer``), each submission
-  opens a ``request`` span under the client's ``traceparent`` (or a
-  server-minted root), a ``queue.wait`` span until dispatch, one shared
-  ``execute`` span per group on the *primary* submitter's trace (coalesced
-  submitters record a ``coalesced`` span *linking* to it), and a ``run``
-  span per dispatch attempt under which the worker's engine spans are
-  re-parented.
+Beyond queueing, each job's lifecycle is recorded as **distributed trace
+spans** (see ``docs/OBSERVABILITY.md``): when the queue owns a
+:class:`~repro.obs.distributed.TraceStore` (``tracer``), each submission
+opens a ``request`` span under the client's ``traceparent`` (or a
+server-minted root), a ``queue.wait`` span until dispatch, one shared
+``execute`` span per group on the *primary* submitter's trace (coalesced
+submitters record a ``coalesced`` span *linking* to it), and a ``run``
+span per dispatch attempt under which the worker's engine spans are
+re-parented.
 """
 
 from __future__ import annotations
@@ -99,7 +93,6 @@ class Job:
     future: "asyncio.Future | None" = None
     trace_id: "str | None" = None
     client_span_id: "str | None" = None
-    events: "list[dict]" = field(default_factory=list)
     batch: "dict | None" = None
     request_span: "DistSpan | None" = field(default=None, repr=False)
     queue_span: "DistSpan | None" = field(default=None, repr=False)
@@ -107,30 +100,6 @@ class Job:
     exec_span: "DistSpan | None" = field(default=None, repr=False)  # primary only
     run_span: "DistSpan | None" = field(default=None, repr=False)  # primary only
     seq: int = field(default=0, repr=False)  # dispatch-order stamp (primary only)
-    _event_flag: "asyncio.Event | None" = field(default=None, repr=False)
-
-    def add_event(self, event: str, **fields) -> None:
-        """Append one lifecycle event and wake any streaming followers."""
-        entry: dict = {"seq": len(self.events), "t": time.time(), "event": event}
-        entry.update(fields)
-        self.events.append(entry)
-        flag = self._event_flag
-        if flag is not None:
-            self._event_flag = None
-            flag.set()
-
-    async def wait_events(self, have: int) -> None:
-        """Block until the job has more than ``have`` events."""
-        while len(self.events) <= have:
-            if self._event_flag is None:
-                self._event_flag = asyncio.Event()
-            flag = self._event_flag
-            await flag.wait()
-
-    @property
-    def terminal(self) -> bool:
-        """Whether the job reached DONE or FAILED."""
-        return self.state in (JobState.DONE, JobState.FAILED)
 
     @property
     def result(self) -> "SimulationResult | None":
@@ -308,7 +277,6 @@ class JobQueue:
                     attrs={"primary_job_id": primary.id},
                     links=[{"trace_id": primary.trace_id, "span_id": primary.exec_span_id}],
                 )
-            job.add_event("coalesced", primary=primary.id, state=primary.state.value)
             return job
 
         cached = memo.lookup(key)
@@ -338,8 +306,6 @@ class JobQueue:
                     track="job",
                 )
                 self.tracer.end_span(job.request_span)  # type: ignore[union-attr]
-            job.add_event("cache_hit")
-            job.add_event("done")
             return job
 
         if self.depth >= self.max_depth:
@@ -375,7 +341,6 @@ class JobQueue:
                 track="job",
                 attrs={"priority": priority},
             )
-        job.add_event("queued", depth=self.depth)
         self._gauges()
         return job
 
@@ -413,7 +378,6 @@ class JobQueue:
         batch = {"batch_seq": batch_seq, "batch_size": batch_size}
         for job in self._groups[key]:
             job.batch = batch
-            job.add_event("scheduled", **batch)
 
     def mark_running(self, key: str) -> None:
         """Transition a group to RUNNING (dispatch time for latency)."""
@@ -425,7 +389,6 @@ class JobQueue:
             job.state = JobState.RUNNING
             if job.started_mono is None:
                 job.started_mono = now
-            job.add_event("running", attempt=primary.attempts + 1)
         if self.tracer is not None and primary.exec_span_id is not None:
             if primary.exec_span is None:
                 # First dispatch: close the queue wait, open the shared
@@ -466,7 +429,6 @@ class JobQueue:
             primary.run_span = None
         for job in group:
             job.attempts = attempts
-            job.add_event("attempt_failed", attempt=attempts)
         return attempts
 
     def attach_spans(self, key: str, spans: "list[dict] | None", evicted: int) -> None:
@@ -490,8 +452,6 @@ class JobQueue:
             )
             self.metrics.spans_attached(count)
             self.metrics.spans_evicted(evicted)
-            for job in self._groups[key]:
-                job.add_event("spans_attached", count=count, evicted=evicted)
         primary.run_span = None
 
     def requeue(self, key: str) -> None:
@@ -531,12 +491,10 @@ class JobQueue:
             if error is None:
                 job.state = JobState.DONE
                 self.metrics.job_completed(job.wait_s or 0.0, job.run_s or 0.0)
-                job.add_event("done")
             else:
                 job.state = JobState.FAILED
                 job.error = f"{type(error).__name__}: {error}"
                 self.metrics.job_failed()
-                job.add_event("failed", error=job.error)
             if self.tracer is not None:
                 if job.queue_span is not None:
                     job.queue_span.attrs.setdefault("outcome", job.state.value)

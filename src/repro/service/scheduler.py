@@ -54,7 +54,6 @@ class BatchScheduler:
         runner=run_many_settled,
         traced_runner=run_many_traced_settled,
         traced: "bool | None" = None,
-        sink=None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -67,10 +66,6 @@ class BatchScheduler:
         self.max_workers = max_workers
         self._runner = runner
         self._traced_runner = traced_runner
-        #: Optional :class:`~repro.service.store_sink.StoreSink`: successful
-        #: completions of each batch are committed to the result lakehouse
-        #: as one append snapshot, after their futures settle.
-        self.sink = sink
         self.traced = (queue.tracer is not None) if traced is None else traced
         self._batch_seq = itertools.count(1)
         self._task: "asyncio.Task | None" = None
@@ -142,7 +137,6 @@ class BatchScheduler:
         else:
             outcomes = await asyncio.to_thread(self._runner, sims, self.max_workers)
         retry: "list[Job]" = []
-        completed: "list[tuple[Job, object]]" = []
         for job, outcome in zip(batch, outcomes):
             if isinstance(outcome, Exception):
                 attempts = self.queue.record_attempt(job.key)
@@ -152,11 +146,6 @@ class BatchScheduler:
                     self.queue.finish(job.key, error=outcome)
             else:
                 self.queue.finish(job.key, result=outcome)
-                completed.append((job, outcome))
-        if self.sink is not None and completed:
-            # Off-loop and after the futures settled: persistence latency
-            # (and failures) never touch job completion.
-            await asyncio.to_thread(self.sink.persist, completed)
         if retry:
             # Linear backoff on the worst offender; one sleep covers the
             # whole batch so retries of a crashed pool don't thundering-herd.

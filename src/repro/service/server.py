@@ -13,23 +13,16 @@ run off-loop via the harness runner's process pool. The API surface:
                             request headers
 ``GET /jobs/{id}``          job status (state, latencies, attempts, coalesced,
                             client label, trace id)
-``GET /jobs/{id}/events``   the job's lifecycle event log as streamed JSON
-                            lines (chunked); ``?follow=0`` dumps and closes
 ``GET /results/{id}``       ``200`` + full result once done, ``202`` while
                             pending, ``500`` once failed
 ``GET /healthz``            liveness + queue gauges + live SLO evaluation
-``GET /metrics``            the service's ``obs.CounterRegistry`` snapshot;
-                            ``?format=prometheus`` serves text exposition
+``GET /metrics``            the service's ``obs.CounterRegistry`` snapshot
+                            as JSON
 ``GET /metrics/series``     ring-buffered time-series, bucketed server-side
                             (``?name=jobs.total_s&bucket=60``)
-``GET /query``              attribute-filtered rows over the attached result
-                            store (repeatable ``?where=``, ``columns``,
-                            ``order_by``, ``limit``, ``at``); dataframe-shaped
-``GET /query/buckets``      floor-aligned min/max/avg/p50/p99 buckets over one
-                            metric series (the analytics alias of
-                            ``/metrics/series``)
-``GET /traces/{id}``        one distributed trace's span closure;
-                            ``?format=perfetto`` serves Chrome-trace JSON
+``GET /traces/{id}``        one distributed trace's span closure (the job's
+                            lifecycle record); ``?format=perfetto`` serves
+                            Chrome-trace JSON
 ``POST /shutdown``          graceful drain (``{"drain": false}`` aborts the
                             queue instead)
 ==========================  ==================================================
@@ -63,10 +56,9 @@ from ..workloads.registry import (
     workload_names,
 )
 from .metrics import ServiceMetrics
-from .queue import Job, JobQueue, JobState, QueueFull, ServiceClosed
+from .queue import JobQueue, JobState, QueueFull, ServiceClosed
 from .scheduler import BatchScheduler
 from .slo import evaluate_slos, slos_from_env
-from .store_sink import StoreSink
 from .timeseries import DEFAULT_SERIES_SAMPLES
 
 _STATUS_PHRASES = {
@@ -90,14 +82,20 @@ def _qlast(query: "dict[str, list[str]]", name: str, default: "str | None" = Non
     return values[-1] if values else default
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: "int | None") -> "int | None":
     raw = os.environ.get(name, "")
-    return int(raw) if raw else default
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name, "")
-    return float(raw) if raw else default
+    try:
+        return float(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -115,19 +113,15 @@ class ServiceSettings:
     trace: bool = True
     max_traces: int = 256
     series_samples: int = DEFAULT_SERIES_SAMPLES
-    #: When set, completed jobs are committed to the result lakehouse at
-    #: this directory (one append snapshot per batch) and ``GET /query``
-    #: serves attribute-filtered reads over it; ``None`` disables both.
-    store_dir: "str | None" = None
 
     @classmethod
     def from_env(cls, **overrides) -> "ServiceSettings":
         """Settings from ``REPRO_SERVICE_*`` variables, then ``overrides``.
 
         Only overrides whose value is not ``None`` apply, so CLI flags can
-        pass through unset options without clobbering the environment.
+        pass through unset options without clobbering the environment. A
+        malformed number raises ``ValueError`` naming the variable.
         """
-        workers = os.environ.get("REPRO_SERVICE_MAX_WORKERS", "")
         values = {
             "host": os.environ.get("REPRO_SERVICE_HOST") or cls.host,
             "port": _env_int("REPRO_SERVICE_PORT", cls.port),
@@ -140,11 +134,10 @@ class ServiceSettings:
                 "REPRO_SERVICE_RETRY_BACKOFF_MS", cls.retry_backoff_s * 1000.0
             )
             / 1000.0,
-            "max_workers": int(workers) if workers else None,
+            "max_workers": _env_int("REPRO_SERVICE_MAX_WORKERS", None),
             "trace": os.environ.get("REPRO_SERVICE_TRACE", "1") not in ("0", "false"),
             "max_traces": _env_int("REPRO_SERVICE_MAX_TRACES", cls.max_traces),
             "series_samples": _env_int("REPRO_SERVICE_SERIES_SAMPLES", cls.series_samples),
-            "store_dir": os.environ.get("REPRO_SERVICE_STORE_DIR") or None,
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -207,11 +200,6 @@ class SimulationService:
             TraceStore(max_traces=self.settings.max_traces) if self.settings.trace else None
         )
         self.slos = slos_from_env()
-        self.store_sink = (
-            StoreSink(self.settings.store_dir, self.metrics)
-            if self.settings.store_dir
-            else None
-        )
         self.queue = JobQueue(
             self.metrics, max_depth=self.settings.queue_depth, tracer=self.tracer
         )
@@ -223,9 +211,7 @@ class SimulationService:
             max_retries=self.settings.max_retries,
             retry_backoff_s=self.settings.retry_backoff_s,
             max_workers=self.settings.max_workers,
-            sink=self.store_sink,
         )
-        self._query_store = None  # lazily opened ResultStore for GET /query
         self._server: "asyncio.Server | None" = None
         self._stopped: "asyncio.Event | None" = None
         self.host = self.settings.host
@@ -285,14 +271,8 @@ class SimulationService:
             # Handlers return (status, payload) or (status, payload, headers).
             status, payload = response[0], response[1]
             extra_headers = response[2] if len(response) > 2 else None
-            if isinstance(payload, _EventStream):
-                await self._stream_events(writer, payload)
-            elif isinstance(payload, _TextResponse):
-                writer.write(_render_text(status, payload))
-                await writer.drain()
-            else:
-                writer.write(_render_response(status, payload, extra_headers))
-                await writer.drain()
+            writer.write(_render_response(status, payload, extra_headers))
+            await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -305,16 +285,16 @@ class SimulationService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "tuple[str, str, dict, dict, bytes] | None":
-        request_line = await reader.readline()
+        request_line = await _readline(reader)
         if not request_line:
             return None
         try:
             method, target, _version = request_line.decode("latin-1").split()
         except ValueError:
-            return "GET", "/__malformed__", {}, {}, b""
+            raise _BadRequest(f"malformed request line {request_line[:80]!r}") from None
         headers: "dict[str, str]" = {}
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -332,7 +312,6 @@ class SimulationService:
             )
         body = await reader.readexactly(content_length) if content_length else b""
         path, _, raw_query = target.partition("?")
-        # Multi-valued: ``GET /query?where=a&where=b`` keeps every clause.
         query = parse_qs(raw_query)
         return method.upper(), path, query, headers, body
 
@@ -349,23 +328,11 @@ class SimulationService:
                 "slo": evaluate_slos(self.slos, self.metrics.series),
             }
         if path == "/metrics" and method == "GET":
-            if _qlast(query, "format") == "prometheus":
-                return 200, _TextResponse(
-                    self.metrics.prometheus(), "text/plain; version=0.0.4; charset=utf-8"
-                )
             return 200, {"metrics": self.metrics.snapshot()}
         if path == "/metrics/series" and method == "GET":
             return self._series(query)
-        if path == "/query" and method == "GET":
-            return await self._query(query)
-        if path == "/query/buckets" and method == "GET":
-            # The analytics alias: identical bucketing, under the query
-            # surface so the QueryClient speaks to one prefix.
-            return self._series(query)
         if path == "/jobs" and method == "POST":
             return self._submit(headers, body)
-        if path.startswith("/jobs/") and path.endswith("/events") and method == "GET":
-            return self._job_events(path[len("/jobs/"):-len("/events")], query)
         if path.startswith("/jobs/") and method == "GET":
             return self._job_status(path[len("/jobs/"):])
         if path.startswith("/results/") and method == "GET":
@@ -374,13 +341,9 @@ class SimulationService:
             return self._trace(path[len("/traces/"):], query)
         if path == "/shutdown" and method == "POST":
             return self._shutdown_request(body)
-        if path in (
-            "/jobs",
-            "/shutdown",
-            "/metrics/series",
-            "/query",
-            "/query/buckets",
-        ) or path.startswith(("/jobs/", "/results/", "/traces/")):
+        if path in ("/jobs", "/shutdown", "/metrics/series") or path.startswith(
+            ("/jobs/", "/results/", "/traces/")
+        ):
             return 405, {"error": f"method {method} not allowed on {path}"}
         return 404, {"error": f"no such route: {method} {path}"}
 
@@ -410,62 +373,6 @@ class SimulationService:
             return 503, {"error": str(exc)}
         return (200 if job.cache_hit else 202), job.as_dict()
 
-    def _open_query_store(self):
-        if self._query_store is None and self.settings.store_dir:
-            from ..store import ResultStore
-
-            # A separate read instance from the sink's: queries must never
-            # contend with commit-side state. Snapshot discovery re-lists
-            # the log directory, so sink commits are visible immediately.
-            self._query_store = ResultStore.open(self.settings.store_dir)
-        return self._query_store
-
-    async def _query(self, query: dict) -> "tuple[int, dict]":
-        """``GET /query``: attribute-filtered rows over the attached store."""
-        from ..store import StoreError
-        from ..store.query import run_query
-
-        store = self._open_query_store()
-        if store is None:
-            return 404, {
-                "error": "no result store attached; start the service with "
-                "REPRO_SERVICE_STORE_DIR (or repro serve --store)"
-            }
-        where = query.get("where", [])
-        columns = _qlast(query, "columns")
-        order_by = _qlast(query, "order_by")
-        raw_limit = _qlast(query, "limit")
-        at: "int | str | None" = _qlast(query, "at")
-        try:
-            limit = int(raw_limit) if raw_limit is not None else None
-        except ValueError:
-            return 400, {"error": f"limit must be an integer, got {raw_limit!r}"}
-        if isinstance(at, str) and at.lstrip("-").isdigit():
-            at = int(at)
-
-        def _run() -> "tuple[int, dict]":
-            try:
-                reader = store.at(at)
-                result = run_query(
-                    reader,
-                    where=where,
-                    columns=columns.split(",") if columns else None,
-                    order_by=order_by,
-                    limit=limit,
-                )
-            except StoreError as exc:
-                return 400, {"error": str(exc)}
-            return 200, {
-                "column_names": list(result.column_names()),
-                "columns": result.columns(),
-                "count": len(result),
-                "rows": result.rows(),
-                "snapshot": reader.snapshot_id,
-            }
-
-        # Partition scans are blocking disk I/O: run off-loop.
-        return await asyncio.to_thread(_run)
-
     def _series(self, query: dict) -> "tuple[int, dict]":
         series = self.metrics.series
         name = _qlast(query, "name")
@@ -482,13 +389,6 @@ class SimulationService:
             return 400, {"error": str(exc)}
         return 200, {"name": name, "bucket_s": bucket_s, "buckets": buckets}
 
-    def _job_events(self, job_id: str, query: dict) -> "tuple[int, object]":
-        job = self.queue.get(job_id)
-        if job is None:
-            return 404, {"error": f"unknown job id {job_id!r}"}
-        follow = _qlast(query, "follow", "1") not in ("0", "false")
-        return 200, _EventStream(job, follow)
-
     def _trace(self, trace_id: str, query: dict) -> "tuple[int, dict]":
         if self.tracer is None:
             return 404, {"error": "tracing is disabled (REPRO_SERVICE_TRACE=0)"}
@@ -501,29 +401,6 @@ class SimulationService:
             "trace_id": trace_id,
             "spans": [span.to_dict() for span in sorted(spans, key=lambda s: (s.start, s.span_id))],
         }
-
-    async def _stream_events(self, writer: asyncio.StreamWriter, stream: "_EventStream") -> None:
-        """Serve one job's event log as chunked JSON lines, following live."""
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
-        )
-        job = stream.job
-        sent = 0
-        while True:
-            while sent < len(job.events):
-                line = (json.dumps(job.events[sent], sort_keys=True) + "\n").encode("utf-8")
-                writer.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")
-                sent += 1
-            await writer.drain()
-            if not stream.follow or (job.terminal and sent >= len(job.events)):
-                break
-            await job.wait_events(sent)
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
 
     def _job_status(self, job_id: str) -> "tuple[int, dict]":
         job = self.queue.get(job_id)
@@ -562,37 +439,13 @@ class _BadRequest(ValueError):
     """The request head cannot be served (e.g. a bad ``Content-Length``)."""
 
 
-class _TextResponse:
-    """Marker: serve a non-JSON body (the Prometheus scrape)."""
-
-    __slots__ = ("text", "content_type")
-
-    def __init__(self, text: str, content_type: str) -> None:
-        self.text = text
-        self.content_type = content_type
-
-
-class _EventStream:
-    """Marker: stream this job's event log instead of one JSON body."""
-
-    __slots__ = ("job", "follow")
-
-    def __init__(self, job: Job, follow: bool) -> None:
-        self.job = job
-        self.follow = follow
-
-
-def _render_text(status: int, payload: _TextResponse) -> bytes:
-    body = payload.text.encode("utf-8")
-    phrase = _STATUS_PHRASES.get(status, "Unknown")
-    head = (
-        f"HTTP/1.1 {status} {phrase}\r\n"
-        f"Content-Type: {payload.content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    )
-    return head.encode("latin-1") + body
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One request-head line; a line over the reader's limit is a bad request."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        # ``StreamReader.readline`` raises ValueError past its 64 KiB limit.
+        raise _BadRequest("request head line is too long") from None
 
 
 def _render_response(status: int, payload, extra_headers: "dict | None" = None) -> bytes:

@@ -18,7 +18,7 @@ budget exhausts early. An SLO with no samples in its window reports
 
 The default SLOs can be replaced wholesale via ``REPRO_SERVICE_SLO`` — a
 JSON list of objects with the :class:`SLO` field names — and the result
-surfaces on ``GET /healthz`` and the ``repro slo`` CLI verb.
+surfaces on ``GET /healthz`` and :meth:`ServiceClient.slo`.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ Three cooperating pieces keep the simulator honest:
   analyzer-clean trace programs, registered as the ``fuzz/<seed>`` workload
   family so any process can rebuild them by name;
 * :mod:`repro.verify.differential` — the harness that pushes each fuzzed
-  program through all five execution paths (direct, disk cache, result
-  store, process pool, live service) and asserts byte-identical results
-  plus metamorphic relations.
+  program through all four execution paths (direct, disk cache, process
+  pool, live service) and asserts byte-identical results plus metamorphic
+  relations.
 
 ``repro verify`` on the command line drives all three and writes
 machine-readable failure-repro artifacts (:mod:`repro.verify.artifact`)

@@ -1,21 +1,17 @@
-"""Differential conformance: one program, five execution paths, one answer.
+"""Differential conformance: one program, four execution paths, one answer.
 
-The repo has grown five ways to obtain a :class:`SimulationResult` for the
-same ``(workload, paradigm, config)``:
+The repo has four ways to obtain a :class:`SimulationResult` for the same
+``(workload, paradigm, config)``:
 
 1. **direct** — construct the paradigm executor and ``run()`` it;
 2. **cache**  — the memoised runner, warm from a persistent disk record
    written by a previous process;
-3. **store**  — the memoised runner again, but backed by the versioned
-   result lakehouse (:mod:`repro.store`): a cold write commits a snapshot,
-   a warm read deserialises through partition files, and the partition
-   bytes themselves are compared via the store's canonical payload;
-4. **pool**   — ``run_many``'s process-pool fan-out, crossing a fork and a
+3. **pool**   — ``run_many``'s process-pool fan-out, crossing a fork and a
    pickle boundary;
-5. **service** — the live asyncio service, crossing an HTTP and a JSON
+4. **service** — the live asyncio service, crossing an HTTP and a JSON
    boundary on top.
 
-Simulations are deterministic, so all five must agree *byte-for-byte* on
+Simulations are deterministic, so all four must agree *byte-for-byte* on
 the canonical JSON of ``to_dict()``. A divergence is localised by the
 schedule digest each result carries: digests differing means the scheduler
 itself diverged (seeding, hash-order, float provenance); identical digests
@@ -29,7 +25,7 @@ never moves more bytes than GPS with every GPU subscribed, and a warm
 process gives the same bytes as a cold one (``differential-warm-cold``):
 ``gps`` over a small write-queue x GPS-TLB grid, run interleaved in one
 process that already analysed the program, matches each config run after
-the analysis cache is cleared. The five paths above start every program
+the analysis cache is cleared. The four paths above start every program
 from clean memo state, so only this relation sees a memo keyed on too
 little.
 """
@@ -56,7 +52,7 @@ from .oracle import Violation, check_execution, check_family, check_result
 DEFAULT_PARADIGMS = ("gps", "gps_nosub", "memcpy", "infinite")
 
 #: Execution paths the harness compares, in the order they run.
-PATHS = ("direct", "cache", "store", "pool", "service")
+PATHS = ("direct", "cache", "pool", "service")
 
 #: ``(write-queue entries, GPS-TLB entries)`` of the warm-process relation,
 #: in run order: two sizes of each, interleaved so consecutive jobs differ.
@@ -353,42 +349,6 @@ def run_differential(
                 warm = run_many([job], max_workers=1)[0]
                 _compare_path(by_spec[spec], "cache", paradigm, canonical_payload(warm))
             clear_run_cache()
-
-    # Store path: the cold-write/warm-read shape again, but through the
-    # lakehouse backend — the commit protocol, partition serialisation and
-    # snapshot resolution all sit between write and read. The partition
-    # bytes are additionally compared directly via the store's reader, so
-    # a lossy round-trip is caught even if both runner passes agree.
-    say("store: cold commit + warm read through a scratch result lakehouse")
-    with tempfile.TemporaryDirectory(prefix="repro-verify-store-") as scratch:
-        with _scoped_env(
-            REPRO_NO_CACHE=None,
-            REPRO_CACHE_DIR=None,
-            REPRO_RESULT_BACKEND="store",
-            REPRO_STORE_DIR=scratch,
-        ):
-            clear_run_cache()
-            run_many([job for _, _, job in jobs], max_workers=1)
-            clear_run_cache()
-            for spec, paradigm, job in jobs:
-                warm = run_many([job], max_workers=1)[0]
-                _compare_path(by_spec[spec], "store", paradigm, canonical_payload(warm))
-            clear_run_cache()
-            from ..store import ResultStore
-
-            reader = ResultStore.open(scratch, legacy=False).at()
-            for spec, paradigm, job in jobs:
-                stored = reader.canonical_payload(job.key())
-                if stored is None:
-                    by_spec[spec].violations.append(
-                        Violation(
-                            "differential-store",
-                            f"{paradigm}: fingerprint {job.key()[:12]} missing "
-                            "from the store after a cold run",
-                        )
-                    )
-                else:
-                    _compare_path(by_spec[spec], "store", paradigm, stored)
 
     # Pool path: no cache layers at all, so every job crosses the fork +
     # pickle boundary of a real worker process.

@@ -36,9 +36,8 @@ os.environ.setdefault("REPRO_NO_CACHE", "1")
 # The service, e2e, and verify suites toggle process-global knobs
 # (``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``, ``REPRO_MAX_WORKERS``, ...)
 # around live servers and process pools. A knob left set — or a stray
-# ``.repro-cache/`` or ``.repro-store/`` materialised in the working
-# directory — silently changes
-# the behaviour of every later test in the run, which is exactly the
+# ``.repro-cache/`` materialised in the working directory — silently
+# changes the behaviour of every later test in the run, which is exactly the
 # order-dependence this suite must never have. A fixture can't police this
 # (its teardown runs *before* monkeypatch's restore), so the check brackets
 # the whole runtest protocol: snapshot before any fixture sets up, compare
@@ -51,7 +50,7 @@ def _repro_env() -> "dict[str, str]":
 
 
 #: Working-directory litter the teardown guard polices.
-_STRAY_DIRS = (".repro-cache", ".repro-store")
+_STRAY_DIRS = (".repro-cache",)
 
 
 @pytest.hookimpl(wrapper=True)

@@ -35,6 +35,17 @@ def raw_request(url, method="GET", body=None):
         return error.code, json.loads(error.read())
 
 
+def raw_exchange(service, data: bytes):
+    """Send raw bytes, read the reply to EOF: ``(status, JSON payload)``."""
+    with socket.create_connection((service.host, service.port), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    status_line, _, rest = b"".join(chunks).partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
 class TestRoutes:
     def test_healthz(self, live_service):
         status, payload = raw_request(live_service.url + "/healthz")
@@ -96,15 +107,21 @@ class TestRoutes:
             f"Content-Length: {content_length}\r\n"
             "\r\n"
         )
-        with socket.create_connection((service.host, service.port), timeout=10) as sock:
-            sock.sendall(head.encode("latin-1"))
-            chunks = []
-            while chunk := sock.recv(65536):
-                chunks.append(chunk)
-        status_line, _, rest = b"".join(chunks).partition(b"\r\n")
-        assert status_line.split()[1] == b"400"
-        payload = json.loads(rest.partition(b"\r\n\r\n")[2])
+        status, payload = raw_exchange(service, head.encode("latin-1"))
+        assert status == 400
         assert "Content-Length" in payload["error"]
+
+    def test_malformed_request_line_is_a_400(self, live_service):
+        status, payload = raw_exchange(live_service.service, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert "malformed request line" in payload["error"]
+
+    def test_overlong_header_line_is_a_400(self, live_service):
+        """A header past the stream reader's 64 KiB line limit still gets a reply."""
+        head = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (70 * 1024) + b"\r\n\r\n"
+        status, payload = raw_exchange(live_service.service, head)
+        assert status == 400
+        assert "too long" in payload["error"]
 
     def test_metrics_exposes_queue_depth_and_latency(self, live_service):
         metrics = live_service.client().metrics()
@@ -121,19 +138,6 @@ class TestObservabilityRoutes:
         assert {r["name"] for r in payload["slo"]} == {
             "job-latency-30s", "job-availability",
         }
-
-    def test_prometheus_format_is_text(self, live_service):
-        request = urllib.request.Request(
-            live_service.url + "/metrics?format=prometheus"
-        )
-        with urllib.request.urlopen(request) as response:
-            assert response.status == 200
-            assert "text/plain" in response.headers["Content-Type"]
-            text = response.read().decode()
-        from repro.obs import promtext_problems
-
-        assert promtext_problems(text) == []
-        assert "service_queue_depth" in text
 
     def test_series_catalog_and_buckets(self, live_service):
         client = live_service.client()
@@ -180,7 +184,7 @@ class TestObservabilityRoutes:
             clear_run_cache()
 
     def test_new_routes_reject_wrong_method(self, live_service):
-        for path in ("/metrics/series", "/traces/abc", "/jobs/x/events"):
+        for path in ("/metrics/series", "/traces/abc", "/results/x", "/jobs/x"):
             status, _ = raw_request(live_service.url + path, method="POST")
             assert status == 405, path
 
@@ -320,6 +324,28 @@ class TestShutdown:
         finally:
             service.stop(drain=False)
             clear_run_cache()
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_SERVICE_PORT", "abc"),
+            ("REPRO_SERVICE_MAX_WORKERS", "two"),
+            ("REPRO_SERVICE_RETRY_BACKOFF_MS", "1ms"),
+        ],
+    )
+    def test_malformed_env_number_names_the_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name} .*{value!r}"):
+            ServiceSettings.from_env()
+
+    def test_env_numbers_parse(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_PORT", "9000")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_WORKERS", "3")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_WAIT_MS", "20")
+        settings = ServiceSettings.from_env()
+        assert (settings.port, settings.max_workers, settings.max_wait_s) == (9000, 3, 0.02)
 
 
 class TestPayloadValidation:

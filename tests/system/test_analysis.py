@@ -12,7 +12,7 @@ from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
-from repro.verify import canonical_payload
+from repro.verify import canonical_payload, generate_program
 
 PAGE = 65536
 
@@ -217,3 +217,79 @@ def _without_accesses(program: TraceProgram, gpu: int, buffer: str) -> TraceProg
         for phase in program.phases
     )
     return dataclasses.replace(program, phases=phases)
+
+
+def _replace_access(
+    program: TraceProgram, phase: int, gpu: int, index: int, **changes
+) -> TraceProgram:
+    """``program`` with one kernel's ``index``-th access changed by ``changes``."""
+    kernels = list(program.phases[phase].kernels)
+    slot = next(i for i, k in enumerate(kernels) if k.gpu == gpu)
+    accesses = list(kernels[slot].accesses)
+    accesses[index] = dataclasses.replace(accesses[index], **changes)
+    kernels[slot] = dataclasses.replace(kernels[slot], accesses=tuple(accesses))
+    phases = list(program.phases)
+    phases[phase] = dataclasses.replace(phases[phase], kernels=tuple(kernels))
+    return dataclasses.replace(program, phases=tuple(phases))
+
+
+def _two_program_pairs():
+    """Fuzz program pairs ``(a, b)``: same name and layout, one access apart.
+
+    * ``read-range``: a later kernel reads half the range, which changes
+      per-kernel footprints and every paradigm's result.
+    * ``private-buffer``: GPU 1's setup write to ``buf0`` lands on ``buf1``
+      instead. ``buf0`` is touched nowhere else by GPU 1, so it becomes
+      private to GPU 0: the program-level shared-buffer set changes, the one
+      fact the analysis computes once per program rather than per kernel.
+    """
+    a = generate_program(2, num_gpus=2, scale=0.25, iterations=2)
+    read = a.phases[1].kernels[1].accesses[0]
+    assert read.op is MemOp.READ
+    shrunk = _replace_access(a, 1, 1, 0, length=read.length // 2)
+    assert a.phases[0].kernels[1].accesses[0].buffer == "buf0"
+    moved = _replace_access(a, 0, 1, 0, buffer="buf1")
+    assert {b.name for b in moved.shared_buffers()} == {"buf1", "buf2"}
+    return {"read-range": (a, shrunk), "private-buffer": (a, moved)}
+
+
+def _cold(program: TraceProgram, paradigm: str) -> str:
+    clear_analysis_cache()
+    try:
+        return canonical_payload(repro.simulate(program, paradigm, repro.default_system(2)))
+    finally:
+        clear_analysis_cache()
+
+
+class TestTwoProgramsOneProcess:
+    """``simulate(b)`` after ``simulate(a)`` in one process equals a cold run.
+
+    ``a`` and ``b`` share a name and buffer layout, so any memo keyed on
+    less than program content would hand ``b`` state computed for ``a``.
+    """
+
+    @pytest.mark.parametrize("variant", ["read-range", "private-buffer"])
+    @pytest.mark.parametrize("paradigm", repro.FIGURE8_ORDER)
+    def test_warm_equals_cold(self, paradigm, variant):
+        a, b = _two_program_pairs()[variant]
+        assert (a.name, a.buffers) == (b.name, b.buffers)
+        cold = _cold(b, paradigm)
+        config = repro.default_system(2)
+        clear_analysis_cache()
+        repro.simulate(a, paradigm, config)
+        warm = canonical_payload(repro.simulate(b, paradigm, config))
+        # Setup writes are never broadcast, so a stale shared-buffer set
+        # cannot show in a fuzz pair's results; check it directly too.
+        analysis = get_analysis(b, config)
+        shared = {buf.name for buf in b.buffers if analysis.is_shared_buffer(buf.name)}
+        clear_analysis_cache()
+        assert warm == cold
+        assert shared == {buf.name for buf in b.shared_buffers()}
+
+    def test_pairs_change_results(self):
+        # Otherwise warm == cold would hold trivially.
+        pairs = _two_program_pairs()
+        a, b = pairs["read-range"]
+        assert all(_cold(a, p) != _cold(b, p) for p in repro.FIGURE8_ORDER)
+        a, b = pairs["private-buffer"]
+        assert _cold(a, "um") != _cold(b, "um")

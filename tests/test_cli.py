@@ -196,6 +196,17 @@ class TestServiceVerbs:
         with pytest.raises(SystemExit):
             main(["submit", "jacobi", "--paradigm", "zzz", *self.UNREACHABLE])
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("REPRO_SERVICE_PORT", "abc"), ("REPRO_SERVICE_MAX_WAIT_MS", "soon")],
+    )
+    def test_serve_malformed_env_number_exits_2(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        assert main(["serve"]) == 2
+        err = capsys.readouterr().err
+        assert name in err and repr(value) in err
+        assert "Traceback" not in err
+
 
 class TestTrace:
     def test_stencil_alias_writes_valid_trace(self, capsys, tmp_path):

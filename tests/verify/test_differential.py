@@ -96,19 +96,19 @@ class TestWarmColdRelation:
 
 
 class TestRunDifferential:
-    def test_four_paths_agree(self):
+    def test_three_paths_agree(self):
         # Service path is exercised by the service/e2e suites and the CLI
-        # smoke; keep this core test on the four cheap paths.
+        # smoke; keep this core test on the three cheap paths.
         report = run_differential(
             range(2), num_gpus=2, scale=0.25, iterations=2,
             paradigms=("gps", "gps_nosub", "memcpy", "infinite"),
             use_service=False,
         )
         assert report.ok, [str(v) for _, v in report.violations]
-        assert report.paths == ("direct", "cache", "store", "pool")
+        assert report.paths == ("direct", "cache", "pool")
         for case in report.cases:
             for paradigm, payloads in case.payloads.items():
-                assert set(payloads) == {"direct", "cache", "store", "pool"}
+                assert set(payloads) == {"direct", "cache", "pool"}
                 assert len(set(payloads.values())) == 1, paradigm
 
     def test_rejects_unknown_paradigm(self):
@@ -128,7 +128,7 @@ class TestRunDifferential:
 
 @pytest.mark.slow
 class TestRunDifferentialService:
-    def test_all_five_paths_agree(self):
+    def test_all_four_paths_agree(self):
         report = run_differential(
             range(1), num_gpus=2, scale=0.25, iterations=2,
             paradigms=("gps", "memcpy"), use_service=True,
@@ -136,7 +136,5 @@ class TestRunDifferentialService:
         assert report.ok, [str(v) for _, v in report.violations]
         for case in report.cases:
             for payloads in case.payloads.values():
-                assert set(payloads) == {
-                    "direct", "cache", "store", "pool", "service"
-                }
+                assert set(payloads) == {"direct", "cache", "pool", "service"}
                 assert len(set(payloads.values())) == 1
