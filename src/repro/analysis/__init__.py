@@ -1,15 +1,14 @@
 """Memory-model sanitizer for trace programs.
 
-This package grew out of the PR 2 linter into a four-part sanitizer:
+A checker with one job: it runs the rules, attaches a witness to every
+conformance finding, decides paradigm portability, and gates simulation.
+It has three parts:
 
 * **Precision core** — a cross-phase dataflow engine
   (:mod:`repro.analysis.dataflow`) plus a barrier-aware vector-clock
   happens-before engine over page-granular footprints
   (:mod:`repro.analysis.hb`, :mod:`repro.analysis.footprints`); every
   conformance diagnostic carries a concrete witness.
-* **Auto-fix engine** — :mod:`repro.analysis.fixes` plans minimal program
-  repairs per fixable rule; ``repro lint --fix`` applies them to a fixed
-  point.
 * **Portability matrix** — :mod:`repro.analysis.portability` decides which
   paradigms a program is correct under; the runner's pre-simulation gate
   refuses a program only for paradigms where a witness applies.
@@ -19,16 +18,15 @@ This package grew out of the PR 2 linter into a four-part sanitizer:
 
 Library use::
 
-    from repro.analysis import analyze_program, fix_program
+    from repro.analysis import analyze_program
 
     diagnostics = analyze_program(program)
     errors = [d for d in diagnostics if d.severity == "error"]
-    repaired = fix_program(program).program
 
 CLI use::
 
     python -m repro lint trace.json --strict --format sarif
-    python -m repro lint jacobi --gpus 4 --fix --fix-out fixed.json
+    python -m repro lint jacobi --gpus 4 --portability
 
 The harness runner calls :func:`check_program` (with the job's paradigm)
 before every simulation it computes; ``REPRO_NO_ANALYZE=1`` opts out.
@@ -56,17 +54,6 @@ from .emit import (
     severity_counts,
 )
 from .engine import DEFAULT_PAGE_SIZE, analyze_program, build_context, check_program
-from .fixes import (
-    FIXABLE_CODES,
-    AppliedFix,
-    Edit,
-    Fix,
-    FixReport,
-    apply_fix,
-    fix_program,
-    plan_fix,
-    plan_fixes,
-)
 from .footprints import Footprint, page_count, program_fingerprint
 from .hb import HappensBefore, SyncCycle
 from .intervals import IntervalSet
@@ -89,14 +76,9 @@ __all__ = [
     "ALL_PARADIGMS",
     "AccessSite",
     "AnalysisContext",
-    "AppliedFix",
     "CacheStats",
     "DEFAULT_PAGE_SIZE",
     "Diagnostic",
-    "Edit",
-    "FIXABLE_CODES",
-    "Fix",
-    "FixReport",
     "Footprint",
     "HAZARD",
     "HappensBefore",
@@ -115,18 +97,14 @@ __all__ = [
     "UNSAFE",
     "Witness",
     "analyze_program",
-    "apply_fix",
     "blocking_diagnostics",
     "build_context",
     "cache_size",
     "cache_stats",
     "check_program",
     "clear_cache",
-    "fix_program",
     "max_severity",
     "page_count",
-    "plan_fix",
-    "plan_fixes",
     "portability_report",
     "program_fingerprint",
     "render_json",

@@ -6,15 +6,11 @@ page size. Diagnostics are immutable (frozen dataclasses all the way
 down), so one analysis can be shared freely: the cache stores the final
 diagnostic tuple under ``(program_fingerprint, select, ignore)`` and a
 small LRU bound keeps a long-lived service process from accumulating
-unboundedly.
-
-``REPRO_NO_ANALYSIS_CACHE=1`` disables it (the differential harness uses
-this to prove cached and cold analyses agree byte-for-byte).
+unboundedly. ``analyze_program(..., use_cache=False)`` bypasses it.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -51,11 +47,6 @@ class CacheStats:
 
 _entries: "OrderedDict[CacheKey, tuple[Diagnostic, ...]]" = OrderedDict()
 _stats = CacheStats()
-
-
-def cache_enabled() -> bool:
-    """Whether the cache participates in :func:`repro.analysis.analyze_program`."""
-    return os.environ.get("REPRO_NO_ANALYSIS_CACHE", "") != "1"
 
 
 def cache_get(key: CacheKey) -> "tuple[Diagnostic, ...] | None":

@@ -4,8 +4,8 @@ All three formats are deterministic for a given program — diagnostics keep
 the canonical location-major order of
 :func:`repro.analysis.diagnostics.sort_key` and no timestamps are embedded
 — so golden-file tests can compare bytes. JSON and SARIF both carry the
-full sanitizer payload: each diagnostic's witness, the planned auto-fix
-(when the rule is fixable), and the program's paradigm-portability matrix.
+full sanitizer payload: each diagnostic's witness and the program's
+paradigm-portability matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 
 from ..trace.program import TraceProgram
 from .diagnostics import Diagnostic, max_severity
-from .fixes import plan_fix
 from .portability import portability_report
 from .rules import RULES
 
@@ -47,18 +46,12 @@ def render_text(program: TraceProgram, diagnostics: list[Diagnostic]) -> str:
 def render_json_dict(program: TraceProgram, diagnostics: list[Diagnostic]) -> dict:
     """JSON-safe dict form of one program's analysis."""
     top = max_severity(diagnostics)
-    entries = []
-    for diagnostic in diagnostics:
-        entry = diagnostic.to_dict()
-        fix = plan_fix(program, diagnostic)
-        entry["fix"] = fix.to_dict() if fix is not None else None
-        entries.append(entry)
     return {
         "program": program.name,
         "num_gpus": program.num_gpus,
         "max_severity": top.value if top is not None else None,
         "counts": severity_counts(diagnostics),
-        "diagnostics": entries,
+        "diagnostics": [diagnostic.to_dict() for diagnostic in diagnostics],
         "portability": portability_report(program, diagnostics).to_dict(),
     }
 
@@ -66,35 +59,6 @@ def render_json_dict(program: TraceProgram, diagnostics: list[Diagnostic]) -> di
 def render_json(program: TraceProgram, diagnostics: list[Diagnostic]) -> str:
     """Machine-readable JSON report for one program."""
     return json.dumps(render_json_dict(program, diagnostics), indent=2, sort_keys=True)
-
-
-def _sarif_fix(program: TraceProgram, diagnostic: Diagnostic) -> "dict | None":
-    """SARIF ``fix`` object for a fixable diagnostic.
-
-    Trace programs are logical artifacts (one JSON document), so each edit
-    is surfaced as an inserted-content replacement holding the declarative
-    edit operation; ``repro lint --fix`` is the applier.
-    """
-    fix = plan_fix(program, diagnostic)
-    if fix is None:
-        return None
-    return {
-        "description": {"text": fix.description},
-        "artifactChanges": [
-            {
-                "artifactLocation": {"uri": f"trace:{program.name}"},
-                "replacements": [
-                    {
-                        "deletedRegion": {"startLine": 1, "startColumn": 1},
-                        "insertedContent": {
-                            "text": json.dumps(edit.to_dict(), sort_keys=True)
-                        },
-                    }
-                    for edit in fix.edits
-                ],
-            }
-        ],
-    }
 
 
 def sarif_run(program: TraceProgram, diagnostics: list[Diagnostic]) -> dict:
@@ -136,7 +100,7 @@ def sarif_run(program: TraceProgram, diagnostics: list[Diagnostic]) -> dict:
             )
             if value is not None
         }
-        result = {
+        results.append({
             "ruleId": diagnostic.code,
             "ruleIndex": rule_index[diagnostic.code],
             "level": _SARIF_LEVELS[diagnostic.severity.value],
@@ -152,11 +116,7 @@ def sarif_run(program: TraceProgram, diagnostics: list[Diagnostic]) -> dict:
                 }
             ],
             "properties": properties,
-        }
-        fix = _sarif_fix(program, diagnostic)
-        if fix is not None:
-            result["fixes"] = [fix]
-        results.append(result)
+        })
     return {
         "tool": {"driver": driver},
         "properties": {

@@ -21,7 +21,7 @@ from typing import Iterable
 from ..config import PAGE_64K
 from ..errors import AnalysisError
 from ..trace.program import TraceProgram
-from .cache import cache_enabled, cache_get, cache_put
+from .cache import cache_get, cache_put
 from .dataflow import ProgramDataflow
 from .diagnostics import Diagnostic, sort_diagnostics
 from .footprints import program_fingerprint
@@ -46,6 +46,16 @@ def _normalise(codes: "Iterable[str] | None") -> list[str]:
     return out
 
 
+def _check_known(flag: str, patterns: list[str]) -> None:
+    """Reject a pattern that matches no rule: a typo must not mute the analyzer."""
+    for pattern in patterns:
+        if not any(code.startswith(pattern) for code in RULES):
+            known = ", ".join(sorted(RULES))
+            raise ValueError(
+                f"{flag} {pattern!r} matches no rule code (known: {known})"
+            )
+
+
 def build_context(
     program: TraceProgram, page_size: int = DEFAULT_PAGE_SIZE
 ) -> AnalysisContext:
@@ -68,20 +78,25 @@ def analyze_program(
     ``ignore`` drops codes after selection. Codes listed in the program's
     ``metadata["analysis_ignore"]`` are suppressed as if passed to
     ``ignore`` — that is the per-trace suppression mechanism for saved
-    trace files. Diagnostics come back in canonical deterministic order.
+    trace files, and unlike ``select``/``ignore`` it may name codes that
+    match no rule. Diagnostics come back in canonical deterministic order.
     ``use_cache=False`` forces a cold run (benchmarks, differential
-    validation) regardless of the environment.
+    validation).
+
+    Raises :class:`ValueError` naming the token when a ``select`` or
+    ``ignore`` entry matches no rule code, exactly or as a prefix.
     """
     selected = _normalise(select)
     ignored = _normalise(ignore)
+    _check_known("select", selected)
+    _check_known("ignore", ignored)
     metadata_ignore = program.metadata.get("analysis_ignore", ())
     if isinstance(metadata_ignore, str):
         metadata_ignore = [metadata_ignore]
     ignored.extend(_normalise(metadata_ignore))
 
-    caching = use_cache and cache_enabled()
     key = None
-    if caching:
+    if use_cache:
         key = (
             program_fingerprint(program, page_size),
             tuple(selected),
@@ -100,7 +115,7 @@ def analyze_program(
             continue
         diagnostics.extend(RULES[code].check(context))
     diagnostics = sort_diagnostics(diagnostics)
-    if caching and key is not None:
+    if key is not None:
         cache_put(key, tuple(diagnostics))
     return diagnostics
 

@@ -2,9 +2,8 @@
 
 Each rule is a function from an :class:`AnalysisContext` to diagnostics,
 registered under a stable code. ``GPS0xx`` codes are memory-model
-conformance rules derived from the paper; ``GPS1xx`` codes are the trace
-hygiene checks carried over (and fixed) from the superseded
-``repro.system.validate`` linter. Severities are chosen so that the
+conformance rules derived from the paper; ``GPS1xx`` codes are trace
+hygiene checks. Severities are chosen so that the
 registered workload suite — which deliberately uses the data-race-tolerant
 idioms the paper's applications use (atomic scatters over shard writes,
 stale gather reads) — stays clean under ``--strict``, while genuine
@@ -489,7 +488,7 @@ def check_sync_cycle(ctx: AnalysisContext) -> Iterator[Diagnostic]:
         )
 
 
-# -- GPS1xx: trace hygiene (carried over from system.validate) ----------------
+# -- GPS1xx: trace hygiene ----------------------------------------------------
 
 
 @rule(

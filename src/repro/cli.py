@@ -33,6 +33,7 @@ from . import (
     speedup_over_single_gpu,
     workload_names,
 )
+from .errors import TraceError
 from .harness import experiments
 from .harness.ascii_plot import bar_chart
 from .harness.runner import cache_stats, clear_disk_cache, disk_cache_info, fleet_stats
@@ -169,10 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Run the repro.analysis static analyzer over saved trace files, "
             "registered workloads' generated traces, or (with target 'all') every "
-            "registered workload. With --fix, auto-repairable findings are applied "
-            "to a fixed point and the repaired program is re-analyzed (and "
-            "optionally saved with --fix-out). Exit code: 2 on error-severity "
-            "findings, 1 on warnings under --strict, 0 otherwise."
+            "registered workload. Exit code: 2 on error-severity findings or "
+            "a bad target or rule code, 1 on warnings under --strict, 0 "
+            "otherwise."
         ),
     )
     lint.add_argument(
@@ -206,22 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="CODES",
         help="suppress these rule codes/prefixes (comma-separated, repeatable)",
-    )
-    lint.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply planned auto-fixes to a fixed point, then report the repaired program",
-    )
-    lint.add_argument(
-        "--fix-out",
-        metavar="PATH",
-        help="write the repaired trace program as JSON (single target only; implies --fix)",
-    )
-    lint.add_argument(
-        "--fix-level",
-        choices=("error", "warning", "info"),
-        default="warning",
-        help="minimum severity a finding needs to be auto-fixed (default: warning)",
     )
     lint.add_argument(
         "--portability",
@@ -335,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the sanitizer self-validation harness instead: fuzz clean "
-            "programs, inject known defects, and assert the analyzer, "
-            "portability gate, and auto-fix engine catch and repair each one"
+            "programs, inject known defects, and assert the analyzer and "
+            "portability gate catch each one"
         ),
     )
     return parser
@@ -552,7 +536,11 @@ def _cmd_run_trace(args) -> int:
     from .analysis import Severity, analyze_program
     from .trace.io import load_program
 
-    program = load_program(args.path)
+    try:
+        program = load_program(args.path)
+    except (TraceError, OSError) as exc:
+        print(f"run-trace: {exc}", file=sys.stderr)
+        return 2
     config = default_system(program.num_gpus, LINKS_BY_NAME[args.link])
     if not args.no_analyze:
         diagnostics = analyze_program(program, page_size=config.page_size)
@@ -600,7 +588,6 @@ def _cmd_lint(args) -> int:
     from .analysis import (
         Severity,
         analyze_program,
-        fix_program,
         max_severity,
         portability_report,
         render_json_dict,
@@ -610,40 +597,14 @@ def _cmd_lint(args) -> int:
         sarif_run,
     )
 
-    fixing = args.fix or args.fix_out is not None
-    programs = _lint_programs(args)
-    if args.fix_out is not None and len(programs) != 1:
-        print("lint: --fix-out requires exactly one target", file=sys.stderr)
+    try:
+        results = [
+            (program, analyze_program(program, select=args.select, ignore=args.ignore))
+            for program in _lint_programs(args)
+        ]
+    except (TraceError, OSError, ValueError) as exc:
+        print(f"lint: {exc}", file=sys.stderr)
         return 2
-
-    results = []
-    for program in programs:
-        if fixing:
-            report = fix_program(
-                program, min_severity=Severity(args.fix_level)
-            )
-            if report.changed:
-                # Keep stdout machine-readable: the fix log goes to stderr.
-                print(
-                    f"lint: {program.name}: applied {len(report.applied)} fix(es) "
-                    f"in {report.rounds} round(s)"
-                    + ("" if report.converged else " (did not converge)"),
-                    file=sys.stderr,
-                )
-                for applied in report.applied:
-                    print(
-                        f"lint:   {applied.fix.code}: {applied.fix.description}",
-                        file=sys.stderr,
-                    )
-            program = report.program
-        diagnostics = analyze_program(program, select=args.select, ignore=args.ignore)
-        results.append((program, diagnostics))
-
-    if args.fix_out is not None:
-        from .trace.io import save_program
-
-        save_program(results[0][0], args.fix_out)
-        print(f"lint: wrote repaired trace to {args.fix_out}", file=sys.stderr)
 
     if args.format == "text":
         chunks = []
@@ -836,8 +797,8 @@ def _cmd_verify(args) -> int:
         if sanitizer_report.failures:
             return 1
         print(
-            "verify --sanitizer: OK — clean programs pass the oracle unfixed, "
-            "every injected defect is flagged, gated, and repaired"
+            "verify --sanitizer: OK — clean programs pass the oracle and "
+            "every injected defect is flagged and gated"
         )
         return 0
     if args.paradigms.strip() == "all":

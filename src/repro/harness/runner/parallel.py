@@ -119,12 +119,25 @@ def _worker_init() -> None:
     os.environ["REPRO_NO_TRACE"] = "1"
 
 
+def env_int(name: str, default: "int | None") -> "int | None":
+    """Integer value of environment variable ``name``; ``default`` if unset or empty.
+
+    A malformed value raises ``ValueError`` naming the variable and the value.
+    """
+    raw = os.environ.get(name, "")
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _resolve_workers(max_workers: "int | None", pending: int) -> int:
     if os.environ.get("REPRO_RUNNER_WORKER"):
         return 1
     if max_workers is None:
-        env = os.environ.get("REPRO_MAX_WORKERS", "")
-        max_workers = int(env) if env else (os.cpu_count() or 1)
+        max_workers = env_int("REPRO_MAX_WORKERS", None)
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
     if max_workers <= 1 or pending < _MIN_PARALLEL_JOBS:
         return 1
     return min(max_workers, pending)

@@ -19,11 +19,9 @@ the full reference):
   histograms, coalescing/retry/rejection counters, published through
   :class:`repro.obs.CounterRegistry` and served as JSON at
   ``GET /metrics``;
-* observability (``timeseries.py`` / ``slo.py`` + the queue's tracer) —
-  ring-buffered metric time-series with server-side bucketing
-  (``GET /metrics/series``), each job's lifecycle as distributed trace
-  spans (``GET /traces/{id}``), and declarative SLOs with burn-rate
-  evaluation on ``/healthz`` (see ``docs/OBSERVABILITY.md``).
+* each job's lifecycle is recorded as distributed trace spans by the
+  queue's tracer and served at ``GET /traces/{id}`` (see
+  ``docs/OBSERVABILITY.md``).
 
 Everything is stdlib-only (asyncio + http.client); simulations themselves
 run through the existing cached, analyzed, process-pooled harness runner.
@@ -34,32 +32,22 @@ from .metrics import LATENCY_BUCKETS_S, ServiceMetrics
 from .queue import Job, JobQueue, JobState, QueueFull, ServiceClosed
 from .scheduler import BatchScheduler
 from .server import ServiceSettings, SimulationService, parse_job_payload, serve
-from .slo import DEFAULT_SLOS, SLO, evaluate_slo, evaluate_slos, slos_from_env
-from .timeseries import DEFAULT_SERIES_SAMPLES, SeriesStore, percentile
 
 __all__ = [
     "BatchScheduler",
     "ClientError",
-    "DEFAULT_SERIES_SAMPLES",
-    "DEFAULT_SLOS",
     "Job",
     "JobFailed",
     "JobQueue",
     "JobState",
     "LATENCY_BUCKETS_S",
     "QueueFull",
-    "SLO",
-    "SeriesStore",
     "ServiceClosed",
     "ServiceClient",
     "ServiceMetrics",
     "ServiceSettings",
     "SimulationService",
-    "evaluate_slo",
-    "evaluate_slos",
     "parse_job_payload",
-    "percentile",
     "serve",
     "service_url",
-    "slos_from_env",
 ]

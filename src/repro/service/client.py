@@ -19,10 +19,9 @@ service need no configuration at all.
 Observability: :meth:`ServiceClient.submit` mints a W3C trace context and
 sends it as a ``traceparent`` header (``trace=False`` opts out), so the
 server's spans parent under the client's trace; the submit payload echoes
-the minted ids as ``client_trace``. :meth:`ServiceClient.series` fetches
-bucketed metric time-series, :meth:`ServiceClient.trace` downloads the
-distributed trace (optionally as Perfetto/Chrome-trace JSON), and
-:meth:`ServiceClient.slo` reads the live SLO evaluation off ``/healthz``.
+the minted ids as ``client_trace``, and :meth:`ServiceClient.trace`
+downloads the distributed trace (optionally as Perfetto/Chrome-trace
+JSON).
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class ServiceClient:
             conn.close()
 
     def healthz(self) -> dict:
-        """Liveness probe payload (includes the live ``slo`` evaluation)."""
+        """Liveness probe payload (status plus queue gauges)."""
         return _check(*self._request("GET", "/healthz"), accept=(200,))
 
     def metrics(self) -> dict:
@@ -169,32 +168,10 @@ class ServiceClient:
             }
         return payload
 
-    def series(
-        self,
-        name: "str | None" = None,
-        bucket_s: float = 60.0,
-        start: "float | None" = None,
-        end: "float | None" = None,
-    ) -> dict:
-        """Bucketed time-series for ``name`` (or the series catalog)."""
-        if name is None:
-            return _check(*self._request("GET", "/metrics/series"), accept=(200,))
-        params = {"name": name, "bucket": str(bucket_s)}
-        if start is not None:
-            params["start"] = str(start)
-        if end is not None:
-            params["end"] = str(end)
-        query = urllib.parse.urlencode(params)
-        return _check(*self._request("GET", f"/metrics/series?{query}"), accept=(200,))
-
     def trace(self, trace_id: str, perfetto: bool = False) -> dict:
         """One distributed trace's span closure (optionally Perfetto JSON)."""
         path = f"/traces/{trace_id}" + ("?format=perfetto" if perfetto else "")
         return _check(*self._request("GET", path), accept=(200,))
-
-    def slo(self) -> "list[dict]":
-        """The live SLO evaluation from ``/healthz``."""
-        return self.healthz().get("slo", [])
 
     def status(self, job_id: str) -> dict:
         """Job status payload for one id."""

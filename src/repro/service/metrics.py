@@ -17,11 +17,6 @@ matches the hardware counters the simulator already exports:
 
 Counters are created eagerly so the ``/metrics`` payload exposes a stable
 key set from the first scrape, before any job has been submitted.
-
-Alongside the registry, a :class:`~repro.service.timeseries.SeriesStore`
-records *when* things happened (``jobs.wait_s`` / ``jobs.run_s`` /
-``jobs.total_s`` latency samples, ``jobs.ok`` success bits, ``queue.depth``
-snapshots) for ``GET /metrics/series`` bucketing and SLO evaluation.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from __future__ import annotations
 from ..harness.runner import cache_stats, fleet_stats
 from ..obs import CounterRegistry
 from ..obs.registry import Number
-from .timeseries import DEFAULT_SERIES_SAMPLES, SeriesStore
 
 #: Latency bucket upper bounds, in seconds (1 ms .. 1 min).
 LATENCY_BUCKETS_S = (0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0)
@@ -69,11 +63,7 @@ def _runner_bridge() -> "dict[str, Number]":
 class ServiceMetrics:
     """The service's counter/gauge/histogram surface over one registry."""
 
-    def __init__(
-        self,
-        registry: "CounterRegistry | None" = None,
-        series_samples: int = DEFAULT_SERIES_SAMPLES,
-    ) -> None:
+    def __init__(self, registry: "CounterRegistry | None" = None) -> None:
         self.registry = registry if registry is not None else CounterRegistry()
         scope = self.registry.scope("service")
         self._scope = scope
@@ -84,7 +74,6 @@ class ServiceMetrics:
         self.wait_latency = scope.histogram("latency.wait_s", LATENCY_BUCKETS_S)
         self.run_latency = scope.histogram("latency.run_s", LATENCY_BUCKETS_S)
         scope.provide("runner", _runner_bridge)
-        self.series = SeriesStore(series_samples)
 
     # -- submission outcomes -------------------------------------------------
 
@@ -109,10 +98,9 @@ class ServiceMetrics:
         self._scope.add("queue.rejected")
 
     def set_queue_gauges(self, depth: int, inflight: int) -> None:
-        """Update the live queue-depth and in-flight gauges (and sample them)."""
+        """Update the live queue-depth and in-flight gauges."""
         self._scope.gauge("queue.depth", depth)
         self._scope.gauge("queue.inflight", inflight)
-        self.series.record("queue.depth", depth)
 
     # -- execution outcomes --------------------------------------------------
 
@@ -126,15 +114,10 @@ class ServiceMetrics:
         self._scope.add("jobs.completed")
         self.wait_latency.observe(wait_s)
         self.run_latency.observe(run_s)
-        self.series.record("jobs.wait_s", wait_s)
-        self.series.record("jobs.run_s", run_s)
-        self.series.record("jobs.total_s", wait_s + run_s)
-        self.series.record("jobs.ok", 1)
 
     def job_failed(self) -> None:
         """One job exhausted its retries and failed."""
         self._scope.add("jobs.failed")
-        self.series.record("jobs.ok", 0)
 
     def job_retried(self) -> None:
         """One job failed an attempt and was requeued."""

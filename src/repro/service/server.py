@@ -15,11 +15,9 @@ run off-loop via the harness runner's process pool. The API surface:
                             client label, trace id)
 ``GET /results/{id}``       ``200`` + full result once done, ``202`` while
                             pending, ``500`` once failed
-``GET /healthz``            liveness + queue gauges + live SLO evaluation
+``GET /healthz``            liveness + queue gauges
 ``GET /metrics``            the service's ``obs.CounterRegistry`` snapshot
                             as JSON
-``GET /metrics/series``     ring-buffered time-series, bucketed server-side
-                            (``?name=jobs.total_s&bucket=60``)
 ``GET /traces/{id}``        one distributed trace's span closure (the job's
                             lifecycle record); ``?format=perfetto`` serves
                             Chrome-trace JSON
@@ -47,6 +45,7 @@ from urllib.parse import parse_qs
 
 from ..config import LINKS_BY_NAME
 from ..harness.runner import SimJob
+from ..harness.runner.parallel import env_int
 from ..obs.distributed import TraceStore, distributed_chrome_trace, parse_traceparent
 from ..paradigms.registry import PARADIGMS
 from ..workloads.registry import (
@@ -58,8 +57,6 @@ from ..workloads.registry import (
 from .metrics import ServiceMetrics
 from .queue import JobQueue, JobState, QueueFull, ServiceClosed
 from .scheduler import BatchScheduler
-from .slo import evaluate_slos, slos_from_env
-from .timeseries import DEFAULT_SERIES_SAMPLES
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -76,18 +73,10 @@ _STATUS_PHRASES = {
 MAX_BODY_BYTES = 1 << 20
 
 
-def _qlast(query: "dict[str, list[str]]", name: str, default: "str | None" = None):
-    """Last value of a (multi-valued) query parameter, or ``default``."""
+def _qlast(query: "dict[str, list[str]]", name: str) -> "str | None":
+    """Last value of a (multi-valued) query parameter, or ``None``."""
     values = query.get(name)
-    return values[-1] if values else default
-
-
-def _env_int(name: str, default: "int | None") -> "int | None":
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    return values[-1] if values else None
 
 
 def _env_float(name: str, default: float) -> float:
@@ -112,7 +101,6 @@ class ServiceSettings:
     max_workers: "int | None" = None
     trace: bool = True
     max_traces: int = 256
-    series_samples: int = DEFAULT_SERIES_SAMPLES
 
     @classmethod
     def from_env(cls, **overrides) -> "ServiceSettings":
@@ -124,20 +112,19 @@ class ServiceSettings:
         """
         values = {
             "host": os.environ.get("REPRO_SERVICE_HOST") or cls.host,
-            "port": _env_int("REPRO_SERVICE_PORT", cls.port),
-            "queue_depth": _env_int("REPRO_SERVICE_QUEUE_DEPTH", cls.queue_depth),
-            "batch_size": _env_int("REPRO_SERVICE_BATCH_SIZE", cls.batch_size),
+            "port": env_int("REPRO_SERVICE_PORT", cls.port),
+            "queue_depth": env_int("REPRO_SERVICE_QUEUE_DEPTH", cls.queue_depth),
+            "batch_size": env_int("REPRO_SERVICE_BATCH_SIZE", cls.batch_size),
             "max_wait_s": _env_float("REPRO_SERVICE_MAX_WAIT_MS", cls.max_wait_s * 1000.0)
             / 1000.0,
-            "max_retries": _env_int("REPRO_SERVICE_MAX_RETRIES", cls.max_retries),
+            "max_retries": env_int("REPRO_SERVICE_MAX_RETRIES", cls.max_retries),
             "retry_backoff_s": _env_float(
                 "REPRO_SERVICE_RETRY_BACKOFF_MS", cls.retry_backoff_s * 1000.0
             )
             / 1000.0,
-            "max_workers": _env_int("REPRO_SERVICE_MAX_WORKERS", None),
+            "max_workers": env_int("REPRO_SERVICE_MAX_WORKERS", None),
             "trace": os.environ.get("REPRO_SERVICE_TRACE", "1") not in ("0", "false"),
-            "max_traces": _env_int("REPRO_SERVICE_MAX_TRACES", cls.max_traces),
-            "series_samples": _env_int("REPRO_SERVICE_SERIES_SAMPLES", cls.series_samples),
+            "max_traces": env_int("REPRO_SERVICE_MAX_TRACES", cls.max_traces),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -195,11 +182,10 @@ class SimulationService:
         registry=None,
     ) -> None:
         self.settings = settings if settings is not None else ServiceSettings.from_env()
-        self.metrics = ServiceMetrics(registry, series_samples=self.settings.series_samples)
+        self.metrics = ServiceMetrics(registry)
         self.tracer = (
             TraceStore(max_traces=self.settings.max_traces) if self.settings.trace else None
         )
-        self.slos = slos_from_env()
         self.queue = JobQueue(
             self.metrics, max_depth=self.settings.queue_depth, tracer=self.tracer
         )
@@ -325,12 +311,9 @@ class SimulationService:
                 "inflight": self.queue.inflight,
                 "draining": self.queue.closed,
                 "trace": self.tracer is not None,
-                "slo": evaluate_slos(self.slos, self.metrics.series),
             }
         if path == "/metrics" and method == "GET":
             return 200, {"metrics": self.metrics.snapshot()}
-        if path == "/metrics/series" and method == "GET":
-            return self._series(query)
         if path == "/jobs" and method == "POST":
             return self._submit(headers, body)
         if path.startswith("/jobs/") and method == "GET":
@@ -341,7 +324,7 @@ class SimulationService:
             return self._trace(path[len("/traces/"):], query)
         if path == "/shutdown" and method == "POST":
             return self._shutdown_request(body)
-        if path in ("/jobs", "/shutdown", "/metrics/series") or path.startswith(
+        if path in ("/jobs", "/shutdown") or path.startswith(
             ("/jobs/", "/results/", "/traces/")
         ):
             return 405, {"error": f"method {method} not allowed on {path}"}
@@ -372,22 +355,6 @@ class SimulationService:
         except ServiceClosed as exc:
             return 503, {"error": str(exc)}
         return (200 if job.cache_hit else 202), job.as_dict()
-
-    def _series(self, query: dict) -> "tuple[int, dict]":
-        series = self.metrics.series
-        name = _qlast(query, "name")
-        if not name:
-            return 200, {"series": series.names()}
-        if name not in series.names():
-            return 404, {"error": f"unknown series {name!r}", "series": series.names()}
-        try:
-            bucket_s = float(_qlast(query, "bucket", "60"))
-            start = float(_qlast(query, "start")) if "start" in query else None
-            end = float(_qlast(query, "end")) if "end" in query else None
-            buckets = series.bucketed(name, bucket_s, start, end)
-        except ValueError as exc:
-            return 400, {"error": str(exc)}
-        return 200, {"name": name, "bucket_s": bucket_s, "buckets": buckets}
 
     def _trace(self, trace_id: str, query: dict) -> "tuple[int, dict]":
         if self.tracer is None:

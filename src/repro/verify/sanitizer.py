@@ -6,10 +6,7 @@ broken rule would silently stop guarding anything. This module closes that
 loop with a mutation harness over the same fuzz corpus:
 
 * **clean programs stay clean** — no error or warning diagnostics, no
-  paradigm marked unsafe, :func:`repro.analysis.fix_program` is the
-  identity (same object), and the simulation both passes the invariant
-  oracle and produces a byte-identical payload when rerun through the fix
-  engine's output;
+  paradigm marked unsafe, and the simulation passes the invariant oracle;
 * **injected defects are caught** — each mutator plants one known defect
   class (write-write race, uninitialized read, stale subscription, weak
   flag store, sys-scoped data access, atomic/plain mix) and the harness
@@ -17,13 +14,10 @@ loop with a mutation harness over the same fuzz corpus:
 * **the gate is consistent** — for every paradigm,
   :func:`repro.analysis.check_program` raises exactly when
   :func:`repro.analysis.blocking_diagnostics` reports a blocker, and every
-  paradigm the rule-impact table marks unsafe is in fact refused;
-* **fixes converge** — auto-repair at the rule's own severity reaches a
-  fixed point and the expected code no longer fires on the repaired
-  program.
+  paradigm the rule-impact table marks unsafe is in fact refused.
 
 ``repro verify --sanitizer`` drives this from the command line; the CI
-verify job runs it next to the differential harness.
+lint job runs it next to the SARIF baseline drift test.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from ..analysis import (
     blocking_diagnostics,
     check_program,
     clear_cache,
-    fix_program,
     portability_report,
     rule_impact,
 )
@@ -51,7 +44,6 @@ from ..errors import AnalysisError
 from ..system.executor import simulate
 from ..trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from ..trace.records import AccessRange, MemOp, PatternKind, PatternSpec, Scope
-from .differential import canonical_payload
 from .fuzzer import generate_program
 from .oracle import check_result
 
@@ -223,8 +215,7 @@ def _mut_sys_data(
     """The program's first access flipped to SYS scope -> GPS004.
 
     Fuzzed programs declare no sync buffers and keep every access weak, so
-    the first access always qualifies; the planned fix (set the scope back
-    to weak) must restore the original program bit-for-bit.
+    the first access always qualifies.
     """
     state = {"done": False}
 
@@ -335,11 +326,10 @@ def _check_clean(
     seed: int,
     program: TraceProgram,
     diagnostics: "list[Diagnostic]",
-    page_size: int,
     config,
     simulate_clean: bool,
 ) -> None:
-    """Clean-program obligations: quiet analyzer, identity fix, happy oracle."""
+    """Clean-program obligations: quiet analyzer, no unsafe paradigm, happy oracle."""
     fail = report.failures.append
     loud = [d for d in diagnostics if d.severity.rank >= Severity.WARNING.rank]
     if loud:
@@ -347,18 +337,12 @@ def _check_clean(
     unsafe = portability_report(program, diagnostics).unsafe_paradigms()
     if unsafe:
         fail(f"seed {seed}: clean program marked unsafe for {unsafe}")
-    fixed = fix_program(program, page_size=page_size)
-    if fixed.changed or fixed.program is not program:
-        fail(f"seed {seed}: fix engine touched an already-clean program")
     if not simulate_clean:
         return
     result = simulate(program, "gps", config)
     violations = check_result(result, config)
     if violations:
         fail(f"seed {seed}: analyzer-clean program fails the oracle: {violations[0]}")
-    replay = canonical_payload(simulate(fixed.program, "gps", config))
-    if replay != canonical_payload(result):
-        fail(f"seed {seed}: fix-identity program's payload is not byte-identical")
 
 
 def _check_mutant(
@@ -369,7 +353,7 @@ def _check_mutant(
     mutant: TraceProgram,
     page_size: int,
 ) -> None:
-    """Mutant obligations: flagged with a witness, gated consistently, fixed."""
+    """Mutant obligations: flagged with a witness and gated consistently."""
     fail = report.failures.append
     label = f"seed {seed}/{name}"
     diagnostics = analyze_program(mutant, page_size=page_size)
@@ -407,14 +391,6 @@ def _check_mutant(
             fail(f"{label}: {code} should refuse {sorted(must_block)}, "
                  f"gate refused {sorted(blocked)}")
 
-    fixed = fix_program(mutant, page_size=page_size, min_severity=severity)
-    if not fixed.converged:
-        fail(f"{label}: fix engine did not converge ({fixed.rounds} rounds)")
-        return
-    after = analyze_program(fixed.program, page_size=page_size)
-    if any(d.code == code for d in after):
-        fail(f"{label}: {code} still fires after {len(fixed.applied)} fix(es)")
-
 
 def run_sanitizer(
     *,
@@ -430,9 +406,8 @@ def run_sanitizer(
 ) -> SanitizerReport:
     """Run the sanitizer self-validation sweep over ``cases`` fuzz seeds.
 
-    Every seed is checked clean (analyzer, portability, fix identity,
-    oracle, byte-identical replay), then each applicable mutator's defect
-    is injected and must be flagged, gated, and repaired. Deterministic:
+    Every seed is checked clean (analyzer, portability, oracle), then each
+    applicable mutator's defect is injected and must be flagged and gated. Deterministic:
     the same arguments always test the same programs and mutants.
     """
     report = SanitizerReport()
@@ -444,8 +419,7 @@ def run_sanitizer(
         )
         diagnostics = analyze_program(program, page_size=page_size)
         _check_clean(
-            report, case_seed, program, diagnostics, page_size, config,
-            simulate_clean,
+            report, case_seed, program, diagnostics, config, simulate_clean
         )
         report.cases += 1
         for name, code, mutator in MUTATORS:

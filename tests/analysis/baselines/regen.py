@@ -2,7 +2,7 @@
 
 One baseline per registered workload (built at the pinned parameters
 below) and one per committed fuzz-corpus program.  The drift test and the
-CI ``analysis-diff`` job re-run the analyzer and demand byte-identical
+CI ``lint`` job re-run the analyzer and demand byte-identical
 SARIF, so any diagnostic added, dropped, reworded, or reordered shows up
 as a reviewable diff in this directory.
 

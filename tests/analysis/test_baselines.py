@@ -5,7 +5,7 @@ pinned parameters) and per committed fuzz-corpus program.  Any change to
 rules, witnesses, ordering, or the SARIF emitter must regenerate them
 (``PYTHONPATH=src python tests/analysis/baselines/regen.py``) so the drift
 is a reviewable diff rather than a silent behavior change.  The CI
-``analysis-diff`` job runs this same comparison.
+``lint`` job runs this same comparison.
 """
 
 from __future__ import annotations

@@ -74,14 +74,6 @@ class TestAnalysisCache:
         analyze_program(p, use_cache=False)
         assert cache_size() == 0
 
-    def test_env_knob_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_ANALYSIS_CACHE", "1")
-        p = make_program()
-        analyze_program(p)
-        analyze_program(p)
-        assert cache_size() == 0
-        assert cache_stats().lookups == 0
-
     def test_eviction_is_bounded(self):
         from repro.analysis.cache import MAX_ENTRIES
 

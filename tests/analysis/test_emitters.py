@@ -43,7 +43,7 @@ def test_json_is_valid_and_structured(broken_program):
     assert set(first) == {
         "severity", "code", "rule", "message",
         "phase", "kernel", "gpu", "buffer", "interval",
-        "witness", "fix",
+        "witness",
     }
     # Every conformance (GPS0xx) finding carries a concrete witness site.
     for entry in payload["diagnostics"]:

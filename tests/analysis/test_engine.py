@@ -68,6 +68,31 @@ class TestSelection:
         # Still suppressed: ignore always wins over select.
         assert "GPS103" not in codes(analyze_program(p, select=["GPS103"]))
 
+    @pytest.mark.parametrize(
+        "kwargs, token",
+        [
+            ({"select": ["GPS999"]}, "GPS999"),
+            ({"select": ["GPS1,GPS0O1"]}, "GPS0O1"),
+            ({"ignore": ["gps1"]}, "gps1"),
+        ],
+        ids=["select-typo", "select-typo-in-list", "ignore-lowercase"],
+    )
+    def test_unknown_select_or_ignore_token_is_rejected(
+        self, broken_program, kwargs, token
+    ):
+        """A typo must not silently turn the analyzer off (or on)."""
+        with pytest.raises(ValueError, match=repr(token)):
+            analyze_program(broken_program, **kwargs)
+
+    def test_metadata_ignore_stays_lenient(self):
+        p = program(
+            [Phase("it0", (
+                kernel("w", 0, access(length=PAGE, op=MemOp.WRITE)),
+            ), iteration=0)],
+            metadata={"analysis_ignore": "GPS999"},
+        )
+        assert "GPS103" in codes(analyze_program(p))
+
 
 class TestCheckProgram:
     def test_clean_program_returns_diagnostics(self):

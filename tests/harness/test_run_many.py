@@ -59,6 +59,13 @@ class TestRunMany:
         (result,) = run_many([("jacobi", "memcpy", 2, "pcie6", 0.1, 2)])
         assert result.total_time > 0
 
+    def test_malformed_max_workers_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "abc")
+        clear_run_cache()
+        jobs = [SimJob("jacobi", p, 2, **FAST) for p in ("memcpy", "gps", "um")]
+        with pytest.raises(ValueError, match="REPRO_MAX_WORKERS .*'abc'"):
+            run_many(jobs)
+
     def test_repeated_configs_fingerprint_once(self, monkeypatch):
         # Satellite regression: a grid repeating the same config as distinct
         # SimJob instances must hash the config once, not once per repeat.

@@ -131,36 +131,10 @@ class TestRoutes:
 
 
 class TestObservabilityRoutes:
-    def test_healthz_reports_slo_and_trace(self, live_service):
+    def test_healthz_reports_trace(self, live_service):
         status, payload = raw_request(live_service.url + "/healthz")
         assert status == 200
         assert payload["trace"] is True
-        assert {r["name"] for r in payload["slo"]} == {
-            "job-latency-30s", "job-availability",
-        }
-
-    def test_series_catalog_and_buckets(self, live_service):
-        client = live_service.client()
-        client.run("jacobi", timeout=60, **FAST)
-        catalog = client.series()
-        assert "jobs.total_s" in catalog["series"]
-        payload = client.series("jobs.total_s", bucket_s=3600.0)
-        assert payload["bucket_s"] == 3600.0
-        assert sum(row["count"] for row in payload["buckets"]) >= 1
-        row = payload["buckets"][0]
-        assert {"t", "count", "min", "max", "avg", "p50", "p99"} <= set(row)
-
-    def test_series_error_statuses(self, live_service):
-        status, payload = raw_request(
-            live_service.url + "/metrics/series?name=bogus"
-        )
-        assert status == 404
-        assert "series" in payload  # the catalog rides along on the miss
-        live_service.client().run("jacobi", timeout=60, **FAST)
-        status, _ = raw_request(
-            live_service.url + "/metrics/series?name=jobs.total_s&bucket=0"
-        )
-        assert status == 400
 
     def test_unknown_trace_404(self, live_service):
         status, payload = raw_request(live_service.url + "/traces/" + "0" * 32)
@@ -184,7 +158,7 @@ class TestObservabilityRoutes:
             clear_run_cache()
 
     def test_new_routes_reject_wrong_method(self, live_service):
-        for path in ("/metrics/series", "/traces/abc", "/results/x", "/jobs/x"):
+        for path in ("/traces/abc", "/results/x", "/jobs/x"):
             status, _ = raw_request(live_service.url + path, method="POST")
             assert status == 405, path
 

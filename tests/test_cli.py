@@ -360,80 +360,29 @@ class TestLint:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["programs"]) == 8
 
-    def test_unknown_target_rejected(self):
-        from repro.errors import TraceError
+    def test_unknown_target_rejected(self, capsys):
+        assert main(["lint", "no-such-workload"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lint: unknown workload 'no-such-workload'")
+        assert err.count("\n") == 1
 
-        with pytest.raises(TraceError):
-            main(["lint", "no-such-workload"])
+    def test_unknown_select_code_exits_2(self, capsys):
+        code = main(["lint", "jacobi", "--select", "GPS999", "--strict",
+                     "--gpus", "2", "--scale", "0.1", "--iterations", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "clean" not in captured.out
+        assert "'GPS999' matches no rule code" in captured.err
 
 
-class TestLintFix:
+class TestLintDirtyTraces:
     @pytest.fixture
     def dirty_path(self):
         from pathlib import Path
 
-        path = (Path(__file__).parent / "analysis" / "fixcorpus"
+        path = (Path(__file__).parent / "analysis" / "fixtures"
                 / "ww-overlap-s0.before.json")
         return str(path)
-
-    def test_fix_repairs_to_strict_clean(self, capsys, dirty_path):
-        assert main(["lint", dirty_path, "--fix", "--strict"]) == 0
-        captured = capsys.readouterr()
-        assert "0 error(s), 0 warning(s)" in captured.out
-        assert "applied 1 fix(es)" in captured.err
-        assert "GPS001" in captured.err
-
-    def test_fix_out_writes_repaired_trace(self, capsys, tmp_path, dirty_path):
-        from repro.analysis import Severity, analyze_program
-        from repro.trace.io import load_program
-
-        out_path = tmp_path / "fixed.json"
-        assert main(["lint", dirty_path, "--fix-out", str(out_path),
-                     "--strict"]) == 0
-        assert "wrote repaired trace" in capsys.readouterr().err
-        repaired = load_program(out_path)
-        assert not [
-            d for d in analyze_program(repaired)
-            if d.severity.rank >= Severity.WARNING.rank
-        ]
-
-    def test_fix_out_requires_single_target(self, capsys, tmp_path, dirty_path):
-        code = main(["lint", dirty_path, dirty_path,
-                     "--fix-out", str(tmp_path / "x.json")])
-        assert code == 2
-        assert "exactly one target" in capsys.readouterr().err
-
-    @pytest.fixture
-    def warn_path(self, tmp_path):
-        """A trace whose only finding is GPS101 (unused buffer, warning)."""
-        from repro.trace.io import save_program
-        from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
-        from repro.trace.records import AccessRange, MemOp
-
-        page = 65536
-        program = TraceProgram(
-            "warny", 1,
-            (BufferSpec("buf", page), BufferSpec("ghost", page)),
-            (
-                Phase("setup", (
-                    KernelSpec("init", 0, 1.0,
-                               (AccessRange("buf", 0, page, MemOp.WRITE),)),
-                ), iteration=-1),
-            ),
-        )
-        path = tmp_path / "warny.json"
-        save_program(program, path)
-        return str(path)
-
-    def test_fix_level_error_skips_warnings(self, capsys, warn_path):
-        # GPS101 is warning severity: at --fix-level error it survives the
-        # fixer, so strict lint still fails...
-        assert main(["lint", warn_path, "--fix", "--fix-level", "error",
-                     "--strict"]) == 1
-        assert "GPS101" in capsys.readouterr().out
-        # ...while the default level (warning) repairs it.
-        assert main(["lint", warn_path, "--fix", "--strict"]) == 0
-        capsys.readouterr()
 
     def test_portability_appendix_lists_paradigms(self, capsys, dirty_path):
         assert main(["lint", dirty_path, "--portability"]) == 2
@@ -442,14 +391,10 @@ class TestLintFix:
             assert paradigm in out
         assert "unsafe" in out
 
-    def test_portability_clean_after_fix(self, capsys, dirty_path):
-        assert main(["lint", dirty_path, "--fix", "--portability"]) == 0
-        assert "unsafe" not in capsys.readouterr().out
-
     def test_multiple_path_targets(self, capsys, dirty_path):
         from pathlib import Path
 
-        other = (Path(__file__).parent / "analysis" / "fixcorpus"
+        other = (Path(__file__).parent / "analysis" / "fixtures"
                  / "uninit-read-s1.before.json")
         assert main(["lint", dirty_path, str(other)]) == 2
         out = capsys.readouterr().out
@@ -458,6 +403,14 @@ class TestLintFix:
 
 
 class TestRunTrace:
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "nosuch.json"
+        assert main(["run-trace", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run-trace: ")
+        assert str(missing) in err
+        assert err.count("\n") == 1
+
     def test_refuses_broken_trace(self, capsys):
         from pathlib import Path
 
