@@ -49,7 +49,6 @@ from .errors import AnalysisError, ReproError
 from .obs import (
     CounterRegistry,
     Span,
-    TraceCollector,
     chrome_trace,
     self_time_profile,
     write_chrome_trace,
@@ -100,7 +99,6 @@ __all__ = [
     "check_program",
     "CounterRegistry",
     "Span",
-    "TraceCollector",
     "chrome_trace",
     "self_time_profile",
     "write_chrome_trace",

@@ -33,7 +33,7 @@ from . import (
     speedup_over_single_gpu,
     workload_names,
 )
-from .errors import TraceError
+from .errors import ReproError
 from .harness import experiments
 from .harness.ascii_plot import bar_chart
 from .harness.runner import cache_stats, clear_disk_cache, disk_cache_info, fleet_stats
@@ -63,6 +63,14 @@ FIGURES = {
     "table1": (experiments.table1_simulation_settings, False),
     "table2": (experiments.table2_applications, False),
 }
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,7 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--iterations", type=int, default=8)
     trace.add_argument("--out", metavar="PATH", help="trace JSON output (default: <workload>.trace.json)")
     trace.add_argument("--metrics", metavar="PATH", help="also write flat counter metrics (.json or .csv)")
-    trace.add_argument("--top", type=int, default=10, help="profile rows to print (0 = none)")
+    trace.add_argument(
+        "--top", type=_non_negative_int, default=10, help="profile rows to print (0 = none)"
+    )
     trace.add_argument(
         "--validate",
         action="store_true",
@@ -143,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     profile.add_argument("--scale", type=float, default=0.5)
     profile.add_argument("--iterations", type=int, default=8)
-    profile.add_argument("--top", type=int, default=15, help="rows to print")
+    profile.add_argument("--top", type=_non_negative_int, default=15, help="rows to print")
 
     export_trace = sub.add_parser(
         "export-trace", help="export a workload's trace *program* to JSON"
@@ -443,10 +453,10 @@ def _cmd_cache(args) -> int:
 
 
 def _traced_run(args):
-    """Build + run one executor with span tracing forced on.
+    """Build + run one executor, keeping it for its span view.
 
     Returns ``(executor, result, wall_clock_seconds)``. Deliberately skips
-    the result cache: a cached result has no span trace to export.
+    the result cache: a cached result has no engine to derive spans from.
     """
     import time as _time
 
@@ -456,7 +466,6 @@ def _traced_run(args):
     program = workload.build(args.gpus, scale=args.scale, iterations=args.iterations)
     config = default_system(args.gpus, LINKS_BY_NAME[args.link])
     executor = make_executor(args.paradigm, program, config)
-    executor.collector.enable()
     t0 = _time.perf_counter()
     result = executor.run()
     return executor, result, _time.perf_counter() - t0
@@ -478,11 +487,11 @@ def _cmd_trace(args) -> int:
     executor, result, wall = _traced_run(args)
     out = args.out or f"{_resolve_workload(args.workload)}.trace.json"
     manifest = run_manifest(result, executor.config, wall_clock=wall)
-    payload = write_chrome_trace(out, executor.collector, manifest)
-    spans = len(executor.collector)
+    spans = executor.engine.spans()
+    payload = write_chrome_trace(out, spans, manifest)
     print(f"simulated time: {fmt_time(result.total_time)}")
-    print(f"wrote {out}: {spans} spans on "
-          f"{len(executor.collector.by_track())} tracks "
+    print(f"wrote {out}: {len(spans)} spans on "
+          f"{len({span.track for span in spans})} tracks "
           f"(open at https://ui.perfetto.dev)")
     if args.metrics:
         if args.metrics.endswith(".csv"):
@@ -493,14 +502,14 @@ def _cmd_trace(args) -> int:
                 _json.dump(metrics_json(result), fh, indent=2, sort_keys=True)
         print(f"wrote {args.metrics}: {len(result.counters)} counters")
     if args.top:
-        print(format_profile(self_time_profile(executor.collector, top=args.top)))
+        print(format_profile(self_time_profile(spans, top=args.top)))
     if args.validate:
         problems = validate_chrome_trace(payload)
         if problems:
             for problem in problems:
                 print(f"trace validation: {problem}", file=sys.stderr)
             return 2
-        print(f"trace validation: OK ({spans} spans)")
+        print(f"trace validation: OK ({len(spans)} spans)")
     return 0
 
 
@@ -513,7 +522,7 @@ def _cmd_profile(args) -> int:
         f"self-time profile: {_resolve_workload(args.workload)} / {args.paradigm} "
         f"on {args.gpus} GPUs"
     )
-    print(format_profile(self_time_profile(executor.collector, top=args.top), title))
+    print(format_profile(self_time_profile(executor.engine.spans(), top=args.top), title))
     return 0
 
 
@@ -538,7 +547,7 @@ def _cmd_run_trace(args) -> int:
 
     try:
         program = load_program(args.path)
-    except (TraceError, OSError) as exc:
+    except OSError as exc:
         print(f"run-trace: {exc}", file=sys.stderr)
         return 2
     config = default_system(program.num_gpus, LINKS_BY_NAME[args.link])
@@ -602,7 +611,7 @@ def _cmd_lint(args) -> int:
             (program, analyze_program(program, select=args.select, ignore=args.ignore))
             for program in _lint_programs(args)
         ]
-    except (TraceError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
@@ -891,7 +900,13 @@ def main(argv=None) -> int:
         "result": _cmd_result,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        # A bad argument (unknown workload, out-of-range config) is a usage
+        # error, not a crash: one line on stderr, exit status 2.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ cached at two levels:
 
 ``run_many`` fans uncached jobs across a process pool; the figure drivers in
 :mod:`repro.harness.experiments` submit their whole grids through it.
+``run_many_settled(..., traced=True)`` is the same path with each computed
+run's engine spans shipped back beside its result (the service uses it).
 
 Every uncached job's trace is gated through the static analyzer
 (:func:`repro.analysis.check_program`) before it simulates, so a workload
@@ -31,11 +33,9 @@ from .disk import DEFAULT_CACHE_DIR, DiskCache
 from .fingerprint import MODEL_FINGERPRINT, SimJob, job_key, resolve_link
 from .parallel import (
     compute_job,
-    compute_job_traced,
     fleet_stats,
     run_many,
     run_many_settled,
-    run_many_traced_settled,
 )
 from .stats import CacheStats, FleetStats, WorkerStats
 
@@ -49,14 +49,12 @@ __all__ = [
     "cache_stats",
     "clear_disk_cache",
     "clear_run_cache",
-    "compute_job_traced",
     "disk_cache_info",
     "fleet_stats",
     "job_key",
     "resolve_link",
     "run_many",
     "run_many_settled",
-    "run_many_traced_settled",
     "run_simulation",
     "run_speedup",
 ]
@@ -77,7 +75,8 @@ def run_simulation(
     cached = memo.lookup(key)
     if cached is not None:
         return cached
-    return memo.store(key, compute_job(job), job.meta())
+    result, _ = compute_job(job)
+    return memo.store(key, result, job.meta())
 
 
 def run_speedup(

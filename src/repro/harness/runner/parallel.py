@@ -7,12 +7,15 @@ processes only *compute* — the parent stores every result into the memo and
 the persistent cache, so disk records are written exactly once and never
 race. ``REPRO_MAX_WORKERS=1`` (or a single pending job) falls back to plain
 serial execution.
+
+Traced and untraced runs share every step: :func:`compute_job` is the one
+compute function both the serial and the pool paths call, and ``traced``
+only decides whether it ships the run's engine spans back beside the result.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -37,16 +40,16 @@ def fleet_stats() -> FleetStats:
     return _FLEET
 
 
-#: Thread-local span-capture channel between :func:`compute_job_traced` and
-#: :func:`compute_job`. When a sink list is installed, ``compute_job`` runs
-#: with its collector force-enabled and deposits ``(span_dicts, evicted)``
-#: there — keeping one compute path so test hooks and future wrappers apply
-#: to traced and untraced runs alike.
-_trace_capture = threading.local()
-
-
-def compute_job(job: SimJob) -> SimulationResult:
+def compute_job(
+    job: SimJob, traced: bool = False
+) -> "tuple[SimulationResult, list[dict] | None]":
     """Run one job's simulation, bypassing every cache layer.
+
+    Returns ``(result, spans)``. With ``traced`` on, ``spans`` is the run's
+    engine span list as ``Span.to_dict`` payloads (:meth:`Engine.spans`); it
+    travels **out-of-band** beside the result, never inside
+    ``SimulationResult``, which must stay byte-identical across the
+    direct/cache/store/pool/service paths. Untraced, ``spans`` is ``None``.
 
     The trace is gated through the static analyzer first: a program whose
     diagnostics mark the job's *paradigm* unsafe (races, memory-model
@@ -63,60 +66,28 @@ def compute_job(job: SimJob) -> SimulationResult:
     config = job.resolved_config()
     if not os.environ.get("REPRO_NO_ANALYZE"):
         check_program(program, page_size=config.page_size, paradigm=job.paradigm)
-    sink = getattr(_trace_capture, "sink", None)
-    if sink is None:
-        return simulate(program, job.paradigm, config)
+    if not traced:
+        return simulate(program, job.paradigm, config), None
     from ...paradigms.registry import make_executor  # local import: avoids a cycle
 
     executor = make_executor(job.paradigm, program, config)
-    executor.collector.enable()
     result = executor.run()
-    sink.append(([span.to_dict() for span in executor.collector.spans], executor.collector.evicted))
-    return result
+    return result, [span.to_dict() for span in executor.engine.spans()]
 
 
-def compute_job_traced(job: SimJob) -> "tuple[SimulationResult, list[dict] | None, int]":
-    """Run one job with span tracing forced on, returning the spans too.
-
-    Same analysis gate and simulation as :func:`compute_job`, but the
-    executor's :class:`~repro.obs.collector.TraceCollector` is enabled
-    explicitly (overriding the worker's ``REPRO_NO_TRACE=1``) and the
-    engine's spans travel back **out-of-band** as ``Span.to_dict`` payloads
-    alongside the result — never inside ``SimulationResult`` itself, which
-    must stay byte-identical across the direct/cache/store/pool/service paths.
-    Returns ``(result, span_dicts, evicted_span_count)``.
-    """
-    _trace_capture.sink = sink = []
-    try:
-        result = compute_job(job)
-    finally:
-        _trace_capture.sink = None
-    spans, evicted = sink[0] if sink else (None, 0)
-    return result, spans, evicted
-
-
-def _timed_compute(job: SimJob) -> "tuple[int, float, SimulationResult]":
-    """Pool entry point: compute one job, returning (pid, wall_clock, result)."""
+def _timed_compute(
+    job: SimJob, traced: bool
+) -> "tuple[int, float, SimulationResult, list[dict] | None]":
+    """Pool entry point: compute one job, returning (pid, wall_clock, result, spans)."""
     t0 = time.perf_counter()
-    result = compute_job(job)
-    return os.getpid(), time.perf_counter() - t0, result
-
-
-def _timed_compute_traced(
-    job: SimJob,
-) -> "tuple[int, float, SimulationResult, list[dict], int]":
-    """Traced pool entry point: (pid, wall_clock, result, spans, evicted)."""
-    t0 = time.perf_counter()
-    result, spans, evicted = compute_job_traced(job)
-    return os.getpid(), time.perf_counter() - t0, result, spans, evicted
+    result, spans = compute_job(job, traced)
+    return os.getpid(), time.perf_counter() - t0, result, spans
 
 
 def _worker_init() -> None:
-    # Workers never consult the caches, must never recursively fork, and
-    # skip span materialisation (the parent only receives the result dict).
+    # Workers never consult the caches and must never recursively fork.
     os.environ["REPRO_RUNNER_WORKER"] = "1"
     os.environ["REPRO_NO_CACHE"] = "1"
-    os.environ["REPRO_NO_TRACE"] = "1"
 
 
 def env_int(name: str, default: "int | None") -> "int | None":
@@ -162,17 +133,22 @@ def _job_keys(jobs: "list[SimJob]") -> "list[str]":
     return keys
 
 
-#: One settled slot of a traced run: the outcome, the engine spans shipped
-#: back from the worker (``None`` for cache hits and failures), and the
-#: collector's evicted-span count for that run.
-TracedOutcome = "tuple[SimulationResult | Exception, list[dict] | None, int]"
+def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = False) -> list:
+    """Run a job list, returning a per-job outcome instead of raising.
 
+    Same caching, dedup, and fan-out behaviour as :func:`run_many`, but a
+    job whose simulation raises (analysis gate, workload bug, worker crash)
+    yields its exception in that slot rather than aborting the whole batch.
+    Duplicate jobs share one outcome — including a shared failure. Callers
+    that need per-job retry (the service scheduler) use this entry point;
+    everyone else wants :func:`run_many`.
 
-def _settled(jobs, max_workers: "int | None", traced: bool) -> "list[tuple]":
-    """Shared dedup + fan-out engine behind the two ``*_settled`` fronts.
-
-    Returns one ``(outcome, spans, evicted)`` slot per input job; untraced
-    runs always carry ``(None, 0)`` in the trailing positions.
+    With ``traced`` on, each slot is an ``(outcome, spans)`` pair instead:
+    ``spans`` is the run's engine span list from :func:`compute_job`, or
+    ``None`` when the outcome came from a cache or is an exception — cached
+    results never carry spans, keeping the byte-identical result invariant.
+    The traced service scheduler uses this to re-parent engine spans under
+    request traces without touching ``SimulationResult``.
     """
     jobs = [job if isinstance(job, SimJob) else SimJob(*job) for job in jobs]
     keys = _job_keys(jobs)
@@ -183,7 +159,7 @@ def _settled(jobs, max_workers: "int | None", traced: bool) -> "list[tuple]":
             continue
         cached = memo.lookup(key)
         if cached is not None:
-            outcomes[key] = (cached, None, 0)
+            outcomes[key] = (cached, None)
         else:
             pending[key] = job
 
@@ -195,74 +171,35 @@ def _settled(jobs, max_workers: "int | None", traced: bool) -> "list[tuple]":
     if workers <= 1:
         for key, job in pending.items():
             t0 = time.perf_counter()
-            spans: "list[dict] | None" = None
-            evicted = 0
             try:
-                if traced:
-                    result, spans, evicted = compute_job_traced(job)
-                else:
-                    result = compute_job(job)
+                result, spans = compute_job(job, traced)
             except Exception as exc:
                 _FLEET.jobs_failed += 1
-                outcomes[key] = (exc, None, 0)
+                outcomes[key] = (exc, None)
                 continue
             _FLEET.record_job(f"pid{os.getpid()} (serial)", time.perf_counter() - t0)
-            outcomes[key] = (memo.store(key, result, job.meta()), spans, evicted)
+            outcomes[key] = (memo.store(key, result, job.meta()), spans)
     elif pending:
-        entry = _timed_compute_traced if traced else _timed_compute
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
-            futures = {pool.submit(entry, job): key for key, job in pending.items()}
+            futures = {
+                pool.submit(_timed_compute, job, traced): key for key, job in pending.items()
+            }
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
                     key = futures[future]
                     try:
-                        if traced:
-                            pid, wall, result, spans, evicted = future.result()
-                        else:
-                            pid, wall, result = future.result()
-                            spans, evicted = None, 0
+                        pid, wall, result, spans = future.result()
                     except Exception as exc:  # includes BrokenProcessPool
                         _FLEET.jobs_failed += 1
-                        outcomes[key] = (exc, None, 0)
+                        outcomes[key] = (exc, None)
                         continue
                     _FLEET.record_job(f"pid{pid}", wall)
-                    outcomes[key] = (
-                        memo.store(key, result, pending[key].meta()),
-                        spans,
-                        evicted,
-                    )
-    return [outcomes[key] for key in keys]
-
-
-def run_many_settled(
-    jobs, max_workers: "int | None" = None
-) -> "list[SimulationResult | Exception]":
-    """Run a job list, returning a per-job outcome instead of raising.
-
-    Same caching, dedup, and fan-out behaviour as :func:`run_many`, but a
-    job whose simulation raises (analysis gate, workload bug, worker crash)
-    yields its exception in that slot rather than aborting the whole batch.
-    Duplicate jobs share one outcome — including a shared failure. Callers
-    that need per-job retry (the service scheduler) use this entry point;
-    everyone else wants :func:`run_many`.
-    """
-    return [outcome for outcome, _, _ in _settled(jobs, max_workers, traced=False)]
-
-
-def run_many_traced_settled(jobs, max_workers: "int | None" = None) -> "list":
-    """Like :func:`run_many_settled`, but each slot also ships engine spans.
-
-    Returns ``(outcome, spans, evicted)`` triples: ``spans`` is the run's
-    engine span list as ``Span.to_dict`` payloads (``None`` when the
-    outcome came from a cache or is an exception — cached results never
-    carry spans, keeping the byte-identical result invariant), and
-    ``evicted`` is the run collector's dropped-span count. The traced
-    service scheduler uses this to re-parent engine spans under request
-    traces without touching ``SimulationResult``.
-    """
-    return _settled(jobs, max_workers, traced=True)
+                    outcomes[key] = (memo.store(key, result, pending[key].meta()), spans)
+    if traced:
+        return [outcomes[key] for key in keys]
+    return [outcomes[key][0] for key in keys]
 
 
 def run_many(jobs, max_workers: "int | None" = None) -> "list[SimulationResult]":

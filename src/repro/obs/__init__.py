@@ -2,11 +2,11 @@
 
 Three instruments, threaded through every run (see ``docs/OBSERVABILITY.md``):
 
-* **span tracing** — the DES engine materialises every scheduled,
-  resource-bound task as a structured :class:`Span` (name, category, track,
-  start/end, attributes) in a per-run :class:`TraceCollector`; the collector
-  is the source of truth for :mod:`repro.system.timeline` and the Perfetto
-  exporter. ``REPRO_NO_TRACE=1`` switches span materialisation off.
+* **span tracing** — a finished DES engine derives one structured
+  :class:`Span` (name, category, track, start/end, attributes) per scheduled,
+  resource-bound task on demand (:meth:`repro.sim.engine.Engine.spans`); the
+  engine's tasks are the only record, and the Perfetto exporter, the
+  profiler and the oracle all read that view.
 * a **hierarchical counter registry** — hardware models publish named
   counters (``component.metric``, e.g. ``gps_tlb.misses``) into a
   :class:`CounterRegistry`; per-GPU scopes (``gpu0.gps_tlb.misses``) roll up
@@ -18,7 +18,6 @@ Three instruments, threaded through every run (see ``docs/OBSERVABILITY.md``):
   (:func:`self_time_profile`).
 """
 
-from .collector import TraceCollector, max_spans, tracing_enabled
 from .distributed import (
     DistSpan,
     SequentialIds,
@@ -50,7 +49,6 @@ __all__ = [
     "ProfileRow",
     "SequentialIds",
     "Span",
-    "TraceCollector",
     "TraceContext",
     "TraceStore",
     "chrome_trace",
@@ -58,14 +56,12 @@ __all__ = [
     "distributed_chrome_trace",
     "dump_chrome_trace",
     "format_profile",
-    "max_spans",
     "metrics_csv",
     "metrics_json",
     "parse_traceparent",
     "run_manifest",
     "self_time_profile",
     "set_id_generator",
-    "tracing_enabled",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

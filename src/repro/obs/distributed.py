@@ -1,6 +1,6 @@
 """Distributed tracing for the service path: W3C contexts, span store, export.
 
-The single-run :class:`~repro.obs.collector.TraceCollector` stops at the
+A single run's spans (:meth:`repro.sim.engine.Engine.spans`) stop at the
 boundary of one simulation; this module is the layer that stitches a
 *request's* journey through the service — client submit → HTTP → queue wait
 → scheduler batch → pool worker → engine spans — into one trace.

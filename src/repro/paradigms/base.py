@@ -17,7 +17,7 @@ from typing import Optional
 from ..config import SystemConfig
 from ..gpu.kernel_timing import KernelTiming, KernelTimingModel
 from ..interconnect.traffic import TrafficMatrix
-from ..obs import CounterRegistry, TraceCollector
+from ..obs import CounterRegistry
 from ..obs.span import CATEGORY_KERNEL, CATEGORY_TRANSFER
 from ..sim.engine import Engine, Resource, Task
 from ..system.analysis import KernelFootprint, get_analysis
@@ -46,13 +46,10 @@ class ParadigmExecutor(ABC):
         self.analysis = get_analysis(program, config)
         self.timing = KernelTimingModel(config.gpu)
         self.traffic = TrafficMatrix(config.num_gpus)
-        #: Structured span trace of the run (shared with the engine); gated
-        #: by ``REPRO_NO_TRACE``.
-        self.collector = TraceCollector()
         #: Hierarchical hardware-counter registry, snapshotted into
         #: :attr:`SimulationResult.counters` by :meth:`build_result`.
         self.counters = CounterRegistry()
-        self.engine = Engine(self.collector)
+        self.engine = Engine()
         self._gpu_res = [self.engine.resource(f"gpu{g}") for g in range(config.num_gpus)]
         self._egress_res = [self.engine.resource(f"egress{g}") for g in range(config.num_gpus)]
         self._ingress_res = [self.engine.resource(f"ingress{g}") for g in range(config.num_gpus)]

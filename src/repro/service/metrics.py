@@ -41,7 +41,6 @@ _COUNTERS = (
     "scheduler.batches",
     "scheduler.batched_jobs",
     "trace.spans_attached",
-    "trace.evicted_spans",
 )
 
 
@@ -128,11 +127,6 @@ class ServiceMetrics:
     def spans_attached(self, count: int) -> None:
         """Engine spans from one run were re-parented under a request trace."""
         self._scope.add("trace.spans_attached", count)
-
-    def spans_evicted(self, count: int) -> None:
-        """The run's bounded collector dropped ``count`` spans (ring full)."""
-        if count:
-            self._scope.add("trace.evicted_spans", count)
 
     # -- export --------------------------------------------------------------
 

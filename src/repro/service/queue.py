@@ -431,7 +431,7 @@ class JobQueue:
             job.attempts = attempts
         return attempts
 
-    def attach_spans(self, key: str, spans: "list[dict] | None", evicted: int) -> None:
+    def attach_spans(self, key: str, spans: "list[dict] | None") -> None:
         """Re-parent one run's engine spans under the group's ``run`` span.
 
         Called by the traced scheduler after a successful attempt, before
@@ -451,7 +451,6 @@ class JobQueue:
                 anchor=primary.run_span.start,
             )
             self.metrics.spans_attached(count)
-            self.metrics.spans_evicted(evicted)
         primary.run_span = None
 
     def requeue(self, key: str) -> None:

@@ -10,7 +10,8 @@ The scheduler is one long-lived coroutine that repeatedly:
 3. packs the drained jobs into one
    :func:`repro.harness.runner.run_many_settled` call, pushed off the event
    loop with ``asyncio.to_thread`` so the loop keeps serving HTTP while
-   simulations run;
+   simulations run (one runner serves both modes: a traced queue passes
+   ``traced=True`` and gets each run's engine spans beside its outcome);
 4. settles each job individually: successes resolve their group's future,
    failures retry with linear backoff up to ``max_retries`` additional
    attempts, then fail the future.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 
-from ..harness.runner import run_many_settled, run_many_traced_settled
+from ..harness.runner import run_many_settled
 from .metrics import ServiceMetrics
 from .queue import Job, JobQueue
 
@@ -34,8 +35,8 @@ class BatchScheduler:
     """Drains the :class:`JobQueue` into ``run_many_settled`` batches.
 
     When ``traced`` is on (the default whenever the queue owns a tracer),
-    batches run through :func:`run_many_traced_settled` instead: each
-    successful attempt ships its engine spans back out-of-band and the
+    batches run with ``traced=True``: each successful attempt ships its
+    engine spans back out-of-band beside its result and the
     scheduler re-parents them under the group's ``run`` span via
     :meth:`JobQueue.attach_spans` before settling the future — so by the
     time a client sees ``state: done``, the trace is complete.
@@ -52,7 +53,6 @@ class BatchScheduler:
         retry_backoff_s: float = 0.05,
         max_workers: "int | None" = None,
         runner=run_many_settled,
-        traced_runner=run_many_traced_settled,
         traced: "bool | None" = None,
     ) -> None:
         if batch_size < 1:
@@ -65,7 +65,6 @@ class BatchScheduler:
         self.retry_backoff_s = retry_backoff_s
         self.max_workers = max_workers
         self._runner = runner
-        self._traced_runner = traced_runner
         self.traced = (queue.tracer is not None) if traced is None else traced
         self._batch_seq = itertools.count(1)
         self._task: "asyncio.Task | None" = None
@@ -128,12 +127,12 @@ class BatchScheduler:
         self.metrics.batch_started(len(batch))
         sims = [job.sim for job in batch]
         if self.traced:
-            slots = await asyncio.to_thread(self._traced_runner, sims, self.max_workers)
+            slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
             outcomes = []
-            for job, (outcome, spans, evicted) in zip(batch, slots):
+            for job, (outcome, spans) in zip(batch, slots):
                 outcomes.append(outcome)
                 if not isinstance(outcome, Exception):
-                    self.queue.attach_spans(job.key, spans, evicted)
+                    self.queue.attach_spans(job.key, spans)
         else:
             outcomes = await asyncio.to_thread(self._runner, sims, self.max_workers)
         retry: "list[Job]" = []

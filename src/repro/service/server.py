@@ -122,7 +122,6 @@ class ServiceSettings:
                 "REPRO_SERVICE_RETRY_BACKOFF_MS", cls.retry_backoff_s * 1000.0
             )
             / 1000.0,
-            "max_workers": env_int("REPRO_SERVICE_MAX_WORKERS", None),
             "trace": os.environ.get("REPRO_SERVICE_TRACE", "1") not in ("0", "false"),
             "max_traces": env_int("REPRO_SERVICE_MAX_TRACES", cls.max_traces),
         }

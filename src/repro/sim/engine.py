@@ -10,6 +10,9 @@ insertion order).
 Serialising a resource is how finite bandwidth is modelled: two 1 ms
 transfers on one egress port take 2 ms end-to-end, the same aggregate as
 fair sharing, without simulating byte-level interleaving.
+
+The scheduled tasks are the one record of a run: :meth:`Engine.spans` derives
+the trace view from them on demand, so there is no second copy to drift.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import heapq
 from typing import Iterable, Optional
 
 from ..errors import SimulationError
-from ..obs.collector import TraceCollector
 from ..obs.span import Span
 
 
@@ -45,8 +47,8 @@ class Task:
 
     ``start`` and ``end`` are populated by :meth:`Engine.run`; reading them
     before the run raises. ``category`` and ``attrs`` are structured trace
-    metadata carried into the :class:`~repro.obs.span.Span` the engine emits
-    for the task after scheduling.
+    metadata carried into the task's :class:`~repro.obs.span.Span` (see
+    :meth:`Engine.spans`).
     """
 
     __slots__ = (
@@ -116,17 +118,14 @@ class Engine:
         makespan = engine.run()
     """
 
-    def __init__(self, collector: Optional[TraceCollector] = None) -> None:
+    def __init__(self) -> None:
         self._tasks: list[Task] = []
         self._resources: dict[str, Resource] = {}
         self._ran = False
-        #: Per-run span trace; the engine appends one span per scheduled
-        #: resource-bound task when :meth:`run` completes.
-        self.collector = collector if collector is not None else TraceCollector()
 
     @property
     def has_run(self) -> bool:
-        """Whether :meth:`run` has completed (timeline extraction requires it)."""
+        """Whether :meth:`run` has completed (:meth:`spans` requires it)."""
         return self._ran
 
     def resource(self, name: str) -> Resource:
@@ -221,20 +220,30 @@ class Engine:
             raise SimulationError(
                 f"dependency cycle: only {scheduled} of {len(self._tasks)} tasks schedulable"
             )
-        if self.collector.enabled:
-            for task in self._tasks:
-                if task.resource is not None:
-                    self.collector.record(
-                        Span(
-                            name=task.name,
-                            category=task.category,
-                            track=task.resource.name,
-                            start=task._start,  # type: ignore[arg-type]
-                            end=task._end,  # type: ignore[arg-type]
-                            attrs=task.attrs or {},
-                        )
-                    )
         return makespan
+
+    def spans(self) -> list[Span]:
+        """One :class:`Span` per resource-bound task, in insertion order.
+
+        Zero-duration resource tasks are included; resource-less tasks
+        (barriers) are not. Raises :class:`SimulationError` before
+        :meth:`run`: an empty trace from a never-run engine would read as
+        "nothing happened" and hide the bug.
+        """
+        if not self._ran:
+            raise SimulationError("cannot derive spans from an engine that has not run")
+        return [
+            Span(
+                name=task.name,
+                category=task.category,
+                track=task.resource.name,
+                start=task._start,  # type: ignore[arg-type]
+                end=task._end,  # type: ignore[arg-type]
+                attrs=task.attrs or {},
+            )
+            for task in self._tasks
+            if task.resource is not None
+        ]
 
     def makespan(self) -> float:
         """Largest task end time after :meth:`run`."""

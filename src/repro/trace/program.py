@@ -197,32 +197,6 @@ class TraceProgram:
             metadata=dict(self.metadata),
         )
 
-    def with_buffers(self, buffers: "tuple[BufferSpec, ...]") -> "TraceProgram":
-        """Copy of the program with ``buffers`` replaced (re-validated)."""
-        return TraceProgram(
-            name=self.name,
-            num_gpus=self.num_gpus,
-            buffers=buffers,
-            phases=self.phases,
-            metadata=dict(self.metadata),
-        )
-
-    def splice_phases(
-        self, index: int, replacement: "tuple[Phase, ...]"
-    ) -> "TraceProgram":
-        """Copy with the phase at ``index`` replaced by ``replacement``.
-
-        The replacement may be empty (drop the phase) or hold several
-        phases (split one phase into a barrier-separated sequence) — the
-        program-repair engine uses both.
-        """
-        if not 0 <= index < len(self.phases):
-            raise TraceError(
-                f"phase index {index} out of range for {len(self.phases)} phases"
-            )
-        phases = self.phases[:index] + replacement + self.phases[index + 1:]
-        return self.with_phases(phases)
-
     def rewrite_accesses(
         self,
         fn: "Callable[[int, KernelSpec, int, AccessRange], Optional[AccessRange]]",

@@ -199,7 +199,6 @@ def _direct_case(
         )
         config = job.resolved_config()
         executor = PARADIGMS[paradigm](program, config)
-        executor.collector.enable()
         result = executor.run()
         family[paradigm] = result
         report.payloads.setdefault(paradigm, {})["direct"] = canonical_payload(result)

@@ -381,7 +381,7 @@ def check_infinite_bandwidth(
 @invariant("spans-cover-makespan", layer="execution")
 def check_span_coverage(executor, result: SimulationResult) -> Iterator[Violation]:
     """Every span fits inside [0, total_time]; the makespan is reached."""
-    spans = executor.collector.spans
+    spans = executor.engine.spans()
     latest = 0.0
     for span in spans:
         if span.start < -REL_EPS or span.end < span.start:
@@ -407,7 +407,10 @@ def check_span_coverage(executor, result: SimulationResult) -> Iterator[Violatio
 @invariant("spans-exclusive-per-track", layer="execution")
 def check_span_exclusivity(executor, result: SimulationResult) -> Iterator[Violation]:
     """Spans on one track (resource) never overlap: resources serialise."""
-    for track, spans in executor.collector.by_track().items():
+    tracks: "dict[str, list]" = {}
+    for span in executor.engine.spans():
+        tracks.setdefault(span.track, []).append(span)
+    for track, spans in sorted(tracks.items()):
         ordered = sorted(spans, key=lambda s: (s.start, s.end))
         for prev, cur in zip(ordered, ordered[1:]):
             if cur.start < prev.end - REL_EPS * max(1.0, prev.end):
@@ -423,7 +426,7 @@ def check_span_exclusivity(executor, result: SimulationResult) -> Iterator[Viola
 def check_busy_conservation(executor, result: SimulationResult) -> Iterator[Violation]:
     """Per resource, span durations sum to the resource's busy time."""
     busy: "dict[str, float]" = {}
-    for span in executor.collector.spans:
+    for span in executor.engine.spans():
         busy[span.track] = busy.get(span.track, 0.0) + (span.end - span.start)
     for name, resource in sorted(executor.engine._resources.items()):
         recorded = busy.get(name, 0.0)

@@ -108,10 +108,10 @@ class TestRunManySettled:
         clear_run_cache()
         real_compute = parallel.compute_job
 
-        def picky(job):
+        def picky(job, traced=False):
             if job.paradigm == "gps":
                 raise RuntimeError("injected failure")
-            return real_compute(job)
+            return real_compute(job, traced)
 
         monkeypatch.setattr(parallel, "compute_job", picky)
         jobs = [
@@ -155,7 +155,7 @@ class TestRunManySettled:
 
         clear_run_cache()
 
-        def explode(job):
+        def explode(job, traced=False):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(parallel, "compute_job", explode)

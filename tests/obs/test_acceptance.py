@@ -1,8 +1,7 @@
 """End-to-end acceptance tests for the observability layer.
 
-Mirrors the PR's acceptance criteria: a 4-GPU GPS-vs-memcpy run exports a
-Chrome-trace whose per-resource spans reproduce the ASCII Gantt timeline
-exactly, and the hardware-counter snapshot (coalescer, GPS-TLB, page table,
+A 4-GPU GPS-vs-memcpy run exports a Chrome-trace whose per-resource spans
+reproduce the engine's scheduled tasks exactly, and the hardware-counter snapshot (coalescer, GPS-TLB, page table,
 link egress, DRAM) survives the disk-cache round-trip.
 """
 
@@ -12,18 +11,16 @@ import pytest
 
 import repro
 from repro.obs import chrome_trace
-from repro.system.timeline import extract_timeline
 from tests.conftest import build
 
 
 @pytest.fixture(scope="module", params=["gps", "memcpy"])
 def traced_run(request):
-    """One traced 4-GPU run per paradigm: (paradigm, executor, result)."""
+    """One 4-GPU run per paradigm: (paradigm, executor, result)."""
     config = repro.default_system(4)
     executor = repro.make_executor(
         request.param, build("jacobi", num_gpus=4, iterations=2), config
     )
-    executor.collector.enable()
     result = executor.run()
     return request.param, executor, result
 
@@ -31,9 +28,8 @@ def traced_run(request):
 class TestTraceMatchesTimeline:
     def test_same_resources_starts_and_ends(self, traced_run):
         _, executor, _ = traced_run
-        entries = extract_timeline(executor.engine)
         tracks = {}
-        payload = chrome_trace(executor.collector)
+        payload = chrome_trace(executor.engine.spans())
         tid_names = {
             e["tid"]: e["args"]["name"]
             for e in payload["traceEvents"]
@@ -45,13 +41,14 @@ class TestTraceMatchesTimeline:
             tracks.setdefault(tid_names[event["tid"]], []).append(
                 (event["name"], event["ts"] / 1e6, (event["ts"] + event["dur"]) / 1e6)
             )
-        from_timeline = {}
-        for entry in entries:
-            from_timeline.setdefault(entry.resource, []).append(
-                (entry.name, entry.start, entry.end)
-            )
-        assert set(tracks) == set(from_timeline)
-        for resource, expected in from_timeline.items():
+        from_schedule = {}
+        for task in executor.engine.tasks():
+            if task.resource is not None and task.duration > 0:
+                from_schedule.setdefault(task.resource.name, []).append(
+                    (task.name, task.start, task.end)
+                )
+        assert set(tracks) == set(from_schedule)
+        for resource, expected in from_schedule.items():
             got = sorted(tracks[resource], key=lambda t: (t[1], t[2], t[0]))
             want = sorted(expected, key=lambda t: (t[1], t[2], t[0]))
             assert len(got) == len(want)
@@ -62,7 +59,7 @@ class TestTraceMatchesTimeline:
 
     def test_gps_trace_has_overlap_memcpy_does_not(self, traced_run):
         paradigm, executor, _ = traced_run
-        spans = executor.collector.spans
+        spans = executor.engine.spans()
         kernel_windows = [
             (s.start, s.end) for s in spans if s.category == "kernel" and s.duration > 0
         ]

@@ -19,10 +19,9 @@ from tests.conftest import build
 
 @pytest.fixture(scope="module")
 def stencil_run():
-    """A traced 2-GPU stencil (Jacobi) run: (executor, result, config)."""
+    """A 2-GPU stencil (Jacobi) run: (executor, result, config)."""
     config = repro.default_system(2)
     executor = repro.make_executor("gps", build("jacobi", num_gpus=2, iterations=2), config)
-    executor.collector.enable()
     result = executor.run()
     return executor, result, config
 
@@ -30,14 +29,14 @@ def stencil_run():
 class TestChromeTrace:
     def test_structure(self, stencil_run):
         executor, _, _ = stencil_run
-        payload = chrome_trace(executor.collector)
+        payload = chrome_trace(executor.engine.spans())
         assert isinstance(payload["traceEvents"], list)
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "M"}
         assert {"process_name", "thread_name", "thread_sort_index"} <= names
 
     def test_gpu_tracks_sort_before_ports(self, stencil_run):
         executor, _, _ = stencil_run
-        payload = chrome_trace(executor.collector)
+        payload = chrome_trace(executor.engine.spans())
         thread_names = [
             e["args"]["name"]
             for e in payload["traceEvents"]
@@ -49,7 +48,7 @@ class TestChromeTrace:
     def test_manifest_lands_in_other_data(self, stencil_run):
         executor, result, config = stencil_run
         manifest = run_manifest(result, config, wall_clock=1.5)
-        payload = chrome_trace(executor.collector, manifest)
+        payload = chrome_trace(executor.engine.spans(), manifest)
         other = payload["otherData"]
         assert other["program"] == result.program_name
         assert other["paradigm"] == "gps"
@@ -65,14 +64,14 @@ class TestGoldenFile:
     def test_written_trace_loads_and_validates(self, stencil_run, tmp_path):
         executor, result, config = stencil_run
         path = tmp_path / "stencil.trace.json"
-        write_chrome_trace(path, executor.collector, run_manifest(result, config))
+        write_chrome_trace(path, executor.engine.spans(), run_manifest(result, config))
         payload = json.load(open(path))
         assert validate_chrome_trace(payload) == []
 
     def test_spans_monotonic_and_non_overlapping_per_track(self, stencil_run, tmp_path):
         executor, result, config = stencil_run
         path = tmp_path / "stencil.trace.json"
-        write_chrome_trace(path, executor.collector, run_manifest(result, config))
+        write_chrome_trace(path, executor.engine.spans(), run_manifest(result, config))
         payload = json.load(open(path))
         by_tid: dict = {}
         for event in payload["traceEvents"]:
@@ -92,10 +91,9 @@ class TestGoldenFile:
             executor = repro.make_executor(
                 "gps", build("jacobi", num_gpus=2, iterations=2), config
             )
-            executor.collector.enable()
             executor.run()
             path = tmp_path / f"trace{i}.json"
-            write_chrome_trace(path, executor.collector)
+            write_chrome_trace(path, executor.engine.spans())
             paths.append(path.read_text())
         assert paths[0] == paths[1]
 

@@ -3,8 +3,12 @@
 import pytest
 
 import repro
-from repro.system.timeline import extract_timeline
 from tests.conftest import build
+
+
+def busy_spans(executor):
+    """The run's spans that occupy their resource for a positive time."""
+    return [span for span in executor.engine.spans() if span.duration > 0]
 
 
 def phase_window(entries, phase_name):
@@ -17,7 +21,7 @@ class TestMemcpyBulkSynchrony:
     def test_transfers_start_after_all_kernels(self, system4):
         executor = repro.make_executor("memcpy", build("ct", iterations=1), system4)
         executor.run()
-        entries = extract_timeline(executor.engine)
+        entries = busy_spans(executor)
         for phase in executor.program.phases:
             if executor.is_setup_phase(phase):
                 continue
@@ -37,7 +41,7 @@ class TestGPSOverlap:
     def test_publication_starts_with_kernels(self, system4):
         executor = repro.make_executor("gps", build("ct", iterations=2), system4)
         executor.run()
-        entries = extract_timeline(executor.engine)
+        entries = busy_spans(executor)
         # Pick a steady-state phase with publication traffic.
         steady = executor.program.phases_in_iteration(1)[0]
         kernels = [
@@ -51,6 +55,21 @@ class TestGPSOverlap:
         first_pub_start = min(e.start for e in pubs)
         # Publication rides alongside the kernel, not after it.
         assert first_pub_start == pytest.approx(first_kernel_start, abs=1e-9)
+
+
+class TestOverlapShowsInUtilisation:
+    def test_gps_overlaps_memcpy_serialises(self, system4):
+        program = build("ct", scale=0.3, iterations=2)
+
+        def gpu0_busy_fraction(paradigm):
+            executor = repro.make_executor(paradigm, program, system4)
+            result = executor.run()
+            busy = sum(s.duration for s in busy_spans(executor) if s.track == "gpu0")
+            return busy / result.total_time
+
+        # Same bytes broadcast, but memcpy's run is longer, so its GPU
+        # busy-fraction is lower: communication happened *after* compute.
+        assert gpu0_busy_fraction("gps") > gpu0_busy_fraction("memcpy")
 
 
 class TestSteadyStateStationarity:

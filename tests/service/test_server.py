@@ -226,7 +226,7 @@ class TestJobFlow:
         # the server thread and the job fails on every retry.
         from repro.harness.runner import parallel
 
-        def explode(job):
+        def explode(job, traced=False):
             raise RuntimeError("injected compute failure")
 
         monkeypatch.setattr(parallel, "compute_job", explode)
@@ -305,7 +305,7 @@ class TestSettings:
         "name, value",
         [
             ("REPRO_SERVICE_PORT", "abc"),
-            ("REPRO_SERVICE_MAX_WORKERS", "two"),
+            ("REPRO_SERVICE_MAX_RETRIES", "two"),
             ("REPRO_SERVICE_RETRY_BACKOFF_MS", "1ms"),
         ],
     )
@@ -316,10 +316,10 @@ class TestSettings:
 
     def test_env_numbers_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_PORT", "9000")
-        monkeypatch.setenv("REPRO_SERVICE_MAX_WORKERS", "3")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_RETRIES", "3")
         monkeypatch.setenv("REPRO_SERVICE_MAX_WAIT_MS", "20")
         settings = ServiceSettings.from_env()
-        assert (settings.port, settings.max_workers, settings.max_wait_s) == (9000, 3, 0.02)
+        assert (settings.port, settings.max_retries, settings.max_wait_s) == (9000, 3, 0.02)
 
 
 class TestPayloadValidation:

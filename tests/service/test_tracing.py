@@ -70,7 +70,7 @@ def drive_full_chain(clock: FakeClock) -> "tuple[TraceStore, str]":
         queue.note_scheduled(primary.key, batch_seq=1, batch_size=1)
         queue.mark_running(primary.key)
         clock.tick(2.0)  # the attempt runs
-        queue.attach_spans(primary.key, ENGINE_PAYLOADS, evicted=0)
+        queue.attach_spans(primary.key, ENGINE_PAYLOADS)
         queue.finish(primary.key, result=None)
         assert job.state.value == "done"
 
@@ -146,7 +146,7 @@ class TestCoalescedTraces:
             queue.note_scheduled(primary.key, batch_seq=1, batch_size=1)
             queue.mark_running(primary.key)
             clock.tick(1.0)
-            queue.attach_spans(primary.key, ENGINE_PAYLOADS, evicted=0)
+            queue.attach_spans(primary.key, ENGINE_PAYLOADS)
             queue.finish(primary.key, result=None)
             assert job_a.state.value == job_b.state.value == "done"
 

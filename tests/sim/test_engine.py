@@ -1,9 +1,17 @@
 """Unit tests for the discrete-event task-graph scheduler."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SimulationError
+from repro.obs.span import Span
+from repro.paradigms import PARADIGMS
 from repro.sim.engine import Engine
+
+GOLDEN_SPANS = Path(__file__).parents[1] / "obs" / "baselines" / "jacobi_gps_spans.golden.json"
 
 
 class TestBasicScheduling:
@@ -131,3 +139,77 @@ class TestErrors:
         engine.task("t", 4.0)
         engine.run()
         assert engine.makespan() == 4.0
+
+
+class TestSpans:
+    """``Engine.spans()``: the trace view derived from the schedule."""
+
+    def test_spans_match_schedule(self):
+        engine = Engine()
+        gpu = engine.resource("gpu0")
+        k1 = engine.task("k1", 2.0, gpu, category="kernel", attrs={"gpu": 0})
+        engine.task("k2", 1.0, gpu, deps=[k1], category="kernel")
+        engine.barrier("done", deps=engine.tasks())
+        engine.run()
+        spans = engine.spans()
+        # The barrier has no resource, so only the two kernels materialise.
+        assert [(s.name, s.start, s.end) for s in spans] == [
+            ("k1", 0.0, 2.0),
+            ("k2", 2.0, 3.0),
+        ]
+        assert spans[0].category == "kernel"
+        assert spans[0].attrs == {"gpu": 0}
+        assert spans[0].track == "gpu0"
+        assert spans[1].attrs == {}
+
+    def test_insertion_order_and_zero_duration_tasks_kept(self):
+        engine = Engine()
+        gpu = engine.resource("gpu0")
+        kernel = engine.task("phase/k@gpu0", 2.0, gpu)
+        engine.task("phase/pub:eg0->1", 1.0, engine.resource("egress0"))
+        engine.task("phase/k2@gpu0", 1.0, gpu, deps=[kernel])
+        engine.task("mark", 0.0, engine.resource("r"))
+        engine.run()
+        assert [(s.track, s.name, s.start, s.duration) for s in engine.spans()] == [
+            ("gpu0", "phase/k@gpu0", 0.0, 2.0),
+            ("egress0", "phase/pub:eg0->1", 0.0, 1.0),
+            ("gpu0", "phase/k2@gpu0", 2.0, 1.0),
+            ("r", "mark", 0.0, 0.0),
+        ]
+
+    def test_categories_carry_over(self):
+        engine = Engine()
+        engine.task("k@gpu0", 1.0, engine.resource("gpu0"), category="kernel")
+        engine.task("t:eg0->1", 1.0, engine.resource("egress0"), category="transfer")
+        engine.task("plain", 1.0, engine.resource("gpu1"))
+        engine.run()
+        categories = {s.name: s.category for s in engine.spans()}
+        assert categories == {"k@gpu0": "kernel", "t:eg0->1": "transfer", "plain": "task"}
+
+    def test_engine_that_never_ran_raises(self):
+        # An empty trace from a never-run engine would read as "nothing
+        # happened" and hide the bug.
+        engine = Engine()
+        engine.task("phase/k@gpu0", 1.0, engine.resource("gpu0"))
+        with pytest.raises(SimulationError, match="has not run"):
+            engine.spans()
+
+    def test_empty_engine_has_no_spans(self):
+        engine = Engine()
+        engine.run()
+        assert engine.spans() == []
+
+    def test_span_round_trip(self):
+        span = Span("k", "kernel", "gpu0", 0.5, 1.5, {"bytes": 128})
+        assert Span.from_dict(span.to_dict()) == span
+        assert span.duration == 1.0
+
+    def test_matches_recorded_span_list(self):
+        # The golden is the span list the engine recorded when it still kept
+        # a copy of every span; deriving the view must reproduce it exactly.
+        program = repro.get_workload("jacobi").build(2, scale=0.25, iterations=2)
+        executor = PARADIGMS["gps"](program, repro.default_system(2))
+        executor.run()
+        spans = [span.to_dict() for span in executor.engine.spans()]
+        rendered = json.dumps(spans, indent=1, sort_keys=True) + "\n"
+        assert rendered == GOLDEN_SPANS.read_text(encoding="utf-8")

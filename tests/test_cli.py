@@ -248,6 +248,35 @@ class TestProfile:
         assert "[kernel]" in out
 
 
+class TestBadArguments:
+    """A library error from any verb is a one-line usage error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trace", "nosuch"], "trace: unknown workload 'nosuch'"),
+            (["profile", "nosuch"], "profile: unknown workload 'nosuch'"),
+            (["export-trace", "nosuch", "x.json"], "export-trace: unknown workload 'nosuch'"),
+            (["run", "jacobi", "--gpus", "0"], "run: a system needs at least one GPU"),
+            (["compare", "jacobi", "--scale", "-1"], "compare: scale must be positive"),
+        ],
+    )
+    def test_library_error_exits_2(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("verb", ["trace", "profile"])
+    def test_negative_top_rejected(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "jacobi", "--top", "-1"])
+        assert excinfo.value.code == 2
+        assert "--top: must be >= 0, got -1" in capsys.readouterr().err
+
+
 class TestExportTrace:
     def test_round_trips_through_run_trace(self, capsys, tmp_path):
         path = tmp_path / "prog.json"

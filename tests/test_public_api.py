@@ -37,11 +37,9 @@ class TestSubpackages:
         "repro.harness",
         "repro.harness.ascii_plot",
         "repro.harness.export",
-        "repro.harness.regression",
         "repro.interconnect",
         "repro.memory",
         "repro.obs",
-        "repro.obs.collector",
         "repro.obs.export",
         "repro.obs.profile",
         "repro.obs.registry",
@@ -50,7 +48,6 @@ class TestSubpackages:
         "repro.sim",
         "repro.system",
         "repro.system.metrics",
-        "repro.system.timeline",
         "repro.trace",
         "repro.trace.io",
         "repro.workloads",

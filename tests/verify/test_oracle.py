@@ -30,17 +30,19 @@ def run_traced(workload: str, paradigm: str, gpus: int = 2):
     program = build(workload, gpus)
     config = repro.default_system(gpus)
     executor = PARADIGMS[paradigm](program, config)
-    executor.collector.enable()
+    return executor, executor.run(), config
+
+
+def jacobi_gps(scale: float = TINY):
+    program = repro.get_workload("jacobi").build(2, scale=scale, iterations=2)
+    config = repro.default_system(2)
+    executor = PARADIGMS["gps"](program, config)
     return executor, executor.run(), config
 
 
 @pytest.fixture(scope="module")
 def gps_run():
-    program = repro.get_workload("jacobi").build(2, scale=TINY, iterations=2)
-    config = repro.default_system(2)
-    executor = PARADIGMS["gps"](program, config)
-    executor.collector.enable()
-    return executor, executor.run(), config
+    return jacobi_gps()
 
 
 def checks_fired(violations) -> set:
@@ -62,6 +64,14 @@ class TestCleanRuns:
             for name in ("gps", "gps_nosub", "memcpy", "infinite")
         }
         assert check_family(family) == []
+
+    def test_stray_no_trace_variable_is_ignored(self, monkeypatch):
+        # Spans are derived from the schedule, so a leftover switch from an
+        # older release cannot empty them and fake a busy-time mismatch.
+        monkeypatch.setenv("REPRO_NO_TRACE", "1")
+        executor, result, _config = jacobi_gps(scale=0.25)
+        assert check_execution(executor, result) == []
+        assert executor.engine.spans()
 
     def test_catalogue_covers_every_registered_check(self):
         names = {name for name, _, _ in oracle_catalogue()}
@@ -159,6 +169,45 @@ class TestMutationsAreCaught:
         result = repro.SimulationResult.from_dict(result.to_dict())
         del result.extras["schedule_digest"]
         assert "schedule-digest-present" in checks_fired(check_result(result, config))
+
+
+class TestSpanMutations:
+    """Corrupt the schedule itself; the span invariants read it back."""
+
+    @pytest.fixture
+    def fresh_run(self):
+        return jacobi_gps()
+
+    @staticmethod
+    def busy_tasks(executor, track):
+        return [
+            task for task in executor.engine.tasks()
+            if task.resource is not None and task.resource.name == track
+            and task.duration > 0
+        ]
+
+    def test_span_past_makespan(self, fresh_run):
+        executor, result, _ = fresh_run
+        task = self.busy_tasks(executor, "gpu0")[-1]
+        task._end = result.total_time * 2.0
+        fired = checks_fired(check_execution(executor, result))
+        assert "spans-cover-makespan" in fired
+
+    def test_overlapping_spans_on_one_track(self, fresh_run):
+        executor, result, _ = fresh_run
+        first, second = self.busy_tasks(executor, "gpu0")[:2]
+        shift = second._start - first._start
+        second._start -= shift
+        second._end -= shift
+        fired = checks_fired(check_execution(executor, result))
+        assert "spans-exclusive-per-track" in fired
+        assert "span-busy-conservation" not in fired
+
+    def test_busy_time_drift(self, fresh_run):
+        executor, result, _ = fresh_run
+        executor.engine.resource("egress0").busy_time += result.total_time / 10.0
+        fired = checks_fired(check_execution(executor, result))
+        assert fired == {"span-busy-conservation"}
 
 
 class TestFamilyMutations:
