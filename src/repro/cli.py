@@ -244,11 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, help="simulation worker processes per batch"
     )
-    serve.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable distributed request tracing (also: REPRO_SERVICE_TRACE=0)",
-    )
     def _add_client_args(p) -> None:
         p.add_argument(
             "--url",
@@ -654,7 +649,6 @@ def _cmd_serve(args) -> int:
             max_wait_s=max_wait_s,
             max_retries=args.max_retries,
             max_workers=args.workers,
-            trace=False if args.no_trace else None,
         )
     except ValueError as exc:
         print(f"repro serve: error: {exc}", file=sys.stderr)

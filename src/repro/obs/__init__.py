@@ -16,13 +16,18 @@ Three instruments, threaded through every run (see ``docs/OBSERVABILITY.md``):
   loadable at https://ui.perfetto.dev), flat metrics JSON/CSV, a run
   manifest for provenance, and a top-N self-time profile
   (:func:`self_time_profile`).
+
+The service's distributed traces (``distributed.py``) follow the same rule
+as the engine's spans: :class:`DistSpan` rows are a view that
+:meth:`repro.service.queue.JobQueue.trace` derives from the queue's job
+records on demand, with W3C ``traceparent`` contexts and a Perfetto export
+(:func:`distributed_chrome_trace`). No span store exists.
 """
 
 from .distributed import (
     DistSpan,
     SequentialIds,
     TraceContext,
-    TraceStore,
     derived_span_id,
     distributed_chrome_trace,
     dump_chrome_trace,
@@ -50,7 +55,6 @@ __all__ = [
     "SequentialIds",
     "Span",
     "TraceContext",
-    "TraceStore",
     "chrome_trace",
     "derived_span_id",
     "distributed_chrome_trace",

@@ -1,4 +1,4 @@
-"""Distributed tracing for the service path: W3C contexts, span store, export.
+"""Distributed tracing for the service path: W3C contexts, spans, export.
 
 A single run's spans (:meth:`repro.sim.engine.Engine.spans`) stop at the
 boundary of one simulation; this module is the layer that stitches a
@@ -11,11 +11,10 @@ Three pieces:
   (``00-<32-hex trace id>-<16-hex span id>-01``) minted by
   ``ServiceClient.submit`` and propagated through the HTTP layer into
   :class:`repro.service.queue.Job`;
-* **:class:`TraceStore`** — the server-side span store: bounded per-process
-  ring of traces, wall-clock :class:`DistSpan` records (request, queue.wait,
-  execute, run), cross-trace *links* for coalesced submitters, and
-  re-parenting of the worker-side engine span tree under the request's
-  ``run`` span;
+* **:class:`DistSpan`** — one wall-clock span (request, queue.wait,
+  execute, run) or re-parented engine span, with cross-trace *links* for
+  coalesced submitters. The service stores no spans: it derives them from
+  its job records on demand (:meth:`repro.service.queue.JobQueue.trace`);
 * **export** — Chrome-trace/Perfetto JSON of one trace's closure (own spans
   plus linked execution trees), with the wall-clock service spans on one
   process and the simulated-clock engine spans on another.
@@ -34,6 +33,11 @@ Re-parenting rules (also in ``docs/OBSERVABILITY.md``):
    re-parented under the successful attempt's ``run`` span, with
    deterministic span ids (``sha256(parent_id/index)``) and simulated-clock
    timestamps anchored at the ``run`` span's start.
+
+Every server-side span id is derived, never minted: a job's spans use
+:func:`derived_span_id` over ``(trace id, job id, role, attempt)``, so two
+fetches of a trace are byte-identical and a coalesced submitter's link
+resolves to the id the primary's trace shows.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ import hashlib
 import json
 import os
 import re
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 #: Exporter scale: seconds -> trace microseconds.
@@ -110,11 +112,11 @@ def mint_span_id() -> str:
 
 
 def derived_span_id(parent_id: str, index: int) -> str:
-    """Deterministic child span id — re-parented engine spans use these.
+    """Deterministic span id — every server-side span uses these.
 
     Two exports of the same execution tree (e.g. from two coalesced
     submitters following their links) must produce identical ids, so the id
-    is a pure function of the parent span and the span's position.
+    is a pure function of the parent (or job role) and the span's position.
     """
     digest = hashlib.sha256(f"{parent_id}/{index}".encode("utf-8")).hexdigest()
     return digest[:16]
@@ -146,12 +148,13 @@ class TraceContext:
 def parse_traceparent(header: "str | None") -> "TraceContext | None":
     """Parse a ``traceparent`` header; ``None`` on anything malformed.
 
-    All-zero trace or span ids are invalid per the W3C spec and rejected.
+    All-zero trace or span ids and the forbidden version ``ff`` are invalid
+    per the W3C spec and rejected.
     """
     if not header:
         return None
     match = _TRACEPARENT.match(header.strip().lower())
-    if match is None:
+    if match is None or match.group("version") == "ff":
         return None
     trace_id, span_id = match.group("trace"), match.group("span")
     if trace_id == "0" * 32 or span_id == "0" * 16:
@@ -202,165 +205,6 @@ class DistSpan:
             "attrs": dict(self.attrs),
             "links": [dict(link) for link in self.links],
         }
-
-
-class TraceStore:
-    """Bounded per-process store of distributed traces.
-
-    At most ``max_traces`` traces are retained (oldest-first eviction — a
-    long-lived service cannot grow trace memory without limit); evictions
-    are counted on :attr:`evicted_traces`. All access happens on the
-    server's event loop, so no locking.
-    """
-
-    def __init__(self, max_traces: int = 256, clock=time.time) -> None:
-        if max_traces < 1:
-            raise ValueError("max_traces must be at least 1")
-        self.max_traces = max_traces
-        self.evicted_traces = 0
-        self._clock = clock
-        self._traces: "OrderedDict[str, list[DistSpan]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._traces)
-
-    @property
-    def span_count(self) -> int:
-        """Total spans retained across every trace."""
-        return sum(len(spans) for spans in self._traces.values())
-
-    def _bucket(self, trace_id: str) -> "list[DistSpan]":
-        spans = self._traces.get(trace_id)
-        if spans is None:
-            while len(self._traces) >= self.max_traces:
-                self._traces.popitem(last=False)
-                self.evicted_traces += 1
-            spans = self._traces[trace_id] = []
-        return spans
-
-    def start_span(
-        self,
-        trace_id: str,
-        name: str,
-        parent_id: "str | None" = None,
-        *,
-        kind: str = KIND_INTERNAL,
-        track: str = "job",
-        span_id: "str | None" = None,
-        attrs: "dict | None" = None,
-        links: "list | None" = None,
-        t: "float | None" = None,
-    ) -> DistSpan:
-        """Open (and store) one span; close it later with :meth:`end_span`."""
-        span = DistSpan(
-            name=name,
-            trace_id=trace_id,
-            span_id=span_id if span_id is not None else mint_span_id(),
-            parent_id=parent_id,
-            start=self._clock() if t is None else t,
-            kind=kind,
-            track=track,
-            attrs=dict(attrs or {}),
-            links=list(links or []),
-        )
-        self._bucket(trace_id).append(span)
-        return span
-
-    def end_span(self, span: "DistSpan | None", t: "float | None" = None) -> None:
-        """Close an open span (idempotent; ``None`` is a no-op)."""
-        if span is not None and span.end is None:
-            span.end = self._clock() if t is None else t
-
-    def add_span(self, trace_id: str, name: str, **kwargs) -> DistSpan:
-        """Store an already-closed point-in-time span (start == end)."""
-        span = self.start_span(trace_id, name, **kwargs)
-        span.end = span.start
-        return span
-
-    def get(self, trace_id: str) -> "list[DistSpan]":
-        """This trace's own spans (no link traversal); empty when unknown."""
-        return list(self._traces.get(trace_id, ()))
-
-    def subtree(self, trace_id: str, root_span_id: str) -> "list[DistSpan]":
-        """Spans of one trace descending from (and including) one span."""
-        spans = self._traces.get(trace_id, [])
-        children: "dict[str, list[DistSpan]]" = {}
-        by_id: "dict[str, DistSpan]" = {}
-        for span in spans:
-            by_id[span.span_id] = span
-            if span.parent_id is not None:
-                children.setdefault(span.parent_id, []).append(span)
-        out: "list[DistSpan]" = []
-        stack = [root_span_id]
-        while stack:
-            span_id = stack.pop()
-            span = by_id.get(span_id)
-            if span is not None:
-                out.append(span)
-            stack.extend(child.span_id for child in children.get(span_id, ()))
-        out.sort(key=lambda s: (s.start, s.span_id))
-        return out
-
-    def closure(self, trace_id: str) -> "list[DistSpan]":
-        """Own spans plus every linked execution subtree (one hop).
-
-        This is what ``GET /traces/{id}`` returns: a coalesced submitter's
-        trace pulls in the shared execution tree it links to, so every
-        client sees client submit → ... → engine spans under one download.
-        """
-        own = self.get(trace_id)
-        out = list(own)
-        seen = {(s.trace_id, s.span_id) for s in own}
-        for span in own:
-            for link in span.links:
-                linked_trace = link.get("trace_id")
-                linked_span = link.get("span_id")
-                if not linked_trace or not linked_span:
-                    continue
-                for linked in self.subtree(linked_trace, linked_span):
-                    key = (linked.trace_id, linked.span_id)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(linked)
-        return out
-
-    def attach_engine_tree(
-        self,
-        trace_id: str,
-        parent_span_id: str,
-        engine_spans: "list[dict]",
-        anchor: float,
-    ) -> int:
-        """Re-parent one run's engine span list under a ``run`` span.
-
-        ``engine_spans`` is a list of :meth:`repro.obs.span.Span.to_dict`
-        payloads shipped back from the pool worker. Each becomes a
-        :class:`DistSpan` of kind ``engine`` with a **deterministic** span
-        id (:func:`derived_span_id`), parented on ``parent_span_id``, and
-        wall-clock timestamps rebased so the simulated clock starts at
-        ``anchor`` (the run span's start). The simulated window is kept in
-        ``attrs`` (``sim_start``/``sim_end``). Returns the span count.
-        """
-        bucket = self._bucket(trace_id)
-        for index, payload in enumerate(engine_spans):
-            attrs = dict(payload.get("attrs", {}))
-            attrs["sim_start"] = payload["start"]
-            attrs["sim_end"] = payload["end"]
-            attrs["category"] = payload["category"]
-            bucket.append(
-                DistSpan(
-                    name=payload["name"],
-                    trace_id=trace_id,
-                    span_id=derived_span_id(parent_span_id, index),
-                    parent_id=parent_span_id,
-                    start=anchor + payload["start"],
-                    end=anchor + payload["end"],
-                    kind=KIND_ENGINE,
-                    track=payload["track"],
-                    attrs=attrs,
-                )
-            )
-        return len(engine_spans)
 
 
 def synthesize_roots(spans: "list[DistSpan]") -> "list[DistSpan]":

@@ -19,9 +19,9 @@ the full reference):
   histograms, coalescing/retry/rejection counters, published through
   :class:`repro.obs.CounterRegistry` and served as JSON at
   ``GET /metrics``;
-* each job's lifecycle is recorded as distributed trace spans by the
-  queue's tracer and served at ``GET /traces/{id}`` (see
-  ``docs/OBSERVABILITY.md``).
+* each job's record in the queue is also its trace: ``JobQueue.trace``
+  derives the distributed trace spans from the records on demand, served
+  at ``GET /traces/{id}`` (see ``docs/OBSERVABILITY.md``).
 
 Everything is stdlib-only (asyncio + http.client); simulations themselves
 run through the existing cached, analyzed, process-pooled harness runner.

@@ -22,15 +22,15 @@ dispatch FIFO. The heap orders groups by ``(-priority, seq)``, where
 ``seq`` is stamped once when a group is first queued — a retried group
 re-enters at its original position, ahead of work submitted after it.
 
-Beyond queueing, each job's lifecycle is recorded as **distributed trace
-spans** (see ``docs/OBSERVABILITY.md``): when the queue owns a
-:class:`~repro.obs.distributed.TraceStore` (``tracer``), each submission
-opens a ``request`` span under the client's ``traceparent`` (or a
-server-minted root), a ``queue.wait`` span until dispatch, one shared
-``execute`` span per group on the *primary* submitter's trace (coalesced
-submitters record a ``coalesced`` span *linking* to it), and a ``run``
-span per dispatch attempt under which the worker's engine spans are
-re-parented.
+Each job's record is also its trace (see ``docs/OBSERVABILITY.md``): the
+queue stamps every transition once with its ``clock`` (submission, each
+dispatch attempt's start and end, finish), and :meth:`JobQueue.trace`
+derives the distributed trace spans from those records on demand — a
+``request`` span under the client's ``traceparent`` (or a server-minted
+root), a ``queue.wait`` span until dispatch, one shared ``execute`` span per
+group on the *primary* submitter's trace (coalesced submitters get a
+``coalesced`` span *linking* to it), and a ``run`` span per dispatch attempt
+under which the worker's engine spans are re-parented.
 """
 
 from __future__ import annotations
@@ -39,15 +39,27 @@ import asyncio
 import heapq
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ServiceError
 from ..harness.runner import SimJob
 from ..harness.runner import memo
-from ..obs.distributed import DistSpan, TraceContext, TraceStore, mint_span_id, mint_trace_id
+from ..obs.distributed import (
+    KIND_ENGINE,
+    KIND_SERVER,
+    DistSpan,
+    TraceContext,
+    derived_span_id,
+    mint_trace_id,
+)
 from ..system.results import SimulationResult
 from .metrics import ServiceMetrics
+
+#: Finished groups whose engine span payloads stay in memory. An older
+#: group's trace is still served, without its engine spans.
+ENGINE_TRACE_GROUPS = 256
 
 
 class QueueFull(ServiceError):
@@ -68,38 +80,54 @@ class JobState(str, Enum):
 
 
 @dataclass
+class Attempt:
+    """One dispatch of a group to the runner; ``end`` is ``None`` while it runs."""
+
+    start: float
+    end: "float | None" = None
+    failed: bool = False
+    batch: "dict | None" = None  # {"batch_seq", "batch_size"} of the scheduler batch
+
+
+@dataclass(eq=False)
 class Job:
     """One client submission (coalesced submissions are distinct ``Job``s).
 
-    Jobs sharing a fingerprint form a *group*: they share the asyncio
-    future, the simulation, and state transitions, but keep their own id,
-    submission timestamp, and latency accounting.
+    Jobs sharing a fingerprint form a *group* led by its first submitter,
+    the *primary*: they share the asyncio future, the simulation, and state
+    transitions, but keep their own id, submission timestamp, and latency
+    accounting. The group's dispatch attempts, members and engine span
+    payloads live on the primary; a coalesced job points at it.
     """
 
     id: str
     sim: SimJob
     key: str
+    submitted_at: float
+    trace_id: str
+    client_span_id: "str | None" = None
     priority: int = 0
     client: str = ""
     state: JobState = JobState.QUEUED
-    coalesced: bool = False
+    primary: "Job | None" = field(default=None, repr=False)  # coalesced jobs only
     cache_hit: bool = False
-    attempts: int = 0
-    submitted_at: float = field(default_factory=time.time)
-    queued_mono: float = field(default_factory=time.monotonic)
-    started_mono: "float | None" = None
-    finished_mono: "float | None" = None
+    finished_at: "float | None" = None
     error: "str | None" = None
     future: "asyncio.Future | None" = None
-    trace_id: "str | None" = None
-    client_span_id: "str | None" = None
-    batch: "dict | None" = None
-    request_span: "DistSpan | None" = field(default=None, repr=False)
-    queue_span: "DistSpan | None" = field(default=None, repr=False)
-    exec_span_id: "str | None" = field(default=None, repr=False)  # primary only
-    exec_span: "DistSpan | None" = field(default=None, repr=False)  # primary only
-    run_span: "DistSpan | None" = field(default=None, repr=False)  # primary only
+    dispatches: "list[Attempt]" = field(default_factory=list, repr=False)  # primary only
+    members: "list[Job]" = field(default_factory=list, repr=False)  # primary only
+    engine: "list[dict] | None" = field(default=None, repr=False)  # primary only
     seq: int = field(default=0, repr=False)  # dispatch-order stamp (primary only)
+
+    @property
+    def coalesced(self) -> bool:
+        """Whether this submission joined another job's simulation."""
+        return self.primary is not None
+
+    @property
+    def attempts(self) -> int:
+        """Failed dispatch attempts of the group so far."""
+        return sum(attempt.failed for attempt in (self.primary or self).dispatches)
 
     @property
     def result(self) -> "SimulationResult | None":
@@ -109,18 +137,31 @@ class Job:
         return None
 
     @property
+    def started_at(self) -> "float | None":
+        """When this job stopped waiting.
+
+        That is the start of the first attempt still open at its submission
+        (or its submission, if it joined a running attempt), or its finish
+        if no such attempt ever ran.
+        """
+        for attempt in (self.primary or self).dispatches:
+            if attempt.end is None or attempt.end >= self.submitted_at:
+                return max(attempt.start, self.submitted_at)
+        return self.finished_at
+
+    @property
     def wait_s(self) -> "float | None":
         """Queue wait: submission to dispatch (None until dispatched)."""
-        if self.started_mono is None:
-            return None
-        return self.started_mono - self.queued_mono
+        started = self.started_at
+        return None if started is None else started - self.submitted_at
 
     @property
     def run_s(self) -> "float | None":
         """Execution time: dispatch to completion (None until finished)."""
-        if self.started_mono is None or self.finished_mono is None:
+        started = self.started_at
+        if started is None or self.finished_at is None:
             return None
-        return self.finished_mono - self.started_mono
+        return self.finished_at - started
 
     def as_dict(self) -> dict:
         """Status payload for ``GET /jobs/{id}`` (no result body)."""
@@ -143,23 +184,137 @@ class Job:
             payload["error"] = self.error
         return payload
 
+    # -- the derived trace ---------------------------------------------------
+
+    def span_id(self, role: str, attempt: int = 0) -> str:
+        """This job's span id for one role: a pure function of the record."""
+        return derived_span_id(f"{self.trace_id}/{self.id}/{role}", attempt)
+
+    def spans(self) -> "list[DistSpan]":
+        """This job's own trace spans, derived from its record."""
+        request_id = self.span_id("request")
+        # Cache hits complete at submission and never record an outcome.
+        done = self.finished_at is not None and not self.cache_hit
+        outcome = {"outcome": self.state.value} if done else {}
+        spans = [
+            DistSpan(
+                "request",
+                self.trace_id,
+                request_id,
+                self.client_span_id,
+                self.submitted_at,
+                self.finished_at,
+                kind=KIND_SERVER,
+                track="server",
+                attrs={"job_id": self.id, "fingerprint": self.key[:16], **outcome},
+            )
+        ]
+        if self.cache_hit:
+            spans.append(
+                DistSpan("cache.hit", self.trace_id, self.span_id("cache.hit"), request_id,
+                         self.submitted_at, self.submitted_at)
+            )
+        elif self.primary is not None:
+            # The shared execution lives on the primary's trace; this
+            # submitter's own trace records the wait with a link to it.
+            link = {"trace_id": self.primary.trace_id, "span_id": self.primary.span_id("execute")}
+            spans.append(
+                DistSpan(
+                    "coalesced",
+                    self.trace_id,
+                    self.span_id("coalesced"),
+                    request_id,
+                    self.submitted_at,
+                    self.finished_at,
+                    attrs={"primary_job_id": self.primary.id, **outcome},
+                    links=[link],
+                )
+            )
+        else:
+            spans.append(
+                DistSpan(
+                    "queue.wait",
+                    self.trace_id,
+                    self.span_id("queue.wait"),
+                    request_id,
+                    self.submitted_at,
+                    self.started_at,
+                    attrs={"priority": self.priority, **outcome},
+                )
+            )
+            spans += self.execution_spans()
+        return spans
+
+    def execution_spans(self) -> "list[DistSpan]":
+        """A primary's execution subtree: ``execute``, its ``run``s, engine spans.
+
+        The engine spans hang under the last attempt's ``run`` span with
+        ids ``derived_span_id(run_id, index)``, rebased so the simulated
+        clock starts at that ``run`` span's start.
+        """
+        if not self.dispatches:
+            return []
+        execute_id = self.span_id("execute")
+        last = self.dispatches[-1]
+        group_size = sum(1 for job in self.members if job.submitted_at <= last.start)
+        spans = [
+            DistSpan(
+                "execute",
+                self.trace_id,
+                execute_id,
+                self.span_id("request"),
+                self.dispatches[0].start,
+                self.finished_at,
+                attrs={"group_size": group_size},
+            )
+        ]
+        for number, attempt in enumerate(self.dispatches, 1):
+            attrs: dict = {"attempt": number, **(attempt.batch or {})}
+            if attempt.failed:
+                attrs["failed"] = True
+            spans.append(
+                DistSpan("run", self.trace_id, self.span_id("run", number), execute_id,
+                         attempt.start, attempt.end, track="attempt", attrs=attrs)
+            )
+        run_id = self.span_id("run", len(self.dispatches))
+        for index, payload in enumerate(self.engine or ()):
+            attrs = dict(payload.get("attrs", {}))
+            attrs["sim_start"] = payload["start"]
+            attrs["sim_end"] = payload["end"]
+            attrs["category"] = payload["category"]
+            spans.append(
+                DistSpan(
+                    payload["name"],
+                    self.trace_id,
+                    derived_span_id(run_id, index),
+                    run_id,
+                    last.start + payload["start"],
+                    last.start + payload["end"],
+                    kind=KIND_ENGINE,
+                    track=payload["track"],
+                    attrs=attrs,
+                )
+            )
+        return spans
+
 
 class JobQueue:
-    """Priority queue of job *groups*, keyed by config fingerprint."""
+    """Priority queue of job *groups*, keyed by config fingerprint.
 
-    def __init__(
-        self,
-        metrics: ServiceMetrics,
-        max_depth: int = 256,
-        tracer: "TraceStore | None" = None,
-    ) -> None:
+    ``clock`` stamps every transition of every job (default ``time.time``);
+    tests pass a fake one to make the derived traces deterministic.
+    """
+
+    def __init__(self, metrics: ServiceMetrics, max_depth: int = 256, clock=time.time) -> None:
         if max_depth < 1:
             raise ValueError("queue depth must be at least 1")
         self.metrics = metrics
         self.max_depth = max_depth
-        self.tracer = tracer
+        self._clock = clock
         self._jobs: "dict[str, Job]" = {}  # every job ever submitted, by id
-        self._groups: "dict[str, list[Job]]" = {}  # fingerprint -> active group
+        self._traces: "dict[str, list[Job]]" = {}  # trace id -> its jobs
+        self._groups: "dict[str, Job]" = {}  # fingerprint -> active group's primary
+        self._engine_kept: "deque[Job]" = deque()  # primaries holding engine payloads
         self._heap: "list[tuple[int, int, str]]" = []  # (-priority, seq, key)
         self._queued: "set[str]" = set()  # keys currently in the heap
         self._running: "set[str]" = set()  # keys dispatched to the runner
@@ -195,6 +350,24 @@ class JobQueue:
         """Every job ever submitted, in submission order."""
         return list(self._jobs.values())
 
+    def trace(self, trace_id: str) -> "list[DistSpan]":
+        """One trace's spans, derived from its jobs' records on demand.
+
+        This is what ``GET /traces/{id}`` returns: every job submitted on
+        the trace, plus — one hop along a coalesced job's link — the shared
+        execution subtree on its primary's trace, so every client sees
+        client submit → ... → engine spans under one download. Empty when
+        the trace id is unknown.
+        """
+        jobs = self._traces.get(trace_id, [])
+        spans = [span for job in jobs for span in job.spans()]
+        linked = dict.fromkeys(
+            job.primary for job in jobs if job.primary is not None and job.primary not in jobs
+        )
+        for primary in linked:
+            spans += primary.execution_spans()  # type: ignore[union-attr]
+        return spans
+
     def _gauges(self) -> None:
         self.metrics.set_queue_gauges(self.depth, self.inflight)
         if self._groups:
@@ -203,29 +376,6 @@ class JobQueue:
             self._idle.set()
 
     # -- submission ----------------------------------------------------------
-
-    def _open_request(self, job: Job, trace: "TraceContext | None") -> None:
-        """Assign the job's trace identity and open its ``request`` span.
-
-        With a ``traceparent`` the request joins the client's trace as a
-        child of the client's root span; without one the server mints a
-        fresh root trace so the journey is traceable either way.
-        """
-        if self.tracer is None:
-            return
-        if trace is not None:
-            job.trace_id = trace.trace_id
-            job.client_span_id = trace.span_id
-        else:
-            job.trace_id = mint_trace_id()
-        job.request_span = self.tracer.start_span(
-            job.trace_id,
-            "request",
-            job.client_span_id,
-            kind="server",
-            track="server",
-            attrs={"job_id": job.id, "fingerprint": job.key[:16]},
-        )
 
     def submit(
         self,
@@ -236,8 +386,10 @@ class JobQueue:
     ) -> Job:
         """Submit one simulation; returns the (possibly coalesced) job.
 
-        ``trace`` is the client's parsed ``traceparent`` context, if any;
-        ``client`` is a free-form label echoed in the job status. Raises
+        ``trace`` is the client's parsed ``traceparent`` context, if any:
+        the job joins the client's trace as a child of the client's root
+        span; without one the server mints a fresh root trace. ``client``
+        is a free-form label echoed in the job status. Raises
         :class:`ServiceClosed` when draining and :class:`QueueFull` when
         the submission needs a queue slot and none is free.
         """
@@ -245,67 +397,37 @@ class JobQueue:
             raise ServiceClosed("service is draining; not accepting new jobs")
         self.metrics.job_submitted()
         key = sim.key()
-        job_id = f"job-{next(self._ids):06d}"
+        job = Job(
+            id=f"job-{next(self._ids):06d}",
+            sim=sim,
+            key=key,
+            submitted_at=self._clock(),
+            trace_id=trace.trace_id if trace is not None else mint_trace_id(),
+            client_span_id=trace.span_id if trace is not None else None,
+            priority=priority,
+            client=client,
+        )
 
-        group = self._groups.get(key)
-        if group is not None:
-            primary = group[0]
-            job = Job(
-                id=job_id,
-                sim=sim,
-                key=key,
-                priority=priority,
-                client=client,
-                state=primary.state,
-                coalesced=True,
-                attempts=primary.attempts,
-                started_mono=primary.started_mono,
-                future=primary.future,
-            )
-            group.append(job)
-            self._jobs[job_id] = job
+        primary = self._groups.get(key)
+        if primary is not None:
+            job.primary = primary
+            job.state = primary.state
+            job.future = primary.future
+            primary.members.append(job)
+            self._record(job)
             self.metrics.job_coalesced()
-            self._open_request(job, trace)
-            if job.request_span is not None and primary.exec_span_id is not None:
-                # The shared execution lives on the primary's trace; this
-                # submitter's own trace records the wait with a link to it.
-                job.queue_span = self.tracer.start_span(  # type: ignore[union-attr]
-                    job.trace_id,  # type: ignore[arg-type]
-                    "coalesced",
-                    job.request_span.span_id,
-                    track="job",
-                    attrs={"primary_job_id": primary.id},
-                    links=[{"trace_id": primary.trace_id, "span_id": primary.exec_span_id}],
-                )
             return job
 
         cached = memo.lookup(key)
         if cached is not None:
-            future = asyncio.get_running_loop().create_future()
-            future.set_result(cached)
-            job = Job(
-                id=job_id,
-                sim=sim,
-                key=key,
-                priority=priority,
-                client=client,
-                state=JobState.DONE,
-                cache_hit=True,
-                future=future,
-            )
-            job.started_mono = job.finished_mono = job.queued_mono
-            self._jobs[job_id] = job
+            job.future = asyncio.get_running_loop().create_future()
+            job.future.set_result(cached)
+            job.state = JobState.DONE
+            job.cache_hit = True
+            job.finished_at = job.submitted_at
+            self._record(job)
             self.metrics.job_cache_hit()
             self.metrics.job_completed(0.0, 0.0)
-            self._open_request(job, trace)
-            if job.request_span is not None:
-                self.tracer.add_span(  # type: ignore[union-attr]
-                    job.trace_id,  # type: ignore[arg-type]
-                    "cache.hit",
-                    parent_id=job.request_span.span_id,
-                    track="job",
-                )
-                self.tracer.end_span(job.request_span)  # type: ignore[union-attr]
             return job
 
         if self.depth >= self.max_depth:
@@ -314,35 +436,19 @@ class JobQueue:
                 f"queue is full ({self.max_depth} jobs); retry after the backlog drains"
             )
 
-        job = Job(
-            id=job_id,
-            sim=sim,
-            key=key,
-            priority=priority,
-            client=client,
-            future=asyncio.get_running_loop().create_future(),
-            seq=next(self._seq),
-        )
-        self._jobs[job_id] = job
-        self._groups[key] = [job]
+        job.future = asyncio.get_running_loop().create_future()
+        job.seq = next(self._seq)
+        job.members.append(job)
+        self._record(job)
+        self._groups[key] = job
         self._push(job)
         self.metrics.job_accepted()
-        self._open_request(job, trace)
-        if job.request_span is not None:
-            # The execution span's id is minted now — before the span even
-            # starts — so a coalescing submission arriving while this group
-            # is still queued can already link to it. The span itself opens
-            # at :meth:`mark_running`.
-            job.exec_span_id = mint_span_id()
-            job.queue_span = self.tracer.start_span(  # type: ignore[union-attr]
-                job.trace_id,  # type: ignore[arg-type]
-                "queue.wait",
-                job.request_span.span_id,
-                track="job",
-                attrs={"priority": priority},
-            )
         self._gauges()
         return job
+
+    def _record(self, job: Job) -> None:
+        self._jobs[job.id] = job
+        self._traces.setdefault(job.trace_id, []).append(job)
 
     def _push(self, primary: Job) -> None:
         heapq.heappush(self._heap, (-primary.priority, primary.seq, primary.key))
@@ -367,101 +473,42 @@ class JobQueue:
             if key not in self._queued:
                 continue
             self._queued.discard(key)
-            batch.append(self._groups[key][0])
+            batch.append(self._groups[key])
         if not self._heap:
             self._nonempty.clear()
         self._gauges()
         return batch
 
-    def note_scheduled(self, key: str, batch_seq: int, batch_size: int) -> None:
-        """Record which scheduler batch picked this group up."""
-        batch = {"batch_seq": batch_seq, "batch_size": batch_size}
-        for job in self._groups[key]:
-            job.batch = batch
+    def mark_running(self, key: str, batch: "dict | None" = None) -> None:
+        """Transition a group to RUNNING: one more dispatch attempt starts.
 
-    def mark_running(self, key: str) -> None:
-        """Transition a group to RUNNING (dispatch time for latency)."""
-        now = time.monotonic()
+        ``batch`` names the scheduler batch that picked the group up
+        (``batch_seq``, ``batch_size``); it lands on the ``run`` span.
+        """
         self._running.add(key)
-        group = self._groups[key]
-        primary = group[0]
-        for job in group:
+        primary = self._groups[key]
+        primary.dispatches.append(Attempt(self._clock(), batch=batch))
+        for job in primary.members:
             job.state = JobState.RUNNING
-            if job.started_mono is None:
-                job.started_mono = now
-        if self.tracer is not None and primary.exec_span_id is not None:
-            if primary.exec_span is None:
-                # First dispatch: close the queue wait, open the shared
-                # execution span under the pre-minted id.
-                self.tracer.end_span(primary.queue_span)
-                parent = (
-                    primary.request_span.span_id if primary.request_span is not None else None
-                )
-                primary.exec_span = self.tracer.start_span(
-                    primary.trace_id,  # type: ignore[arg-type]
-                    "execute",
-                    parent,
-                    track="job",
-                    span_id=primary.exec_span_id,
-                    attrs={"group_size": len(group)},
-                )
-            else:
-                primary.exec_span.attrs["group_size"] = len(group)
-            attrs = {"attempt": primary.attempts + 1}
-            attrs.update(primary.batch or {})
-            primary.run_span = self.tracer.start_span(
-                primary.trace_id,  # type: ignore[arg-type]
-                "run",
-                primary.exec_span_id,
-                track="attempt",
-                attrs=attrs,
-            )
         self._gauges()
 
     def record_attempt(self, key: str) -> int:
-        """Bump the group's attempt counter; returns attempts so far."""
-        group = self._groups[key]
-        attempts = group[0].attempts + 1
-        primary = group[0]
-        if self.tracer is not None and primary.run_span is not None:
-            primary.run_span.attrs["failed"] = True
-            self.tracer.end_span(primary.run_span)
-            primary.run_span = None
-        for job in group:
-            job.attempts = attempts
-        return attempts
-
-    def attach_spans(self, key: str, spans: "list[dict] | None") -> None:
-        """Re-parent one run's engine spans under the group's ``run`` span.
-
-        Called by the traced scheduler after a successful attempt, before
-        :meth:`finish`. ``spans`` is the worker's ``Span.to_dict`` list
-        (``None`` when the result came from a cache — nothing to attach).
-        Closes the attempt's ``run`` span either way.
-        """
-        primary = self._groups[key][0]
-        if self.tracer is None or primary.run_span is None:
-            return
-        self.tracer.end_span(primary.run_span)
-        if spans:
-            count = self.tracer.attach_engine_tree(
-                primary.trace_id,  # type: ignore[arg-type]
-                primary.run_span.span_id,
-                spans,
-                anchor=primary.run_span.start,
-            )
-            self.metrics.spans_attached(count)
-        primary.run_span = None
+        """Close the running attempt as failed; returns failed attempts so far."""
+        primary = self._groups[key]
+        attempt = primary.dispatches[-1]
+        attempt.end = self._clock()
+        attempt.failed = True
+        return primary.attempts
 
     def requeue(self, key: str) -> None:
         """Put a failed-attempt group back in the queue for retry."""
         self._running.discard(key)
-        group = self._groups[key]
-        for job in group:
+        primary = self._groups[key]
+        for job in primary.members:
             job.state = JobState.QUEUED
         # Retries keep their original seq: a failed attempt re-enters ahead
         # of work submitted after it.
-        self._push(group[0])
+        self._push(primary)
         self.metrics.job_retried()
         self._gauges()
 
@@ -470,23 +517,29 @@ class JobQueue:
         key: str,
         result: "SimulationResult | None" = None,
         error: "Exception | None" = None,
+        spans: "list[dict] | None" = None,
     ) -> None:
-        """Resolve a group: every job in it completes (or fails) together."""
+        """Resolve a group: every job in it completes (or fails) together.
+
+        ``spans`` is the successful run's engine span list (the worker's
+        ``Span.to_dict`` payloads; ``None`` when the result came from a
+        cache). The primary keeps it as-is for :meth:`trace`, for the
+        :data:`ENGINE_TRACE_GROUPS` most recently finished groups.
+        """
         self._running.discard(key)
-        group = self._groups.pop(key)
-        now = time.monotonic()
-        primary = group[0]
-        future = primary.future
-        if self.tracer is not None:
-            if primary.run_span is not None:  # failed attempt never re-dispatched
-                primary.run_span.attrs["failed"] = True
-                self.tracer.end_span(primary.run_span)
-                primary.run_span = None
-            self.tracer.end_span(primary.exec_span)
-        for job in group:
-            job.finished_mono = now
-            if job.started_mono is None:  # failed before ever dispatching
-                job.started_mono = now
+        primary = self._groups.pop(key)
+        now = self._clock()
+        if primary.dispatches and primary.dispatches[-1].end is None:
+            primary.dispatches[-1].end = now
+            primary.dispatches[-1].failed = error is not None
+        if spans and error is None:
+            primary.engine = spans
+            self._engine_kept.append(primary)
+            if len(self._engine_kept) > ENGINE_TRACE_GROUPS:
+                self._engine_kept.popleft().engine = None
+            self.metrics.spans_attached(len(spans))
+        for job in primary.members:
+            job.finished_at = now
             if error is None:
                 job.state = JobState.DONE
                 self.metrics.job_completed(job.wait_s or 0.0, job.run_s or 0.0)
@@ -494,13 +547,7 @@ class JobQueue:
                 job.state = JobState.FAILED
                 job.error = f"{type(error).__name__}: {error}"
                 self.metrics.job_failed()
-            if self.tracer is not None:
-                if job.queue_span is not None:
-                    job.queue_span.attrs.setdefault("outcome", job.state.value)
-                    self.tracer.end_span(job.queue_span)
-                if job.request_span is not None:
-                    job.request_span.attrs["outcome"] = job.state.value
-                    self.tracer.end_span(job.request_span)
+        future = primary.future
         assert future is not None
         if error is None:
             future.set_result(result)

@@ -10,11 +10,13 @@ The scheduler is one long-lived coroutine that repeatedly:
 3. packs the drained jobs into one
    :func:`repro.harness.runner.run_many_settled` call, pushed off the event
    loop with ``asyncio.to_thread`` so the loop keeps serving HTTP while
-   simulations run (one runner serves both modes: a traced queue passes
-   ``traced=True`` and gets each run's engine spans beside its outcome);
+   simulations run; batches always run ``traced=True``, so each run's
+   engine spans come back beside its outcome;
 4. settles each job individually: successes resolve their group's future,
    failures retry with linear backoff up to ``max_retries`` additional
-   attempts, then fail the future.
+   attempts, then fail the future. A success hands its engine spans to
+   :meth:`JobQueue.finish` with the result, so by the time a client sees
+   ``state: done``, the job's trace is complete.
 
 Shutdown is graceful by default: :meth:`BatchScheduler.stop` with
 ``drain=True`` waits until every queued and running group has settled
@@ -34,12 +36,8 @@ from .queue import Job, JobQueue
 class BatchScheduler:
     """Drains the :class:`JobQueue` into ``run_many_settled`` batches.
 
-    When ``traced`` is on (the default whenever the queue owns a tracer),
-    batches run with ``traced=True``: each successful attempt ships its
-    engine spans back out-of-band beside its result and the
-    scheduler re-parents them under the group's ``run`` span via
-    :meth:`JobQueue.attach_spans` before settling the future — so by the
-    time a client sees ``state: done``, the trace is complete.
+    ``runner`` is called as ``runner(sims, max_workers, traced=True)`` and
+    returns one ``(outcome, spans)`` pair per simulation.
     """
 
     def __init__(
@@ -53,7 +51,6 @@ class BatchScheduler:
         retry_backoff_s: float = 0.05,
         max_workers: "int | None" = None,
         runner=run_many_settled,
-        traced: "bool | None" = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -65,7 +62,6 @@ class BatchScheduler:
         self.retry_backoff_s = retry_backoff_s
         self.max_workers = max_workers
         self._runner = runner
-        self.traced = (queue.tracer is not None) if traced is None else traced
         self._batch_seq = itertools.count(1)
         self._task: "asyncio.Task | None" = None
 
@@ -122,21 +118,12 @@ class BatchScheduler:
     async def _execute(self, batch: "list[Job]") -> None:
         batch_seq = next(self._batch_seq)
         for job in batch:
-            self.queue.note_scheduled(job.key, batch_seq, len(batch))
-            self.queue.mark_running(job.key)
+            self.queue.mark_running(job.key, {"batch_seq": batch_seq, "batch_size": len(batch)})
         self.metrics.batch_started(len(batch))
         sims = [job.sim for job in batch]
-        if self.traced:
-            slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
-            outcomes = []
-            for job, (outcome, spans) in zip(batch, slots):
-                outcomes.append(outcome)
-                if not isinstance(outcome, Exception):
-                    self.queue.attach_spans(job.key, spans)
-        else:
-            outcomes = await asyncio.to_thread(self._runner, sims, self.max_workers)
+        slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
         retry: "list[Job]" = []
-        for job, outcome in zip(batch, outcomes):
+        for job, (outcome, spans) in zip(batch, slots):
             if isinstance(outcome, Exception):
                 attempts = self.queue.record_attempt(job.key)
                 if attempts <= self.max_retries:
@@ -144,7 +131,7 @@ class BatchScheduler:
                 else:
                     self.queue.finish(job.key, error=outcome)
             else:
-                self.queue.finish(job.key, result=outcome)
+                self.queue.finish(job.key, result=outcome, spans=spans)
         if retry:
             # Linear backoff on the worst offender; one sleep covers the
             # whole batch so retries of a crashed pool don't thundering-herd.

@@ -18,8 +18,8 @@ run off-loop via the harness runner's process pool. The API surface:
 ``GET /healthz``            liveness + queue gauges
 ``GET /metrics``            the service's ``obs.CounterRegistry`` snapshot
                             as JSON
-``GET /traces/{id}``        one distributed trace's span closure (the job's
-                            lifecycle record); ``?format=perfetto`` serves
+``GET /traces/{id}``        one distributed trace, derived from its jobs'
+                            records; ``?format=perfetto`` serves
                             Chrome-trace JSON
 ``POST /shutdown``          graceful drain (``{"drain": false}`` aborts the
                             queue instead)
@@ -46,7 +46,7 @@ from urllib.parse import parse_qs
 from ..config import LINKS_BY_NAME
 from ..harness.runner import SimJob
 from ..harness.runner.parallel import env_int
-from ..obs.distributed import TraceStore, distributed_chrome_trace, parse_traceparent
+from ..obs.distributed import distributed_chrome_trace, parse_traceparent
 from ..paradigms.registry import PARADIGMS
 from ..workloads.registry import (
     EXTRA_WORKLOADS,
@@ -99,8 +99,6 @@ class ServiceSettings:
     max_retries: int = 2
     retry_backoff_s: float = 0.05
     max_workers: "int | None" = None
-    trace: bool = True
-    max_traces: int = 256
 
     @classmethod
     def from_env(cls, **overrides) -> "ServiceSettings":
@@ -122,8 +120,6 @@ class ServiceSettings:
                 "REPRO_SERVICE_RETRY_BACKOFF_MS", cls.retry_backoff_s * 1000.0
             )
             / 1000.0,
-            "trace": os.environ.get("REPRO_SERVICE_TRACE", "1") not in ("0", "false"),
-            "max_traces": env_int("REPRO_SERVICE_MAX_TRACES", cls.max_traces),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -182,12 +178,7 @@ class SimulationService:
     ) -> None:
         self.settings = settings if settings is not None else ServiceSettings.from_env()
         self.metrics = ServiceMetrics(registry)
-        self.tracer = (
-            TraceStore(max_traces=self.settings.max_traces) if self.settings.trace else None
-        )
-        self.queue = JobQueue(
-            self.metrics, max_depth=self.settings.queue_depth, tracer=self.tracer
-        )
+        self.queue = JobQueue(self.metrics, max_depth=self.settings.queue_depth)
         self.scheduler = BatchScheduler(
             self.queue,
             self.metrics,
@@ -309,7 +300,6 @@ class SimulationService:
                 "queued": self.queue.depth,
                 "inflight": self.queue.inflight,
                 "draining": self.queue.closed,
-                "trace": self.tracer is not None,
             }
         if path == "/metrics" and method == "GET":
             return 200, {"metrics": self.metrics.snapshot()}
@@ -356,9 +346,7 @@ class SimulationService:
         return (200 if job.cache_hit else 202), job.as_dict()
 
     def _trace(self, trace_id: str, query: dict) -> "tuple[int, dict]":
-        if self.tracer is None:
-            return 404, {"error": "tracing is disabled (REPRO_SERVICE_TRACE=0)"}
-        spans = self.tracer.closure(trace_id)
+        spans = self.queue.trace(trace_id)
         if not spans:
             return 404, {"error": f"unknown trace id {trace_id!r}"}
         if _qlast(query, "format") == "perfetto":

@@ -1,4 +1,4 @@
-"""repro.obs.distributed: contexts, span store, re-parenting, export."""
+"""repro.obs.distributed: contexts, id generators, root synthesis, export."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.obs.distributed import (
     DistSpan,
     SequentialIds,
     TraceContext,
-    TraceStore,
     derived_span_id,
     distributed_chrome_trace,
     dump_chrome_trace,
@@ -24,18 +23,6 @@ def sequential_ids():
     set_id_generator(SequentialIds())
     yield
     set_id_generator(None)
-
-
-class FakeClock:
-    def __init__(self, t: float = 1000.0) -> None:
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def tick(self, dt: float = 1.0) -> float:
-        self.t += dt
-        return self.t
 
 
 class TestTraceContext:
@@ -67,6 +54,7 @@ class TestTraceContext:
             "00-" + "xy" * 16 + "-" + "cd" * 8 + "-01",  # non-hex
             "00-" + "0" * 32 + "-" + "cd" * 8 + "-01",  # zero trace id
             "00-" + "ab" * 16 + "-" + "0" * 16 + "-01",  # zero span id
+            "ff-" + "a" * 32 + "-" + "b" * 16 + "-01",  # forbidden version
         ],
     )
     def test_rejects_malformed(self, header):
@@ -97,81 +85,6 @@ class TestIdGenerators:
         assert len(derived_span_id("abc", 7)) == 16
 
 
-class TestTraceStore:
-    def test_start_end_and_point_spans(self, sequential_ids):
-        clock = FakeClock()
-        store = TraceStore(clock=clock)
-        span = store.start_span("t1", "request", kind="server", track="server")
-        clock.tick(2.0)
-        store.end_span(span)
-        assert span.duration == 2.0
-        store.end_span(span)  # idempotent
-        assert span.end == 1002.0
-        store.end_span(None)  # no-op
-        point = store.add_span("t1", "cache.hit")
-        assert point.duration == 0.0
-        assert [s.name for s in store.get("t1")] == ["request", "cache.hit"]
-        assert store.get("missing") == []
-
-    def test_eviction_oldest_first(self):
-        store = TraceStore(max_traces=2)
-        for trace in ("t1", "t2", "t3"):
-            store.start_span(trace, "request")
-        assert store.get("t1") == []
-        assert len(store.get("t3")) == 1
-        assert store.evicted_traces == 1
-        assert len(store) == 2
-        assert store.span_count == 2
-
-    def test_subtree_descends_one_root(self, sequential_ids):
-        store = TraceStore(clock=FakeClock())
-        root = store.start_span("t1", "request")
-        child = store.start_span("t1", "execute", root.span_id)
-        store.start_span("t1", "run", child.span_id)
-        store.start_span("t1", "other")  # separate root, excluded
-        names = [s.name for s in store.subtree("t1", root.span_id)]
-        assert names == ["request", "execute", "run"]
-        assert store.subtree("t1", "nope") == []
-
-    def test_closure_follows_links_one_hop(self, sequential_ids):
-        store = TraceStore(clock=FakeClock())
-        execute = store.start_span("primary", "execute")
-        store.start_span("primary", "run", execute.span_id)
-        store.start_span("dup", "request")
-        store.start_span(
-            "dup",
-            "coalesced",
-            links=[{"trace_id": "primary", "span_id": execute.span_id}],
-        )
-        names = sorted(s.name for s in store.closure("dup"))
-        assert names == ["coalesced", "execute", "request", "run"]
-        # The primary's own closure never pulls the duplicate's spans.
-        assert sorted(s.name for s in store.closure("primary")) == ["execute", "run"]
-
-    def test_attach_engine_tree(self, sequential_ids):
-        store = TraceStore(clock=FakeClock())
-        run = store.start_span("t1", "run")
-        payloads = [
-            {"name": "k1", "category": "kernel", "track": "gpu0",
-             "start": 0.0, "end": 2.0, "attrs": {"gpu": 0}},
-            {"name": "x1", "category": "transfer", "track": "egress0",
-             "start": 2.0, "end": 3.5, "attrs": {}},
-        ]
-        count = store.attach_engine_tree("t1", run.span_id, payloads, anchor=100.0)
-        assert count == 2
-        engine = [s for s in store.get("t1") if s.kind == "engine"]
-        assert [s.span_id for s in engine] == [
-            derived_span_id(run.span_id, 0),
-            derived_span_id(run.span_id, 1),
-        ]
-        assert engine[0].parent_id == run.span_id
-        assert (engine[0].start, engine[0].end) == (100.0, 102.0)
-        assert engine[0].attrs == {
-            "gpu": 0, "sim_start": 0.0, "sim_end": 2.0, "category": "kernel",
-        }
-        assert engine[1].track == "egress0"
-
-
 class TestSynthesizeRoots:
     def test_orphan_parent_becomes_client_submit(self):
         spans = [
@@ -192,38 +105,25 @@ class TestSynthesizeRoots:
 
 
 class TestExport:
-    def _store(self):
-        clock = FakeClock()
-        store = TraceStore(clock=clock)
-        request = store.start_span(
-            "t1", "request", "client-root", kind="server", track="server"
-        )
-        clock.tick(0.5)
-        queue = store.start_span("t1", "queue.wait", request.span_id)
-        clock.tick(1.0)
-        store.end_span(queue)
-        execute = store.start_span("t1", "execute", request.span_id)
-        run = store.start_span("t1", "run", execute.span_id, track="attempt")
-        store.attach_engine_tree(
-            "t1", run.span_id,
-            [{"name": "k", "category": "kernel", "track": "gpu0",
-              "start": 0.0, "end": 0.25, "attrs": {}}],
-            anchor=run.start,
-        )
-        clock.tick(1.0)
-        store.end_span(run)
-        store.end_span(execute)
-        store.end_span(request)
-        return store
+    def _spans(self):
+        """One request's service spans plus one re-parented engine span."""
+        return [
+            DistSpan("request", "t1", "r", "client-root", 1000.0, 1003.5,
+                     kind="server", track="server"),
+            DistSpan("queue.wait", "t1", "q", "r", 1000.5, 1001.5),
+            DistSpan("execute", "t1", "e", "r", 1001.5, 1002.5),
+            DistSpan("run", "t1", "u", "e", 1001.5, 1002.5, track="attempt"),
+            DistSpan("k", "t1", derived_span_id("u", 0), "u", 1001.5, 1001.75,
+                     kind="engine", track="gpu0",
+                     attrs={"sim_start": 0.0, "sim_end": 0.25, "category": "kernel"}),
+        ]
 
     def test_export_is_schema_valid(self, sequential_ids):
-        store = self._store()
-        payload = distributed_chrome_trace("t1", store.closure("t1"))
+        payload = distributed_chrome_trace("t1", self._spans())
         assert validate_chrome_trace(payload) == []
 
     def test_lanes_split_service_and_engine(self, sequential_ids):
-        store = self._store()
-        payload = distributed_chrome_trace("t1", store.closure("t1"))
+        payload = distributed_chrome_trace("t1", self._spans())
         slices = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         by_name = {e["name"]: e for e in slices}
         assert by_name["k"]["pid"] == 1
@@ -233,9 +133,8 @@ class TestExport:
         assert min(e["ts"] for e in slices) == 0.0
 
     def test_dump_is_byte_stable(self, sequential_ids):
-        store = self._store()
-        first = dump_chrome_trace(distributed_chrome_trace("t1", store.closure("t1")))
-        second = dump_chrome_trace(distributed_chrome_trace("t1", store.closure("t1")))
+        first = dump_chrome_trace(distributed_chrome_trace("t1", self._spans()))
+        second = dump_chrome_trace(distributed_chrome_trace("t1", self._spans()))
         assert first == second
         assert first.endswith("\n")
 

@@ -231,6 +231,37 @@ class TestLifecycle:
 
         in_loop(lambda: body())
 
+    def test_wait_ends_at_the_attempt_a_job_joins(self):
+        """A duplicate joining a running attempt waited 0 s; one joining
+        while its group waits for a retry waited for that retry."""
+        clear_run_cache()
+        now = [100.0]
+        q = JobQueue(ServiceMetrics(), clock=lambda: now[0])
+
+        async def body():
+            primary = q.submit(sim())
+            now[0] = 101.0
+            q.pop_ready(1)
+            q.mark_running(primary.key)
+            now[0] = 102.0
+            during_run = q.submit(sim())
+            now[0] = 103.0
+            q.record_attempt(primary.key)
+            q.requeue(primary.key)
+            now[0] = 104.0
+            during_retry_wait = q.submit(sim())
+            assert during_retry_wait.wait_s is None
+            now[0] = 106.0
+            q.pop_ready(1)
+            q.mark_running(primary.key)
+            now[0] = 110.0
+            q.finish(primary.key, result=None)
+            return primary, during_run, during_retry_wait
+
+        jobs = in_loop(body)
+        assert [(j.wait_s, j.run_s) for j in jobs] == [(1.0, 9.0), (0.0, 8.0), (2.0, 4.0)]
+        assert [j.as_dict()["attempts"] for j in jobs] == [1, 1, 1]
+
     def test_abort_queued_fails_pending(self, queue):
         q, _ = queue
 

@@ -18,14 +18,18 @@ def sim(gpus=2, **kwargs):
 
 
 class StubRunner:
-    """Records batches; fails each fingerprint a configurable number of times."""
+    """Records batches; fails each fingerprint a configurable number of times.
+
+    Called like ``run_many_settled(sims, max_workers, traced=True)``: one
+    ``(outcome, spans)`` pair per simulation, with no engine spans.
+    """
 
     def __init__(self, fail_times=0):
         self.batches = []
         self.fail_times = fail_times
         self.failures = {}
 
-    def __call__(self, sims, max_workers=None):
+    def __call__(self, sims, max_workers=None, traced=False):
         self.batches.append(list(sims))
         outcomes = []
         for job in sims:
@@ -36,7 +40,7 @@ class StubRunner:
                 outcomes.append(RuntimeError(f"boom #{seen + 1}"))
             else:
                 outcomes.append(f"result-for-{key[:8]}")
-        return outcomes
+        return [(outcome, None) for outcome in outcomes]
 
 
 def make_stack(runner, **kwargs):
@@ -135,11 +139,11 @@ class TestRetry:
 
     def test_one_bad_job_does_not_poison_batch(self):
         class OneBadApple(StubRunner):
-            def __call__(self, sims, max_workers=None):
+            def __call__(self, sims, max_workers=None, traced=False):
                 self.batches.append(list(sims))
                 return [
-                    RuntimeError("always broken") if job.num_gpus == 1
-                    else f"result-for-{job.key()[:8]}"
+                    (RuntimeError("always broken") if job.num_gpus == 1
+                     else f"result-for-{job.key()[:8]}", None)
                     for job in sims
                 ]
 

@@ -1,4 +1,4 @@
-"""Distributed tracing through the queue: re-parenting, links, golden export.
+"""Distributed traces derived from the queue's job records.
 
 The golden test drives the :class:`JobQueue` state machine directly inside
 ``asyncio.run`` — with sequential ids and a fake clock the whole span tree
@@ -13,18 +13,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import SimJob, clear_run_cache
+from repro.harness.runner import SimJob, clear_run_cache, run_simulation
 from repro.obs import validate_chrome_trace
 from repro.obs.distributed import (
     SequentialIds,
     TraceContext,
-    TraceStore,
     derived_span_id,
     distributed_chrome_trace,
     dump_chrome_trace,
     set_id_generator,
 )
-from repro.service import JobQueue, ServiceMetrics
+from repro.service import (
+    JobQueue,
+    ServiceClient,
+    ServiceMetrics,
+    ServiceSettings,
+    SimulationService,
+)
+from repro.service.queue import ENGINE_TRACE_GROUPS
 
 GOLDEN = Path(__file__).parent / "baselines" / "distributed_trace.golden.json"
 
@@ -35,6 +41,10 @@ ENGINE_PAYLOADS = [
     {"name": "x1", "category": "transfer", "track": "egress0",
      "start": 2.0, "end": 3.5, "attrs": {}},
 ]
+
+
+def sim(scale: float = 0.25) -> SimJob:
+    return SimJob("jacobi", "gps", 2, "pcie6", scale, 2)
 
 
 class FakeClock:
@@ -57,32 +67,33 @@ def sequential_ids():
     set_id_generator(None)
 
 
-def drive_full_chain(clock: FakeClock) -> "tuple[TraceStore, str]":
-    """One traced submission through the whole queue lifecycle."""
-    store = TraceStore(clock=clock)
-    queue = JobQueue(ServiceMetrics(), tracer=store)
+def drive_full_chain(clock: FakeClock) -> "tuple[JobQueue, str]":
+    """One submission through the whole queue lifecycle."""
+    queue = JobQueue(ServiceMetrics(), clock=clock)
     context = TraceContext.mint()
 
     async def _drive() -> None:
-        job = queue.submit(SimJob("jacobi", "gps", 2, "pcie6", 0.25, 2), trace=context)
+        job = queue.submit(sim(), trace=context)
         clock.tick(0.5)  # queue wait
         (primary,) = queue.pop_ready(1)
-        queue.note_scheduled(primary.key, batch_seq=1, batch_size=1)
-        queue.mark_running(primary.key)
+        queue.mark_running(primary.key, {"batch_seq": 1, "batch_size": 1})
         clock.tick(2.0)  # the attempt runs
-        queue.attach_spans(primary.key, ENGINE_PAYLOADS)
-        queue.finish(primary.key, result=None)
+        queue.finish(primary.key, result=None, spans=ENGINE_PAYLOADS)
         assert job.state.value == "done"
 
     asyncio.run(_drive())
-    return store, context.trace_id
+    return queue, context.trace_id
+
+
+def by_name(spans) -> dict:
+    return {span.name: span for span in spans}
 
 
 class TestFullChain:
     def test_span_topology(self, sequential_ids):
         clock = FakeClock()
-        store, trace_id = drive_full_chain(clock)
-        spans = {s.name: s for s in store.get(trace_id)}
+        queue, trace_id = drive_full_chain(clock)
+        spans = by_name(queue.trace(trace_id))
         assert set(spans) == {"request", "queue.wait", "execute", "run", "k1", "x1"}
 
         request, wait = spans["request"], spans["queue.wait"]
@@ -103,8 +114,8 @@ class TestFullChain:
         assert request.attrs["outcome"] == "done"
 
     def test_export_matches_golden(self, sequential_ids):
-        store, trace_id = drive_full_chain(FakeClock())
-        payload = distributed_chrome_trace(trace_id, store.closure(trace_id))
+        queue, trace_id = drive_full_chain(FakeClock())
+        payload = distributed_chrome_trace(trace_id, queue.trace(trace_id))
         assert validate_chrome_trace(payload) == []
         text = dump_chrome_trace(payload)
         assert text == GOLDEN.read_text(), (
@@ -114,8 +125,8 @@ class TestFullChain:
         )
 
     def test_export_has_both_lanes_and_synthesized_root(self, sequential_ids):
-        store, trace_id = drive_full_chain(FakeClock())
-        payload = distributed_chrome_trace(trace_id, store.closure(trace_id))
+        queue, trace_id = drive_full_chain(FakeClock())
+        payload = distributed_chrome_trace(trace_id, queue.trace(trace_id))
         slices = {e["name"]: e for e in payload["traceEvents"] if e["ph"] == "X"}
         assert slices["request"]["pid"] == 0
         assert slices["k1"]["pid"] == 1
@@ -129,62 +140,205 @@ class TestFullChain:
 class TestCoalescedTraces:
     def drive(self, clock: FakeClock):
         """Two same-fingerprint submissions; the second coalesces."""
-        store = TraceStore(clock=clock)
-        queue = JobQueue(ServiceMetrics(), tracer=store)
+        queue = JobQueue(ServiceMetrics(), clock=clock)
         context_a, context_b = TraceContext.mint(), TraceContext.mint()
-        sim = SimJob("jacobi", "gps", 2, "pcie6", 0.25, 2)
 
         async def _drive() -> None:
-            job_a = queue.submit(sim, trace=context_a)
+            job_a = queue.submit(sim(), trace=context_a)
             clock.tick(0.25)
-            job_b = queue.submit(SimJob("jacobi", "gps", 2, "pcie6", 0.25, 2),
-                                 trace=context_b)
+            job_b = queue.submit(sim(), trace=context_b)
             assert job_b.coalesced and job_b.key == job_a.key
             clock.tick(0.25)
             (primary,) = queue.pop_ready(1)
             assert primary.id == job_a.id
-            queue.note_scheduled(primary.key, batch_seq=1, batch_size=1)
-            queue.mark_running(primary.key)
+            queue.mark_running(primary.key, {"batch_seq": 1, "batch_size": 1})
             clock.tick(1.0)
-            queue.attach_spans(primary.key, ENGINE_PAYLOADS)
-            queue.finish(primary.key, result=None)
+            queue.finish(primary.key, result=None, spans=ENGINE_PAYLOADS)
             assert job_a.state.value == job_b.state.value == "done"
 
         asyncio.run(_drive())
-        return store, context_a.trace_id, context_b.trace_id
+        return queue, context_a.trace_id, context_b.trace_id
 
     def test_two_traces_share_one_execution(self, sequential_ids):
-        store, trace_a, trace_b = self.drive(FakeClock())
+        queue, trace_a, trace_b = self.drive(FakeClock())
         assert trace_a != trace_b
 
-        # The duplicate's own trace holds only its request + coalesced
-        # marker; the closure pulls the shared execution in via the link.
-        own = sorted(s.name for s in store.get(trace_b))
-        assert own == ["coalesced", "request"]
-        closure = sorted(s.name for s in store.closure(trace_b))
-        assert closure == ["coalesced", "execute", "k1", "request", "run", "x1"]
+        # The duplicate's own spans are only its request + coalesced
+        # marker; its trace pulls the shared execution in via the link.
+        closure = queue.trace(trace_b)
+        own = [s for s in closure if s.trace_id == trace_b]
+        assert sorted(s.name for s in own) == ["coalesced", "request"]
+        assert sorted(s.name for s in closure) == [
+            "coalesced", "execute", "k1", "request", "run", "x1",
+        ]
 
-        coalesced = next(s for s in store.get(trace_b) if s.name == "coalesced")
-        execute = next(s for s in store.get(trace_a) if s.name == "execute")
+        coalesced = by_name(own)["coalesced"]
+        execute = by_name(queue.trace(trace_a))["execute"]
         assert coalesced.links == [
             {"trace_id": trace_a, "span_id": execute.span_id}
         ]
         assert execute.attrs["group_size"] == 2
-        # The primary's closure never leaks the duplicate's spans.
-        assert "coalesced" not in {s.name for s in store.closure(trace_a)}
+        # The primary's trace never leaks the duplicate's spans.
+        assert "coalesced" not in {s.name for s in queue.trace(trace_a)}
 
     def test_duplicate_export_is_byte_stable_and_valid(self, sequential_ids):
-        store, trace_a, trace_b = self.drive(FakeClock())
+        queue, trace_a, trace_b = self.drive(FakeClock())
         for trace_id in (trace_a, trace_b):
-            payload = distributed_chrome_trace(trace_id, store.closure(trace_id))
+            payload = distributed_chrome_trace(trace_id, queue.trace(trace_id))
             assert validate_chrome_trace(payload) == []
             assert dump_chrome_trace(payload) == dump_chrome_trace(
-                distributed_chrome_trace(trace_id, store.closure(trace_id))
+                distributed_chrome_trace(trace_id, queue.trace(trace_id))
             )
         # The foreign execution subtree lands on a prefixed wall-clock track.
-        payload = distributed_chrome_trace(trace_b, store.closure(trace_b))
+        payload = distributed_chrome_trace(trace_b, queue.trace(trace_b))
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
         assert {"coalesced", "execute", "run", "k1"} <= names
+
+
+class TestDerivedTrace:
+    def test_closure_follows_links_one_hop(self, sequential_ids):
+        """Two duplicates on one trace pull the primary's execution subtree
+        in once, and never the primary's own request or queue wait."""
+        clock = FakeClock()
+        queue = JobQueue(ServiceMetrics(), clock=clock)
+        primary_ctx, dup_ctx = TraceContext.mint(), TraceContext.mint()
+
+        async def _drive() -> None:
+            queue.submit(sim(), trace=primary_ctx)
+            queue.submit(sim(), trace=dup_ctx)
+            queue.submit(sim(), trace=dup_ctx)
+            (primary,) = queue.pop_ready(1)
+            queue.mark_running(primary.key)
+            clock.tick(1.0)
+            queue.finish(primary.key, result=None, spans=ENGINE_PAYLOADS)
+
+        asyncio.run(_drive())
+        spans = queue.trace(dup_ctx.trace_id)
+        own = sorted(s.name for s in spans if s.trace_id == dup_ctx.trace_id)
+        assert own == ["coalesced", "coalesced", "request", "request"]
+        linked = sorted(s.name for s in spans if s.trace_id == primary_ctx.trace_id)
+        assert linked == ["execute", "k1", "run", "x1"]
+        assert queue.trace("f" * 32) == []
+
+    def test_engine_spans_reparent_under_run(self, sequential_ids):
+        queue, trace_id = drive_full_chain(FakeClock())
+        spans = queue.trace(trace_id)
+        run = by_name(spans)["run"]
+        engine = [s for s in spans if s.kind == "engine"]
+        assert [s.span_id for s in engine] == [
+            derived_span_id(run.span_id, 0),
+            derived_span_id(run.span_id, 1),
+        ]
+        assert all(s.parent_id == run.span_id for s in engine)
+        assert (engine[0].start, engine[0].end) == (run.start, run.start + 2.0)
+        assert engine[0].attrs == {
+            "gpu": 0, "sim_start": 0.0, "sim_end": 2.0, "category": "kernel",
+        }
+        assert engine[1].track == "egress0"
+
+    def test_span_ids_are_deterministic(self, sequential_ids):
+        queue, trace_id = drive_full_chain(FakeClock())
+        first = [s.to_dict() for s in queue.trace(trace_id)]
+        assert first == [s.to_dict() for s in queue.trace(trace_id)]
+        (job,) = queue.jobs()
+        request = by_name(queue.trace(trace_id))["request"]
+        # A pure function of (trace id, job id, role, attempt).
+        assert request.span_id == derived_span_id(f"{trace_id}/{job.id}/request", 0)
+        assert by_name(queue.trace(trace_id))["run"].span_id == job.span_id("run", 1)
+
+    def test_failed_attempt_and_retry_get_their_own_runs(self, sequential_ids):
+        clock = FakeClock()
+        queue = JobQueue(ServiceMetrics(), clock=clock)
+        context = TraceContext.mint()
+
+        async def _drive():
+            job = queue.submit(sim(), trace=context)
+            clock.tick(0.5)
+            (primary,) = queue.pop_ready(1)
+            queue.mark_running(primary.key, {"batch_seq": 1, "batch_size": 1})
+            clock.tick(1.0)
+            assert queue.record_attempt(primary.key) == 1
+            queue.requeue(primary.key)
+            clock.tick(0.25)
+            queue.pop_ready(1)
+            queue.mark_running(primary.key, {"batch_seq": 2, "batch_size": 1})
+            clock.tick(2.0)
+            queue.finish(primary.key, result=None, spans=ENGINE_PAYLOADS)
+            return job
+
+        job = asyncio.run(_drive())
+        spans = queue.trace(context.trace_id)
+        runs = sorted((s for s in spans if s.name == "run"), key=lambda s: s.start)
+        assert [r.attrs for r in runs] == [
+            {"attempt": 1, "batch_seq": 1, "batch_size": 1, "failed": True},
+            {"attempt": 2, "batch_seq": 2, "batch_size": 1},
+        ]
+        assert [(r.start, r.end) for r in runs] == [(1000.5, 1001.5), (1001.75, 1003.75)]
+        assert runs[0].span_id != runs[1].span_id
+        engine = [s for s in spans if s.kind == "engine"]
+        assert {s.parent_id for s in engine} == {runs[1].span_id}
+        execute = by_name(spans)["execute"]
+        assert (execute.start, execute.end) == (1000.5, 1003.75)
+        status = job.as_dict()
+        assert status["attempts"] == 1
+        assert (status["wait_s"], status["run_s"]) == (0.5, 3.25)
+
+    def test_engine_payloads_are_kept_for_bounded_groups(self, sequential_ids):
+        queue = JobQueue(ServiceMetrics(), clock=FakeClock())
+        contexts = [TraceContext.mint() for _ in range(ENGINE_TRACE_GROUPS + 1)]
+
+        async def _drive():
+            for index, context in enumerate(contexts):
+                job = queue.submit(sim(scale=0.1 + index / 1000), trace=context)
+                queue.pop_ready(1)
+                queue.mark_running(job.key)
+                queue.finish(job.key, result=None, spans=ENGINE_PAYLOADS)
+
+        asyncio.run(_drive())
+        assert ENGINE_TRACE_GROUPS == 256
+        with_engine = [
+            any(s.kind == "engine" for s in queue.trace(c.trace_id)) for c in contexts
+        ]
+        assert with_engine == [False] + [True] * ENGINE_TRACE_GROUPS
+        # The oldest trace is still served, only without engine spans.
+        oldest = sorted(s.name for s in queue.trace(contexts[0].trace_id))
+        assert oldest == ["execute", "queue.wait", "request", "run"]
+
+
+class TestInFlightTrace:
+    def test_trace_survives_many_later_submissions(self, monkeypatch):
+        """A job queued while 257 cache hits arrive on other traces keeps
+        its whole trace: nothing evicts part of it while it is in flight."""
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
+        clear_run_cache()
+        run_simulation("jacobi", "gps", 2, scale=0.1, iterations=2)  # seed the memo
+        context = TraceContext.mint()
+
+        async def _drive():
+            service = SimulationService(ServiceSettings(port=0))
+            await service.start()
+            try:
+                job = service.queue.submit(sim(), trace=context)
+                for _ in range(257):
+                    hit = service.queue.submit(sim(scale=0.1), trace=TraceContext.mint())
+                    assert hit.cache_hit
+                await asyncio.wait_for(job.future, 60)
+                client = ServiceClient(f"http://{service.host}:{service.port}")
+                trace = await asyncio.to_thread(client.trace, context.trace_id)
+                perfetto = await asyncio.to_thread(client.trace, context.trace_id, True)
+            finally:
+                await service.shutdown(drain=False)
+            return trace, perfetto
+
+        try:
+            trace, perfetto = asyncio.run(_drive())
+        finally:
+            clear_run_cache()
+        names = {span["name"] for span in trace["spans"]}
+        assert {"request", "queue.wait", "execute", "run"} <= names
+        assert any(span["kind"] == "engine" for span in trace["spans"])
+        roots = [e for e in perfetto["traceEvents"] if e["name"] == "client.submit"]
+        assert [root["args"]["span_id"] for root in roots] == [context.span_id]
 
 
 class TestLiveTracePropagation:
@@ -213,8 +367,8 @@ def regenerate_golden() -> None:  # pragma: no cover - maintenance helper
     clear_run_cache()
     set_id_generator(SequentialIds())
     try:
-        store, trace_id = drive_full_chain(FakeClock())
-        payload = distributed_chrome_trace(trace_id, store.closure(trace_id))
+        queue, trace_id = drive_full_chain(FakeClock())
+        payload = distributed_chrome_trace(trace_id, queue.trace(trace_id))
         GOLDEN.write_text(dump_chrome_trace(payload))
         print(f"wrote {GOLDEN}")
     finally:
