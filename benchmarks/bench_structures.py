@@ -2,8 +2,9 @@
 """Per-structure microbenchmarks for the GPS hardware models.
 
 Isolates each structure on the replay hot path — remote write queue,
-GPS-TLB, SM coalescer, GPS page table, subscription manager, the runtime's
-page bookkeeping, and the warm-L2 hit-rate kernel — and reports
+GPS-TLB, SM coalescer, the page-set helper (``LineStream.pages``), GPS
+page table, subscription manager, the runtime's page bookkeeping, and the
+warm-L2 hit-rate kernel — and reports
 ns/operation plus the structure's own rate metrics (queue hit rate, TLB hit
 rate, coalescer merge rate, L2 hit rate).
 Structures with both a scalar and a batched kernel report the speedup; the
@@ -136,6 +137,25 @@ def bench_sm_coalescer() -> list[dict]:
         "sm_coalescer", "coalesce",
         elapsed / reps / N_EVENTS * 1e9, None,
         merge_rate=round(stats.merge_rate, 4),
+    )]
+
+
+def bench_line_stream_pages() -> list[dict]:
+    from repro.config import PAGE_64K
+    from repro.trace.expand import LineStream
+
+    # A scattered access: random lines over 64 pages of 64 KiB.
+    lines = _rng().integers(0, 64 * PAGE_64K // 128, size=N_EVENTS).astype(np.int64)
+    stream = LineStream(lines, np.full(N_EVENTS, 32, dtype=np.int32))
+
+    def one_pass():
+        stream.pages(PAGE_64K)
+
+    reps, elapsed = measure(one_pass)
+    return [_row(
+        "line_stream", "pages",
+        elapsed / reps / N_EVENTS * 1e9, None,
+        pages=int(stream.pages(PAGE_64K).shape[0]),
     )]
 
 
@@ -292,8 +312,8 @@ def main(argv=None) -> int:
 
     results = []
     for bench in (bench_write_queue, bench_gps_tlb, bench_sm_coalescer,
-                  bench_gps_page_table, bench_subscription, bench_runtime_pages,
-                  bench_l2_warm):
+                  bench_line_stream_pages, bench_gps_page_table, bench_subscription,
+                  bench_runtime_pages, bench_l2_warm):
         results.extend(bench())
     for row in results:
         speed = f"  {row['speedup']:>7.1f}x vs scalar" if "speedup" in row else ""

@@ -111,6 +111,10 @@ class GPSConfig:
             raise ConfigError("GPS-TLB entries must divide evenly into its associativity")
         if not is_power_of_two(self.page_size):
             raise ConfigError(f"page size must be a power of two, got {self.page_size}")
+        if self.page_size < CACHE_BLOCK:
+            raise ConfigError(
+                f"page size {self.page_size} is smaller than the {CACHE_BLOCK} B cache line"
+            )
 
     @property
     def effective_watermark(self) -> int:

@@ -56,9 +56,9 @@ def sm_coalesce(stream: LineStream, stats: Optional[CoalescerStats] = None) -> L
     boundaries[0] = True
     np.not_equal(lines[1:], lines[:-1], out=boundaries[1:])
     starts = np.flatnonzero(boundaries)
-    run_ids = np.cumsum(boundaries) - 1
-    summed = np.zeros(starts.shape[0], dtype=np.int64)
-    np.add.at(summed, run_ids, stream.bytes_per_txn)
+    # Runs are contiguous and ``starts`` rises strictly from 0, so one
+    # segment sum per run is exactly the per-run payload total.
+    summed = np.add.reduceat(stream.bytes_per_txn, starts, dtype=np.int64)
     if stats is not None:
         stats.txns_in += int(lines.shape[0])
         stats.txns_out += int(starts.shape[0])

@@ -20,7 +20,7 @@ import numpy as np
 from ..analysis.footprints import program_fingerprint
 from ..cache.cache import Cache, set_count
 from ..cache.warm_lru import warm_lru_hits
-from ..config import CACHE_BLOCK, SystemConfig
+from ..config import SystemConfig
 from ..core.gps_unit import WindowMemo
 from ..core.write_queue import scalar_replay_enabled
 from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
@@ -97,7 +97,6 @@ class ProgramAnalysis:
         self.program = program
         self.config = config
         self.page_size = config.page_size
-        self._lines_per_page = self.page_size // CACHE_BLOCK
         # Deterministic VA layout identical to AddressSpace's bump allocator,
         # in buffer declaration order. GPSRuntime allocating the same buffers
         # in the same order lands on the same addresses.
@@ -269,7 +268,7 @@ class ProgramAnalysis:
         store_page_sets = []
         for access in kernel.accesses:
             stream = self.stream(access)
-            pages = np.unique(stream.lines // self._lines_per_page)
+            pages = stream.pages(self.page_size)
             fp = AccessFootprint(
                 access=access,
                 buffer_base=self._bases[access.buffer],

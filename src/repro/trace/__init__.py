@@ -11,7 +11,7 @@ and temporal structure the descriptor specifies. Hardware-structure models
 
 from .records import AccessRange, MemOp, PatternKind, PatternSpec, Scope
 from .program import BufferSpec, KernelSpec, Phase, TraceProgram
-from .expand import LineStream, expand_range, expanded_bytes, touched_lines, touched_pages
+from .expand import LineStream, expand_range, touched_lines, touched_pages
 
 __all__ = [
     "AccessRange",
@@ -25,7 +25,6 @@ __all__ = [
     "TraceProgram",
     "LineStream",
     "expand_range",
-    "expanded_bytes",
     "touched_lines",
     "touched_pages",
 ]

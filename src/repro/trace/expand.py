@@ -51,9 +51,22 @@ class LineStream:
         return int(np.unique(self.lines).shape[0])
 
     def pages(self, page_size: int) -> np.ndarray:
-        """Distinct page numbers touched, sorted."""
-        lines_per_page = page_size // CACHE_BLOCK
-        return np.unique(self.lines // lines_per_page)
+        """Distinct page numbers touched, as a sorted int64 array.
+
+        Marks each touched page in an occupancy mask instead of sorting:
+        O(n + span) time, where span is the number of pages from the lowest
+        page touched to the highest, and one byte of memory per page in that
+        span. An access never overruns its buffer, so the span of one
+        access's stream is at most its buffer's page count.
+        """
+        if len(self) == 0:
+            return np.empty(0, dtype=np.int64)
+        page_ids = self.lines // (page_size // CACHE_BLOCK)
+        low = int(page_ids.min())
+        mask = np.zeros(int(page_ids.max()) - low + 1, dtype=bool)
+        page_ids -= low
+        mask[page_ids] = True
+        return np.flatnonzero(mask) + low
 
     @staticmethod
     def concat(streams: "list[LineStream]") -> "LineStream":
@@ -154,27 +167,6 @@ def expand_range(access: AccessRange, buffer_base: int, max_events: int = 2_000_
         )
     txn_bytes = np.full(lines.shape[0], access.pattern.bytes_per_txn, dtype=np.int32)
     return LineStream(lines, txn_bytes)
-
-
-def expanded_bytes(access: AccessRange) -> int:
-    """Exact payload bytes :func:`expand_range` will produce, without expanding."""
-    # Mirrors AccessRange.total_bytes but uses the expansion's own rounding.
-    pattern = access.pattern
-    count = max(1, -(-access.length // CACHE_BLOCK))
-    if pattern.kind is PatternKind.STRIDED:
-        count = len(range(0, count, pattern.stride))
-    if pattern.kind in (PatternKind.RANDOM, PatternKind.SEQUENTIAL, PatternKind.STRIDED):
-        n = max(1, int(count * pattern.touch_fraction)) if pattern.touch_fraction < 1.0 else count
-        return n * pattern.bytes_per_txn * access.repeat
-    # REUSE streams are longer than their fresh walk; compute per sweep.
-    total = 0
-    n_fresh = max(1, int(count * pattern.touch_fraction))
-    if pattern.revisit_prob > 0:
-        per_sweep = int(n_fresh / (1.0 - pattern.revisit_prob)) + 1
-    else:
-        per_sweep = n_fresh
-    total = per_sweep * pattern.bytes_per_txn * access.repeat
-    return total
 
 
 def touched_lines(access: AccessRange, buffer_base: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Unit tests for the intra-SM coalescer."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.gpu.sm_coalescer import sm_coalesce
+from repro.gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from repro.trace.expand import LineStream
 
 
@@ -41,3 +43,46 @@ class TestSMCoalesce:
         before = stream([1, 1, 2, 2, 3], payload=16)
         after = sm_coalesce(before)
         assert after.total_bytes == before.total_bytes
+
+
+def reference_coalesce(lines, payloads):
+    """Plain loop: merge adjacent equal lines, sum payloads, cap at 128."""
+    out_lines, out_bytes = [], []
+    for line, nbytes in zip(lines, payloads):
+        if out_lines and out_lines[-1] == line:
+            out_bytes[-1] += nbytes
+        else:
+            out_lines.append(line)
+            out_bytes.append(nbytes)
+    return out_lines, [min(total, 128) for total in out_bytes]
+
+
+@st.composite
+def run_streams(draw):
+    """Streams of runs: random lines, run lengths 1..300, payloads 1..128."""
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(1, 300)), max_size=40,
+    ))
+    lines = [line for line, length in runs for _ in range(length)]
+    payloads = draw(st.lists(
+        st.integers(1, 128), min_size=len(lines), max_size=len(lines),
+    ))
+    return lines, payloads
+
+
+class TestAgainstLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(run_streams())
+    @example(([], []))
+    def test_matches_reference(self, case):
+        lines, payloads = case
+        stats = CoalescerStats()
+        out = sm_coalesce(
+            LineStream(np.array(lines, dtype=np.int64), np.array(payloads, dtype=np.int32)),
+            stats,
+        )
+        ref_lines, ref_bytes = reference_coalesce(lines, payloads)
+        assert out.lines.tolist() == ref_lines
+        assert out.bytes_per_txn.tolist() == ref_bytes
+        assert out.bytes_per_txn.dtype == np.int32
+        assert (stats.txns_in, stats.txns_out) == (len(lines), len(ref_lines))

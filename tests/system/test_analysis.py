@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from repro.memory.address_space import AddressSpace
 from repro.paradigms import PARADIGMS
 from repro.system import analysis as analysis_module
@@ -13,6 +14,7 @@ from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_ana
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
 from repro.verify import canonical_payload, generate_program
+from tests.conftest import TINY
 
 PAGE = 65536
 
@@ -132,6 +134,37 @@ class TestStoreStreams:
         analysis = ProgramAnalysis(program, repro.default_system(1))
         _, _, atomic = analysis.store_streams(kernel)[0]
         assert atomic
+
+
+class TestFootprintFormula:
+    """Footprints equal the ``np.unique`` page-set and coalescer formulas."""
+
+    @pytest.mark.parametrize("workload", ["als", "hit"])
+    def test_page_sets_and_coalescer_stats(self, workload):
+        program = repro.get_workload(workload).build(4, scale=TINY, iterations=2)
+        analysis = ProgramAnalysis(program, repro.default_system(4))
+        lines_per_page = analysis.page_size // 128
+        for phase in program.phases:
+            for kernel in phase.kernels:
+                footprint = analysis.footprint(kernel)
+                read_sets, store_sets = [], []
+                for fp in footprint.reads + footprint.stores:
+                    lines = analysis.stream(fp.access).lines
+                    expected = np.unique(lines // lines_per_page)
+                    np.testing.assert_array_equal(fp.pages, expected)
+                    assert fp.pages.dtype == np.int64
+                    (store_sets if fp.access.op.is_store else read_sets).append(expected)
+                for got, sets in ((footprint.read_pages, read_sets),
+                                  (footprint.store_pages, store_sets)):
+                    expected = np.unique(np.concatenate(sets)) if sets else np.empty(0)
+                    np.testing.assert_array_equal(got, expected)
+                expected_stats = CoalescerStats()
+                for fp in footprint.stores:
+                    sm_coalesce(analysis.stream(fp.access), expected_stats)
+                stats = analysis.coalescer_stats(kernel)
+                assert (stats.txns_in, stats.txns_out) == (
+                    expected_stats.txns_in, expected_stats.txns_out
+                )
 
 
 class TestSharedCache:

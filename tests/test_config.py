@@ -111,6 +111,16 @@ class TestGPSConfig:
         with pytest.raises(ConfigError):
             GPSConfig(page_size=60000)
 
+    @pytest.mark.parametrize("page_size", [1, 64])
+    def test_page_smaller_than_line_rejected(self, page_size):
+        with pytest.raises(ConfigError, match="cache line"):
+            GPSConfig(page_size=page_size)
+        with pytest.raises(ConfigError, match="cache line"):
+            default_system(2).with_page_size(page_size)
+
+    def test_page_of_one_line_accepted(self):
+        assert GPSConfig(page_size=CACHE_BLOCK).page_size == CACHE_BLOCK
+
 
 class TestLinkConfig:
     def test_pcie6_matches_paper(self):

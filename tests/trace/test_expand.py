@@ -120,6 +120,33 @@ class TestLineStream:
         pages = stream.pages(65536)
         assert len(pages) == 2
 
+    @pytest.mark.parametrize("page_size", [4096, 65536, 2 * 1024 * 1024])
+    @pytest.mark.parametrize("repeat", [1, 3])
+    @pytest.mark.parametrize("touch_fraction", [1.0, 0.3])
+    @pytest.mark.parametrize(
+        "pattern_kw",
+        [
+            {"kind": PatternKind.SEQUENTIAL},
+            {"kind": PatternKind.STRIDED, "stride": 5},
+            {"kind": PatternKind.RANDOM, "seed": 3},
+            {"kind": PatternKind.REUSE, "revisit_prob": 0.3, "seed": 7},
+        ],
+        ids=lambda kw: kw["kind"].name,
+    )
+    def test_pages_match_unique(self, pattern_kw, touch_fraction, repeat, page_size):
+        spec = PatternSpec(touch_fraction=touch_fraction, **pattern_kw)
+        rng = AccessRange("b", 3 * 128, 128 * 1500, MemOp.WRITE, spec, repeat=repeat)
+        stream = expand_range(rng, BASE)
+        pages = stream.pages(page_size)
+        assert pages.dtype == np.int64
+        assert np.all(np.diff(pages) > 0)
+        np.testing.assert_array_equal(pages, np.unique(stream.lines // (page_size // 128)))
+
+    def test_pages_of_empty_stream(self):
+        pages = LineStream.concat([]).pages(65536)
+        assert pages.dtype == np.int64
+        assert pages.shape == (0,)
+
     def test_concat(self):
         a = expand_range(access(), BASE)
         combined = LineStream.concat([a, a])
