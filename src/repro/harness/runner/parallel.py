@@ -20,6 +20,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from ...analysis import check_program
+from ...obs.span import Span
 from ...system.executor import simulate
 from ...system.results import SimulationResult
 from ...workloads.registry import get_workload
@@ -42,11 +43,11 @@ def fleet_stats() -> FleetStats:
 
 def compute_job(
     job: SimJob, traced: bool = False
-) -> "tuple[SimulationResult, list[dict] | None]":
+) -> "tuple[SimulationResult, list[Span] | None]":
     """Run one job's simulation, bypassing every cache layer.
 
     Returns ``(result, spans)``. With ``traced`` on, ``spans`` is the run's
-    engine span list as ``Span.to_dict`` payloads (:meth:`Engine.spans`); it
+    engine span list (:meth:`Engine.spans`, pickled back from a worker); it
     travels **out-of-band** beside the result, never inside
     ``SimulationResult``, which must stay byte-identical across the
     direct/cache/store/pool/service paths. Untraced, ``spans`` is ``None``.
@@ -72,12 +73,12 @@ def compute_job(
 
     executor = make_executor(job.paradigm, program, config)
     result = executor.run()
-    return result, [span.to_dict() for span in executor.engine.spans()]
+    return result, executor.engine.spans()
 
 
 def _timed_compute(
     job: SimJob, traced: bool
-) -> "tuple[int, float, SimulationResult, list[dict] | None]":
+) -> "tuple[int, float, SimulationResult, list[Span] | None]":
     """Pool entry point: compute one job, returning (pid, wall_clock, result, spans)."""
     t0 = time.perf_counter()
     result, spans = compute_job(job, traced)

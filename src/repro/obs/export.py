@@ -3,8 +3,10 @@
 The trace format is the Chrome trace-event JSON object form (a dict with a
 ``traceEvents`` list of complete ``"X"`` events plus ``"M"`` metadata
 events), which https://ui.perfetto.dev and ``chrome://tracing`` both load
-directly. One simulator resource (``gpu0``, ``egress2``, ...) maps to one
-thread track; timestamps are simulated seconds scaled to microseconds.
+directly. :func:`chrome_trace` is the one writer for every span: one
+process per clock, one thread per track (a simulator resource such as
+``gpu0`` or ``egress2``, or a service lane); timestamps are seconds scaled
+to microseconds.
 
 :func:`validate_chrome_trace` is the schema check CI runs against every
 exported trace — it enforces the structural invariants the simulator
@@ -22,14 +24,17 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .span import Span
+from .span import CLOCK_SERVICE, CLOCK_SIM, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..config import SystemConfig
     from ..system.results import SimulationResult
 
-#: Simulated seconds -> trace microseconds.
+#: Span seconds -> trace microseconds.
 _US = 1e6
+
+#: One trace process per clock, in pid order, with its display name.
+_PROCESS = {CLOCK_SERVICE: "service (wall clock)", CLOCK_SIM: "engine (simulated time)"}
 
 #: Track ordering in the trace UI: compute first, then the port pairs.
 _TRACK_ORDER = {"gpu": 0, "egress": 1, "ingress": 2}
@@ -45,67 +50,85 @@ def _track_sort_key(track: str) -> tuple:
     return (_TRACK_ORDER.get(prefix, len(_TRACK_ORDER)), prefix, index)
 
 
-def chrome_trace(spans: Iterable[Span], manifest: "dict | None" = None) -> dict:
+def chrome_trace(spans: Iterable[Span], other_data: "dict | None" = None) -> dict:
     """Build a Chrome trace-event JSON object from a span list.
 
-    Every resource becomes one thread (tid) of process 0, named and ordered
-    via metadata events; every span becomes one complete ``"X"`` event with
-    its attributes under ``args``. ``manifest`` (see :func:`run_manifest`)
-    lands under ``otherData`` for provenance.
+    Every clock present becomes one process (``service`` before ``sim``),
+    every track one thread of its clock's process, named and ordered by
+    :func:`_track_sort_key` via metadata events. Every span becomes one
+    complete ``"X"`` event with its attributes under ``args``, plus its
+    ids and links when it belongs to a distributed trace. Timestamps are
+    rebased to the earliest span; an open span exports with zero duration.
+    ``other_data`` (e.g. :func:`run_manifest`) lands under ``otherData``.
     """
-    spans = sorted(spans, key=lambda s: (_track_sort_key(s.track), s.start, s.end))
-    tracks = []
-    for span in spans:
-        if span.track not in tracks:
-            tracks.append(span.track)
-    tids = {track: tid for tid, track in enumerate(tracks)}
+    spans = list(spans)
+    clocks = {span.clock for span in spans}
+    pids = {clock: pid for pid, clock in enumerate(c for c in _PROCESS if c in clocks)}
+    spans.sort(
+        key=lambda s: (
+            pids[s.clock],
+            _track_sort_key(s.track),
+            s.start,
+            s.start if s.end is None else s.end,
+        )
+    )
+    # Sorted spans meet their lanes in lane order: tids follow it.
+    lanes = dict.fromkeys((span.clock, span.track) for span in spans)
+    tids = {lane: tid for tid, lane in enumerate(lanes)}
     events: list[dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "repro simulator"},
-        }
+        {"ph": "M", "name": "process_name", "pid": pid, "tid": 0, "args": {"name": _PROCESS[clock]}}
+        for clock, pid in pids.items()
     ]
-    for track, tid in tids.items():
+    for (clock, track), tid in tids.items():
+        pid = pids[clock]
         events.append(
-            {"ph": "M", "name": "thread_name", "pid": 0, "tid": tid, "args": {"name": track}}
+            {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "args": {"name": track}}
         )
         events.append(
             {
                 "ph": "M",
                 "name": "thread_sort_index",
-                "pid": 0,
+                "pid": pid,
                 "tid": tid,
                 "args": {"sort_index": tid},
             }
         )
+    base = min((span.start for span in spans), default=0.0)
     for span in spans:
+        args = dict(span.attrs)
+        if span.trace_id is not None:
+            args.update(trace_id=span.trace_id, span_id=span.span_id, parent_id=span.parent_id)
+        if span.links:
+            args["links"] = [dict(link) for link in span.links]
         events.append(
             {
                 "ph": "X",
                 "name": span.name,
                 "cat": span.category,
-                "pid": 0,
-                "tid": tids[span.track],
-                "ts": span.start * _US,
-                "dur": span.duration * _US,
-                "args": dict(span.attrs),
+                "pid": pids[span.clock],
+                "tid": tids[span.clock, span.track],
+                "ts": (span.start - base) * _US,
+                "dur": (span.duration or 0.0) * _US,
+                "args": args,
             }
         )
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if manifest is not None:
-        payload["otherData"] = manifest
+    if other_data is not None:
+        payload["otherData"] = other_data
     return payload
 
 
+def dump_chrome_trace(payload: dict) -> str:
+    """Canonical serialisation of a trace payload (byte-stable)."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def write_chrome_trace(
-    path: "str | Path", spans: Iterable[Span], manifest: "dict | None" = None
+    path: "str | Path", spans: Iterable[Span], other_data: "dict | None" = None
 ) -> dict:
     """Serialise :func:`chrome_trace` to ``path``; returns the payload."""
-    payload = chrome_trace(spans, manifest)
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    payload = chrome_trace(spans, other_data)
+    Path(path).write_text(dump_chrome_trace(payload))
     return payload
 
 

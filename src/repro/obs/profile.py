@@ -1,7 +1,7 @@
 """Top-N self-time profiles over a span trace.
 
-Spans in this simulator do not nest (each is one exclusive resource
-occupancy), so self time equals duration; the interesting aggregation is
+Engine spans do not nest (each is one exclusive resource occupancy), so
+self time equals duration; the interesting aggregation is
 *by operation*: all instances of one kernel or one transfer stream, across
 GPUs, ports, and iterations, folded into one row. Instance suffixes
 (``@gpu3``, ``:eg0->1``) are stripped so the row key is the logical
@@ -46,13 +46,14 @@ def self_time_profile(spans: Iterable[Span], top: "int | None" = None) -> "list[
     """Aggregate spans by (normalised name, category), ranked by total time.
 
     ``top`` truncates the ranking; ties break deterministically by name.
+    An open span (``end`` is ``None``) counts with zero time.
     """
     totals: dict[tuple, list] = {}
     for span in spans:
         key = (normalise_span_name(span.name), span.category)
         row = totals.setdefault(key, [0, 0.0])
         row[0] += 1
-        row[1] += span.duration
+        row[1] += span.duration or 0.0
     grand_total = sum(row[1] for row in totals.values())
     ranked = sorted(totals.items(), key=lambda item: (-item[1][1], item[0]))
     if top is not None:

@@ -40,24 +40,18 @@ import heapq
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from ..errors import ServiceError
 from ..harness.runner import SimJob
 from ..harness.runner import memo
-from ..obs.distributed import (
-    KIND_ENGINE,
-    KIND_SERVER,
-    DistSpan,
-    TraceContext,
-    derived_span_id,
-    mint_trace_id,
-)
+from ..obs.distributed import TraceContext, derived_span_id, mint_trace_id
+from ..obs.span import CATEGORY_INTERNAL, CATEGORY_SERVER, CLOCK_SERVICE, Span
 from ..system.results import SimulationResult
 from .metrics import ServiceMetrics
 
-#: Finished groups whose engine span payloads stay in memory. An older
+#: Finished groups whose engine spans stay in memory. An older
 #: group's trace is still served, without its engine spans.
 ENGINE_TRACE_GROUPS = 256
 
@@ -96,8 +90,8 @@ class Job:
     Jobs sharing a fingerprint form a *group* led by its first submitter,
     the *primary*: they share the asyncio future, the simulation, and state
     transitions, but keep their own id, submission timestamp, and latency
-    accounting. The group's dispatch attempts, members and engine span
-    payloads live on the primary; a coalesced job points at it.
+    accounting. The group's dispatch attempts, members and engine spans
+    live on the primary; a coalesced job points at it.
     """
 
     id: str
@@ -116,7 +110,7 @@ class Job:
     future: "asyncio.Future | None" = None
     dispatches: "list[Attempt]" = field(default_factory=list, repr=False)  # primary only
     members: "list[Job]" = field(default_factory=list, repr=False)  # primary only
-    engine: "list[dict] | None" = field(default=None, repr=False)  # primary only
+    engine: "list[Span] | None" = field(default=None, repr=False)  # primary only
     seq: int = field(default=0, repr=False)  # dispatch-order stamp (primary only)
 
     @property
@@ -190,52 +184,71 @@ class Job:
         """This job's span id for one role: a pure function of the record."""
         return derived_span_id(f"{self.trace_id}/{self.id}/{role}", attempt)
 
-    def spans(self) -> "list[DistSpan]":
+    def _span(
+        self,
+        name: str,
+        parent_id: "str | None",
+        start: float,
+        end: "float | None",
+        attempt: int = 0,
+        *,
+        category: str = CATEGORY_INTERNAL,
+        track: str = "job",
+        attrs: "dict | None" = None,
+        links: tuple = (),
+    ) -> Span:
+        """One service-clock span of this job's trace; ``name`` is its role."""
+        return Span(
+            name=name,
+            category=category,
+            track=track,
+            start=start,
+            end=end,
+            attrs=attrs or {},
+            clock=CLOCK_SERVICE,
+            trace_id=self.trace_id,
+            span_id=self.span_id(name, attempt),
+            parent_id=parent_id,
+            links=links,
+        )
+
+    def spans(self) -> "list[Span]":
         """This job's own trace spans, derived from its record."""
         request_id = self.span_id("request")
         # Cache hits complete at submission and never record an outcome.
         done = self.finished_at is not None and not self.cache_hit
         outcome = {"outcome": self.state.value} if done else {}
         spans = [
-            DistSpan(
+            self._span(
                 "request",
-                self.trace_id,
-                request_id,
                 self.client_span_id,
                 self.submitted_at,
                 self.finished_at,
-                kind=KIND_SERVER,
+                category=CATEGORY_SERVER,
                 track="server",
                 attrs={"job_id": self.id, "fingerprint": self.key[:16], **outcome},
             )
         ]
         if self.cache_hit:
-            spans.append(
-                DistSpan("cache.hit", self.trace_id, self.span_id("cache.hit"), request_id,
-                         self.submitted_at, self.submitted_at)
-            )
+            spans.append(self._span("cache.hit", request_id, self.submitted_at, self.submitted_at))
         elif self.primary is not None:
             # The shared execution lives on the primary's trace; this
             # submitter's own trace records the wait with a link to it.
             link = {"trace_id": self.primary.trace_id, "span_id": self.primary.span_id("execute")}
             spans.append(
-                DistSpan(
+                self._span(
                     "coalesced",
-                    self.trace_id,
-                    self.span_id("coalesced"),
                     request_id,
                     self.submitted_at,
                     self.finished_at,
                     attrs={"primary_job_id": self.primary.id, **outcome},
-                    links=[link],
+                    links=(link,),
                 )
             )
         else:
             spans.append(
-                DistSpan(
+                self._span(
                     "queue.wait",
-                    self.trace_id,
-                    self.span_id("queue.wait"),
                     request_id,
                     self.submitted_at,
                     self.started_at,
@@ -245,12 +258,13 @@ class Job:
             spans += self.execution_spans()
         return spans
 
-    def execution_spans(self) -> "list[DistSpan]":
+    def execution_spans(self) -> "list[Span]":
         """A primary's execution subtree: ``execute``, its ``run``s, engine spans.
 
         The engine spans hang under the last attempt's ``run`` span with
-        ids ``derived_span_id(run_id, index)``, rebased so the simulated
-        clock starts at that ``run`` span's start.
+        ids ``derived_span_id(run_id, index)``, their simulated times
+        anchored at that ``run`` span's start (the originals stay in
+        ``sim_start``/``sim_end``).
         """
         if not self.dispatches:
             return []
@@ -258,10 +272,8 @@ class Job:
         last = self.dispatches[-1]
         group_size = sum(1 for job in self.members if job.submitted_at <= last.start)
         spans = [
-            DistSpan(
+            self._span(
                 "execute",
-                self.trace_id,
-                execute_id,
                 self.span_id("request"),
                 self.dispatches[0].start,
                 self.finished_at,
@@ -273,26 +285,21 @@ class Job:
             if attempt.failed:
                 attrs["failed"] = True
             spans.append(
-                DistSpan("run", self.trace_id, self.span_id("run", number), execute_id,
-                         attempt.start, attempt.end, track="attempt", attrs=attrs)
+                self._span("run", execute_id, attempt.start, attempt.end, number,
+                           track="attempt", attrs=attrs)
             )
         run_id = self.span_id("run", len(self.dispatches))
-        for index, payload in enumerate(self.engine or ()):
-            attrs = dict(payload.get("attrs", {}))
-            attrs["sim_start"] = payload["start"]
-            attrs["sim_end"] = payload["end"]
-            attrs["category"] = payload["category"]
+        for index, span in enumerate(self.engine or ()):
+            assert span.end is not None  # the engine derives closed spans only
             spans.append(
-                DistSpan(
-                    payload["name"],
-                    self.trace_id,
-                    derived_span_id(run_id, index),
-                    run_id,
-                    last.start + payload["start"],
-                    last.start + payload["end"],
-                    kind=KIND_ENGINE,
-                    track=payload["track"],
-                    attrs=attrs,
+                replace(
+                    span,
+                    start=last.start + span.start,
+                    end=last.start + span.end,
+                    attrs={**span.attrs, "sim_start": span.start, "sim_end": span.end},
+                    trace_id=self.trace_id,
+                    span_id=derived_span_id(run_id, index),
+                    parent_id=run_id,
                 )
             )
         return spans
@@ -314,7 +321,7 @@ class JobQueue:
         self._jobs: "dict[str, Job]" = {}  # every job ever submitted, by id
         self._traces: "dict[str, list[Job]]" = {}  # trace id -> its jobs
         self._groups: "dict[str, Job]" = {}  # fingerprint -> active group's primary
-        self._engine_kept: "deque[Job]" = deque()  # primaries holding engine payloads
+        self._engine_kept: "deque[Job]" = deque()  # primaries holding engine spans
         self._heap: "list[tuple[int, int, str]]" = []  # (-priority, seq, key)
         self._queued: "set[str]" = set()  # keys currently in the heap
         self._running: "set[str]" = set()  # keys dispatched to the runner
@@ -350,7 +357,7 @@ class JobQueue:
         """Every job ever submitted, in submission order."""
         return list(self._jobs.values())
 
-    def trace(self, trace_id: str) -> "list[DistSpan]":
+    def trace(self, trace_id: str) -> "list[Span]":
         """One trace's spans, derived from its jobs' records on demand.
 
         This is what ``GET /traces/{id}`` returns: every job submitted on
@@ -517,13 +524,13 @@ class JobQueue:
         key: str,
         result: "SimulationResult | None" = None,
         error: "Exception | None" = None,
-        spans: "list[dict] | None" = None,
+        spans: "list[Span] | None" = None,
     ) -> None:
         """Resolve a group: every job in it completes (or fails) together.
 
         ``spans`` is the successful run's engine span list (the worker's
-        ``Span.to_dict`` payloads; ``None`` when the result came from a
-        cache). The primary keeps it as-is for :meth:`trace`, for the
+        :meth:`Engine.spans`; ``None`` when the result came from a cache).
+        The primary keeps it as-is for :meth:`trace`, for the
         :data:`ENGINE_TRACE_GROUPS` most recently finished groups.
         """
         self._running.discard(key)

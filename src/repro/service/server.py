@@ -40,13 +40,15 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from urllib.parse import parse_qs
 
 from ..config import LINKS_BY_NAME
 from ..harness.runner import SimJob
 from ..harness.runner.parallel import env_int
-from ..obs.distributed import distributed_chrome_trace, parse_traceparent
+from ..obs.distributed import parse_traceparent
+from ..obs.export import chrome_trace
+from ..obs.span import CATEGORY_CLIENT, CLOCK_SERVICE, CLOCK_SIM, Span
 from ..paradigms.registry import PARADIGMS
 from ..workloads.registry import (
     EXTRA_WORKLOADS,
@@ -350,11 +352,9 @@ class SimulationService:
         if not spans:
             return 404, {"error": f"unknown trace id {trace_id!r}"}
         if _qlast(query, "format") == "perfetto":
-            return 200, distributed_chrome_trace(trace_id, spans)
-        return 200, {
-            "trace_id": trace_id,
-            "spans": [span.to_dict() for span in sorted(spans, key=lambda s: (s.start, s.span_id))],
-        }
+            return 200, perfetto_trace(trace_id, spans)
+        spans.sort(key=lambda s: (s.start, s.span_id))
+        return 200, {"trace_id": trace_id, "spans": [_trace_row(span) for span in spans]}
 
     def _job_status(self, job_id: str) -> "tuple[int, dict]":
         job = self.queue.get(job_id)
@@ -387,6 +387,66 @@ class SimulationService:
         drain = bool(payload.get("drain", True)) if isinstance(payload, dict) else True
         asyncio.get_running_loop().create_task(self.shutdown(drain=drain))
         return 202, {"status": "draining" if drain else "stopping"}
+
+
+def _trace_row(span: Span) -> dict:
+    """One ``GET /traces/{id}`` row.
+
+    The row keys are a wire format: ``kind`` is the span's category, or
+    ``engine`` for a sim-clock span, whose category moves into ``attrs``.
+    """
+    engine = span.clock == CLOCK_SIM
+    return {
+        "name": span.name,
+        "trace_id": span.trace_id,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "start": span.start,
+        "end": span.end,
+        "kind": "engine" if engine else span.category,
+        "track": span.track,
+        "attrs": {**span.attrs, "category": span.category} if engine else dict(span.attrs),
+        "links": [dict(link) for link in span.links],
+    }
+
+
+def perfetto_trace(trace_id: str, spans: "list[Span]") -> dict:
+    """Chrome-trace JSON of one trace closure (``?format=perfetto``).
+
+    Two service steps run before :func:`repro.obs.chrome_trace`:
+
+    * every parent id no span owns gets a synthesised ``client.submit``
+      root covering its children — the client's root span lives
+      client-side, and the server only ever sees its id in
+      ``traceparent``;
+    * service spans of another trace (a coalesced job's linked execution)
+      move to lanes prefixed with that trace id, apart from this trace's.
+    """
+    known = {span.span_id for span in spans}
+    orphans: "dict[tuple[str | None, str], list[Span]]" = {}
+    for span in spans:
+        if span.parent_id is not None and span.parent_id not in known:
+            orphans.setdefault((span.trace_id, span.parent_id), []).append(span)
+    spans = spans + [
+        Span(
+            "client.submit",
+            CATEGORY_CLIENT,
+            "client",
+            min(child.start for child in children),
+            max((child.end for child in children if child.end is not None), default=None),
+            {"synthesized": True},
+            clock=CLOCK_SERVICE,
+            trace_id=root_trace,
+            span_id=parent_id,
+        )
+        for (root_trace, parent_id), children in sorted(orphans.items())
+    ]
+    spans = [
+        span if span.clock == CLOCK_SIM or span.trace_id == trace_id
+        else replace(span, track=f"{span.trace_id:.8}/{span.track}")
+        for span in spans
+    ]
+    return chrome_trace(spans, {"trace_id": trace_id})
 
 
 class _BadRequest(ValueError):

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event task-graph scheduler."""
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -200,9 +201,11 @@ class TestSpans:
         assert engine.spans() == []
 
     def test_span_round_trip(self):
+        # Traced pool workers ship their engine's spans back by pickle.
         span = Span("k", "kernel", "gpu0", 0.5, 1.5, {"bytes": 128})
-        assert Span.from_dict(span.to_dict()) == span
+        assert pickle.loads(pickle.dumps(span)) == span
         assert span.duration == 1.0
+        assert span.clock == "sim" and span.trace_id is None
 
     def test_matches_recorded_span_list(self):
         # The golden is the span list the engine recorded when it still kept
