@@ -112,9 +112,7 @@ def run_load() -> "tuple[list[dict], dict]":
         port=0,
         queue_depth=64,
         batch_size=4,
-        max_wait_s=0.05,  # wide enough that burst pairs land in one window
         max_retries=1,
-        retry_backoff_s=0.01,
         max_workers=1,
     )
     live = _LiveService(settings)

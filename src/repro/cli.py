@@ -228,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the simulation service (JSON over HTTP)",
         description=(
             "Host the asyncio simulation service: a bounded priority job "
-            "queue with request coalescing, batched onto the harness "
+            "queue with request coalescing. The scheduler dispatches queued "
+            "jobs at once, up to --batch-size per call to the harness "
             "runner's process pool. Defaults come from REPRO_SERVICE_* "
             "environment variables; flags override. See docs/SERVICE.md."
         ),
@@ -237,9 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, help="bind port (default 8787; 0 = ephemeral)")
     serve.add_argument("--queue-depth", type=int, help="max queued simulations before 429s")
     serve.add_argument("--batch-size", type=int, help="max simulations per scheduler batch")
-    serve.add_argument(
-        "--max-wait-ms", type=float, help="batch age window in milliseconds"
-    )
     serve.add_argument("--max-retries", type=int, help="retry budget per job")
     serve.add_argument(
         "--workers", type=int, help="simulation worker processes per batch"
@@ -537,7 +535,8 @@ def _cmd_export_trace(args) -> int:
 
 
 def _cmd_run_trace(args) -> int:
-    from .analysis import Severity, analyze_program
+    from .analysis import check_program
+    from .errors import AnalysisError
     from .trace.io import load_program
 
     try:
@@ -547,12 +546,19 @@ def _cmd_run_trace(args) -> int:
         return 2
     config = default_system(program.num_gpus, LINKS_BY_NAME[args.link])
     if not args.no_analyze:
-        diagnostics = analyze_program(program, page_size=config.page_size)
+        # The runner's gate: only errors that make this paradigm unsafe block.
+        blocked = False
+        try:
+            diagnostics = check_program(
+                program, page_size=config.page_size, paradigm=args.paradigm
+            )
+        except AnalysisError as exc:
+            diagnostics, blocked = exc.diagnostics, True
         for diagnostic in diagnostics:
             print(diagnostic)
-        if any(d.severity is Severity.ERROR for d in diagnostics):
-            print(f"{program.name}: refusing to simulate a trace with errors "
-                  "(rerun with --no-analyze to override)")
+        if blocked:
+            print(f"{program.name}: refusing to simulate a trace with errors under "
+                  f"{args.paradigm} (rerun with --no-analyze to override)")
             return 2
     result = simulate(program, args.paradigm, config)
     print(f"program       : {program.name} ({program.num_gpus} GPUs)")
@@ -639,14 +645,12 @@ def _cmd_lint(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import ServiceSettings, serve
 
-    max_wait_s = args.max_wait_ms / 1000.0 if args.max_wait_ms is not None else None
     try:
         settings = ServiceSettings.from_env(
             host=args.host,
             port=args.port,
             queue_depth=args.queue_depth,
             batch_size=args.batch_size,
-            max_wait_s=max_wait_s,
             max_retries=args.max_retries,
             max_workers=args.workers,
         )

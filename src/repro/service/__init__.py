@@ -9,9 +9,9 @@ the full reference):
 * :class:`JobQueue` (``queue.py``) — bounded priority queue with
   backpressure and request coalescing on config fingerprints;
   priority-then-FIFO dispatch;
-* :class:`BatchScheduler` (``scheduler.py``) — drains the queue on a
-  size/age window into :func:`repro.harness.runner.run_many_settled`
-  batches, with bounded per-job retry and graceful drain;
+* :class:`BatchScheduler` (``scheduler.py``) — drains the queue, without
+  waiting, into :func:`repro.harness.runner.run_many_settled` batches of
+  at most ``batch_size``, with bounded per-job retry and graceful drain;
 * :class:`SimulationService` (``server.py``) + :class:`ServiceClient`
   (``client.py``) — the asyncio HTTP frontend over one queue and one
   scheduler, and its blocking consumer;

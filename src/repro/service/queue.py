@@ -30,7 +30,9 @@ derives the distributed trace spans from those records on demand — a
 root), a ``queue.wait`` span until dispatch, one shared ``execute`` span per
 group on the *primary* submitter's trace (coalesced submitters get a
 ``coalesced`` span *linking* to it), and a ``run`` span per dispatch attempt
-under which the worker's engine spans are re-parented.
+under which the worker's engine spans are re-parented. Only the
+:data:`JOB_RECORDS` most recently finished jobs keep their records, so
+memory stays bounded however long the service runs.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ from .metrics import ServiceMetrics
 #: Finished groups whose engine spans stay in memory. An older
 #: group's trace is still served, without its engine spans.
 ENGINE_TRACE_GROUPS = 256
+
+#: Finished jobs whose records stay in memory. An older job's id and
+#: trace are forgotten; queued and running jobs are always kept.
+JOB_RECORDS = 4096
 
 
 class QueueFull(ServiceError):
@@ -318,8 +324,9 @@ class JobQueue:
         self.metrics = metrics
         self.max_depth = max_depth
         self._clock = clock
-        self._jobs: "dict[str, Job]" = {}  # every job ever submitted, by id
-        self._traces: "dict[str, list[Job]]" = {}  # trace id -> its jobs
+        self._jobs: "dict[str, Job]" = {}  # every retained job, by id
+        self._traces: "dict[str, list[Job]]" = {}  # trace id -> its retained jobs
+        self._finished: "deque[Job]" = deque()  # retained finished jobs, oldest first
         self._groups: "dict[str, Job]" = {}  # fingerprint -> active group's primary
         self._engine_kept: "deque[Job]" = deque()  # primaries holding engine spans
         self._heap: "list[tuple[int, int, str]]" = []  # (-priority, seq, key)
@@ -354,17 +361,18 @@ class JobQueue:
         return self._jobs.get(job_id)
 
     def jobs(self) -> "list[Job]":
-        """Every job ever submitted, in submission order."""
+        """Every retained job, in submission order."""
         return list(self._jobs.values())
 
     def trace(self, trace_id: str) -> "list[Span]":
         """One trace's spans, derived from its jobs' records on demand.
 
-        This is what ``GET /traces/{id}`` returns: every job submitted on
-        the trace, plus — one hop along a coalesced job's link — the shared
-        execution subtree on its primary's trace, so every client sees
-        client submit → ... → engine spans under one download. Empty when
-        the trace id is unknown.
+        This is what ``GET /traces/{id}`` returns: every retained job
+        submitted on the trace, plus — one hop along a coalesced job's
+        link — the shared execution subtree on its primary's trace, so
+        every client sees client submit → ... → engine spans under one
+        download. Empty when the trace id is unknown or its jobs were
+        forgotten.
         """
         jobs = self._traces.get(trace_id, [])
         spans = [span for job in jobs for span in job.spans()]
@@ -433,6 +441,7 @@ class JobQueue:
             job.cache_hit = True
             job.finished_at = job.submitted_at
             self._record(job)
+            self._retire(job)
             self.metrics.job_cache_hit()
             self.metrics.job_completed(0.0, 0.0)
             return job
@@ -456,6 +465,17 @@ class JobQueue:
     def _record(self, job: Job) -> None:
         self._jobs[job.id] = job
         self._traces.setdefault(job.trace_id, []).append(job)
+
+    def _retire(self, job: Job) -> None:
+        """Keep a finished job's record; forget the oldest past :data:`JOB_RECORDS`."""
+        self._finished.append(job)
+        while len(self._finished) > JOB_RECORDS:
+            old = self._finished.popleft()
+            del self._jobs[old.id]
+            trace = self._traces[old.trace_id]
+            trace.remove(old)
+            if not trace:
+                del self._traces[old.trace_id]
 
     def _push(self, primary: Job) -> None:
         heapq.heappush(self._heap, (-primary.priority, primary.seq, primary.key))
@@ -547,6 +567,7 @@ class JobQueue:
             self.metrics.spans_attached(len(spans))
         for job in primary.members:
             job.finished_at = now
+            self._retire(job)
             if error is None:
                 job.state = JobState.DONE
                 self.metrics.job_completed(job.wait_s or 0.0, job.run_s or 0.0)

@@ -3,20 +3,21 @@
 The scheduler is one long-lived coroutine that repeatedly:
 
 1. waits for the queue to become non-empty;
-2. holds the batch open over a **size/age window** — dispatch fires as soon
-   as ``batch_size`` distinct simulations are queued, or ``max_wait_s``
-   after the window opened, whichever comes first (small batches trade a
-   bounded latency hit for process-pool fan-out and in-batch dedup);
-3. packs the drained jobs into one
-   :func:`repro.harness.runner.run_many_settled` call, pushed off the event
-   loop with ``asyncio.to_thread`` so the loop keeps serving HTTP while
-   simulations run; batches always run ``traced=True``, so each run's
+2. pops up to ``batch_size`` groups, highest priority first, and packs them
+   into one :func:`repro.harness.runner.run_many_settled` call, pushed off
+   the event loop with ``asyncio.to_thread`` so the loop keeps serving HTTP
+   while simulations run; batches always run ``traced=True``, so each run's
    engine spans come back beside its outcome;
-4. settles each job individually: successes resolve their group's future,
-   failures retry with linear backoff up to ``max_retries`` additional
-   attempts, then fail the future. A success hands its engine spans to
-   :meth:`JobQueue.finish` with the result, so by the time a client sees
-   ``state: done``, the job's trace is complete.
+3. settles each group individually: successes resolve their group's future,
+   failures go straight back to the queue at their original position, up to
+   ``max_retries`` additional attempts, then fail the future. A success
+   hands its engine spans to :meth:`JobQueue.finish` with the result, so by
+   the time a client sees ``state: done``, the job's trace is complete.
+
+The loop never sleeps. A lone job dispatches at once; work that arrives
+while a batch runs queues up and leaves together as the next batch, and
+duplicates coalesce in the queue either way. Simulations are
+deterministic, so a retry gains nothing by waiting.
 
 Shutdown is graceful by default: :meth:`BatchScheduler.stop` with
 ``drain=True`` waits until every queued and running group has settled
@@ -46,9 +47,7 @@ class BatchScheduler:
         metrics: ServiceMetrics,
         *,
         batch_size: int = 8,
-        max_wait_s: float = 0.05,
         max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
         max_workers: "int | None" = None,
         runner=run_many_settled,
     ) -> None:
@@ -57,9 +56,7 @@ class BatchScheduler:
         self.queue = queue
         self.metrics = metrics
         self.batch_size = batch_size
-        self.max_wait_s = max_wait_s
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.max_workers = max_workers
         self._runner = runner
         self._batch_seq = itertools.count(1)
@@ -100,20 +97,9 @@ class BatchScheduler:
     async def _run(self) -> None:
         while True:
             await self.queue.wait_nonempty()
-            await self._hold_window()
             batch = self.queue.pop_ready(self.batch_size)
             if batch:
                 await self._execute(batch)
-
-    async def _hold_window(self) -> None:
-        """Sleep until the batch is full or the age window expires."""
-        if self.max_wait_s <= 0:
-            return
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_wait_s
-        tick = max(self.max_wait_s / 10.0, 0.001)
-        while self.queue.depth < self.batch_size and loop.time() < deadline:
-            await asyncio.sleep(tick)
 
     async def _execute(self, batch: "list[Job]") -> None:
         batch_seq = next(self._batch_seq)
@@ -122,20 +108,10 @@ class BatchScheduler:
         self.metrics.batch_started(len(batch))
         sims = [job.sim for job in batch]
         slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
-        retry: "list[Job]" = []
         for job, (outcome, spans) in zip(batch, slots):
-            if isinstance(outcome, Exception):
-                attempts = self.queue.record_attempt(job.key)
-                if attempts <= self.max_retries:
-                    retry.append(job)
-                else:
-                    self.queue.finish(job.key, error=outcome)
-            else:
+            if not isinstance(outcome, Exception):
                 self.queue.finish(job.key, result=outcome, spans=spans)
-        if retry:
-            # Linear backoff on the worst offender; one sleep covers the
-            # whole batch so retries of a crashed pool don't thundering-herd.
-            worst = max(job.attempts for job in retry)
-            await asyncio.sleep(self.retry_backoff_s * worst)
-            for job in retry:
+            elif self.queue.record_attempt(job.key) <= self.max_retries:
                 self.queue.requeue(job.key)
+            else:
+                self.queue.finish(job.key, error=outcome)

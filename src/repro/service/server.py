@@ -81,25 +81,20 @@ def _qlast(query: "dict[str, list[str]]", name: str) -> "str | None":
     return values[-1] if values else None
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class ServiceSettings:
-    """Tunable knobs of one service instance (see ``docs/SERVICE.md``)."""
+    """Tunable knobs of one service instance (see ``docs/SERVICE.md``).
+
+    ``batch_size`` caps the groups in one runner call; it never holds a
+    dispatch back. ``max_retries`` is the extra attempts a failed group
+    gets; each retry is queued at once, at the group's original position.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8787
     queue_depth: int = 256
     batch_size: int = 8
-    max_wait_s: float = 0.05
     max_retries: int = 2
-    retry_backoff_s: float = 0.05
     max_workers: "int | None" = None
 
     @classmethod
@@ -115,13 +110,7 @@ class ServiceSettings:
             "port": env_int("REPRO_SERVICE_PORT", cls.port),
             "queue_depth": env_int("REPRO_SERVICE_QUEUE_DEPTH", cls.queue_depth),
             "batch_size": env_int("REPRO_SERVICE_BATCH_SIZE", cls.batch_size),
-            "max_wait_s": _env_float("REPRO_SERVICE_MAX_WAIT_MS", cls.max_wait_s * 1000.0)
-            / 1000.0,
             "max_retries": env_int("REPRO_SERVICE_MAX_RETRIES", cls.max_retries),
-            "retry_backoff_s": _env_float(
-                "REPRO_SERVICE_RETRY_BACKOFF_MS", cls.retry_backoff_s * 1000.0
-            )
-            / 1000.0,
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -185,9 +174,7 @@ class SimulationService:
             self.queue,
             self.metrics,
             batch_size=self.settings.batch_size,
-            max_wait_s=self.settings.max_wait_s,
             max_retries=self.settings.max_retries,
-            retry_backoff_s=self.settings.retry_backoff_s,
             max_workers=self.settings.max_workers,
         )
         self._server: "asyncio.Server | None" = None

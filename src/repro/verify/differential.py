@@ -140,8 +140,7 @@ class ServiceHandle:
         from ..service import ServiceSettings, SimulationService
 
         settings = ServiceSettings(
-            host="127.0.0.1", port=0, batch_size=8, max_wait_s=0.02,
-            max_retries=1, retry_backoff_s=0.01, max_workers=1,
+            host="127.0.0.1", port=0, batch_size=8, max_retries=1, max_workers=1,
         )
         self.service: "SimulationService | None" = None
         self._started = threading.Event()

@@ -66,9 +66,7 @@ def fast_settings(monkeypatch) -> ServiceSettings:
         port=0,
         queue_depth=32,
         batch_size=4,
-        max_wait_s=0.02,
         max_retries=1,
-        retry_backoff_s=0.01,
         max_workers=1,
     )
 

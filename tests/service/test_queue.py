@@ -23,7 +23,8 @@ def in_loop(coro_fn):
 def queue():
     clear_run_cache()
     metrics = ServiceMetrics()
-    return JobQueue(metrics, max_depth=4), metrics
+    yield JobQueue(metrics, max_depth=4), metrics
+    clear_run_cache()  # later suites' stub runners expect a cold memo
 
 
 class TestSubmit:
@@ -286,3 +287,35 @@ class TestLifecycle:
             assert payload["key"] == job.key
 
         in_loop(lambda: body())
+
+
+class TestRetention:
+    def test_finished_job_records_are_bounded(self, queue, monkeypatch):
+        from repro.service import queue as queue_module
+
+        # A traced bench round reads the status of every one of its 200 jobs.
+        assert queue_module.JOB_RECORDS > 200
+        monkeypatch.setattr(queue_module, "JOB_RECORDS", 4)
+        q, _ = queue
+        run_simulation("jacobi", "gps", 2, **FAST)
+
+        async def body():
+            pending = q.submit(sim(gpus=4))  # queued: never evicted
+            hits = [q.submit(sim()) for _ in range(10)]
+            assert all(job.cache_hit for job in hits)
+            assert len(q.jobs()) == 1 + 4
+            assert q.get(pending.id) is pending
+            assert q.get(hits[-1].id) is hits[-1]
+            assert q.trace(hits[-1].trace_id)
+            oldest = hits[0]
+            assert q.get(oldest.id) is None
+            assert q.trace(oldest.trace_id) == []
+
+            # Once it finishes, the pending job joins the retained window.
+            q.pop_ready(1)
+            q.finish(pending.key, result="done")
+            assert q.get(pending.id) is pending
+            assert q.get(hits[-4].id) is None
+            assert len(q.jobs()) == 4
+
+        in_loop(body)

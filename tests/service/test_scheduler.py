@@ -1,4 +1,4 @@
-"""Scheduler tests: batching windows, per-job retry, graceful drain.
+"""Scheduler tests: batch packing, per-job retry, graceful drain.
 
 A stub runner stands in for ``run_many_settled`` so these tests exercise
 scheduling policy (batch packing, retry bookkeeping, drain barriers)
@@ -7,7 +7,7 @@ without paying for real simulations.
 
 import asyncio
 
-from repro.harness.runner import SimJob
+from repro.harness.runner import SimJob, clear_run_cache
 from repro.service import BatchScheduler, JobQueue, JobState, ServiceMetrics
 
 FAST = dict(scale=0.1, iterations=2)
@@ -44,9 +44,10 @@ class StubRunner:
 
 
 def make_stack(runner, **kwargs):
+    clear_run_cache()  # a warm memo would answer jobs before the stub sees them
     metrics = ServiceMetrics()
     queue = JobQueue(metrics, max_depth=32)
-    defaults = dict(batch_size=4, max_wait_s=0.01, max_retries=2, retry_backoff_s=0.001)
+    defaults = dict(batch_size=4, max_retries=2)
     scheduler = BatchScheduler(queue, metrics, runner=runner, **{**defaults, **kwargs})
     return queue, scheduler, metrics
 
@@ -56,7 +57,7 @@ class TestBatching:
         runner = StubRunner()
 
         async def body():
-            queue, scheduler, metrics = make_stack(runner, max_wait_s=0.05)
+            queue, scheduler, metrics = make_stack(runner)
             jobs = [queue.submit(sim(gpus=g)) for g in (1, 2, 4)]
             scheduler.start()
             await asyncio.gather(*(asyncio.wait_for(j.future, 5) for j in jobs))
@@ -69,18 +70,22 @@ class TestBatching:
 
         asyncio.run(body())
 
-    def test_dispatches_immediately_when_batch_fills(self):
+    def test_lone_job_dispatches_without_waiting(self):
         runner = StubRunner()
 
         async def body():
-            # A long age window must not delay a full batch.
-            queue, scheduler, _ = make_stack(runner, batch_size=2, max_wait_s=30.0)
+            clear_run_cache()
+            metrics = ServiceMetrics()
+            queue = JobQueue(metrics)
+            scheduler = BatchScheduler(queue, metrics, runner=runner)
+            a = queue.submit(sim(gpus=1))
             scheduler.start()
-            jobs = [queue.submit(sim(gpus=g)) for g in (1, 2)]
-            await asyncio.wait_for(
-                asyncio.gather(*(j.future for j in jobs)), timeout=5
-            )
-            await scheduler.stop(drain=False)
+            await asyncio.sleep(0.01)
+            b = queue.submit(sim(gpus=2))
+            await asyncio.gather(*(asyncio.wait_for(j.future, 5) for j in (a, b)))
+            await scheduler.stop()
+            # Nothing holds the first batch open for a batch-mate.
+            assert runner.batches == [[a.sim], [b.sim]]
 
         asyncio.run(body())
 
@@ -88,7 +93,7 @@ class TestBatching:
         runner = StubRunner()
 
         async def body():
-            queue, scheduler, _ = make_stack(runner, batch_size=2, max_wait_s=0.01)
+            queue, scheduler, _ = make_stack(runner, batch_size=2)
             jobs = [queue.submit(sim(gpus=2**i)) for i in range(5)]
             scheduler.start()
             await asyncio.gather(*(asyncio.wait_for(j.future, 5) for j in jobs))
@@ -113,6 +118,28 @@ class TestRetry:
             assert job.state is JobState.DONE
             assert job.attempts == 1
             assert metrics.snapshot()["service.jobs.retried"] == 1
+
+        asyncio.run(body())
+
+    def test_retry_requeues_at_once_ahead_of_later_work(self, monkeypatch):
+        runner = StubRunner(fail_times=1)
+
+        async def no_sleep(delay, result=None):
+            raise AssertionError(f"scheduler slept {delay} s")
+
+        async def body():
+            queue, scheduler, metrics = make_stack(runner, batch_size=1)
+            first = queue.submit(sim(gpus=1))
+            later = queue.submit(sim(gpus=2))
+            monkeypatch.setattr(asyncio, "sleep", no_sleep)
+            scheduler.start()
+            await asyncio.gather(*(asyncio.wait_for(j.future, 5) for j in (first, later)))
+            await scheduler.stop()
+            # Each group fails once; a failed group re-enters at its
+            # original seq, so `first` retries before `later` runs.
+            assert runner.batches == [[first.sim], [first.sim], [later.sim], [later.sim]]
+            assert first.attempts == 1
+            assert metrics.snapshot()["service.jobs.retried"] == 2
 
         asyncio.run(body())
 
@@ -185,9 +212,8 @@ class TestDrain:
         runner = StubRunner()
 
         async def body():
-            queue, scheduler, _ = make_stack(runner, max_wait_s=30.0, batch_size=64)
-            # Scheduler never fires (window never fills, age 30s); jobs sit queued.
-            scheduler.start()
+            queue, scheduler, _ = make_stack(runner)
+            # The scheduler is never started, so the jobs sit queued.
             jobs = [queue.submit(sim(gpus=2**i)) for i in range(3)]
             queue.close()
             await scheduler.stop(drain=False)

@@ -233,26 +233,30 @@ class TestBackpressure:
     def test_full_queue_returns_429(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
         clear_run_cache()
-        # Age window long enough that nothing dispatches while we fill the
-        # one-slot queue.
         service = LiveService(
-            ServiceSettings(
-                host="127.0.0.1",
-                port=0,
-                queue_depth=1,
-                batch_size=4,
-                max_wait_s=30.0,
-                max_workers=1,
-            )
+            ServiceSettings(host="127.0.0.1", port=0, queue_depth=1, max_workers=1)
         )
+        # A runner that blocks until released: job A runs, job B takes the
+        # one queue slot, and job C finds the queue full.
+        running, release = threading.Event(), threading.Event()
+
+        def blocked(sims, max_workers=None, traced=False):
+            running.set()
+            release.wait(30)
+            return [(RuntimeError("released"), None) for _ in sims]
+
+        service.service.scheduler._runner = blocked
         try:
             client = service.client()
             client.submit("jacobi", **FAST)
+            assert running.wait(10)
+            client.submit("pagerank", **FAST)
             with pytest.raises(ClientError) as excinfo:
-                client.submit("pagerank", **FAST)
+                client.submit("eqwp", **FAST)
             assert excinfo.value.status == 429
             assert client.metrics()["service.queue.rejected"] == 1
         finally:
+            release.set()
             service.stop(drain=False)
             clear_run_cache()
 
@@ -292,7 +296,7 @@ class TestSettings:
         [
             ("REPRO_SERVICE_PORT", "abc"),
             ("REPRO_SERVICE_MAX_RETRIES", "two"),
-            ("REPRO_SERVICE_RETRY_BACKOFF_MS", "1ms"),
+            ("REPRO_SERVICE_QUEUE_DEPTH", "deep"),
         ],
     )
     def test_malformed_env_number_names_the_variable(self, monkeypatch, name, value):
@@ -303,9 +307,9 @@ class TestSettings:
     def test_env_numbers_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_PORT", "9000")
         monkeypatch.setenv("REPRO_SERVICE_MAX_RETRIES", "3")
-        monkeypatch.setenv("REPRO_SERVICE_MAX_WAIT_MS", "20")
+        monkeypatch.setenv("REPRO_SERVICE_BATCH_SIZE", "2")
         settings = ServiceSettings.from_env()
-        assert (settings.port, settings.max_retries, settings.max_wait_s) == (9000, 3, 0.02)
+        assert (settings.port, settings.max_retries, settings.batch_size) == (9000, 3, 2)
 
 
 class TestPayloadValidation:

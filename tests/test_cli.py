@@ -198,7 +198,7 @@ class TestServiceVerbs:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("REPRO_SERVICE_PORT", "abc"), ("REPRO_SERVICE_MAX_WAIT_MS", "soon")],
+        [("REPRO_SERVICE_PORT", "abc"), ("REPRO_SERVICE_QUEUE_DEPTH", "soon")],
     )
     def test_serve_malformed_env_number_exits_2(self, capsys, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
@@ -448,6 +448,22 @@ class TestRunTrace:
         out = capsys.readouterr().out
         assert "refusing to simulate" in out
         assert "GPS001" in out
+
+    def test_gate_is_per_paradigm(self, capsys, tmp_path):
+        from repro.trace.io import save_program
+        from repro.verify.fuzzer import generate_program
+        from repro.verify.sanitizer import MUTATORS
+
+        # A stale-read hazard (GPS006) blocks gps but not memcpy.
+        stale_read = next(m for name, _, m in MUTATORS if name == "stale-read")
+        path = tmp_path / "stale.json"
+        save_program(stale_read(generate_program(0), 64 * 1024), path)
+        assert main(["run-trace", str(path), "--paradigm", "memcpy"]) == 0
+        out = capsys.readouterr().out
+        assert "GPS006" in out and "simulated time" in out
+        assert main(["run-trace", str(path), "--paradigm", "gps"]) == 2
+        out = capsys.readouterr().out
+        assert "GPS006" in out and "refusing to simulate" in out
 
     def test_no_analyze_overrides(self, capsys):
         from pathlib import Path
