@@ -9,11 +9,12 @@ GPS subscribes, tracks, and publishes (paper §3.2, §4). A
 :func:`program_fingerprint` is the cache key of the analysis-result cache:
 a SHA-256 over the canonical trace-program JSON, the page size, and the
 analyzer revision, so any observable input to the rule registry changes the
-key.
+key. Each program computes it once per page size.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -100,7 +101,20 @@ def program_fingerprint(
     ``analysis_ignore`` is covered), the page granularity, and the analyzer
     revision. Two programs with equal fingerprints produce byte-identical
     diagnostics.
+
+    The digest is computed once per (page size, revision) and kept on the
+    program instance, like the cached hash of its kernels: an instance
+    attribute, not a field, so ``eq``, ``repr``, serialisation and pickling
+    never see it. ``metadata`` is the one part of a program callers edit in
+    place, so a copy of it is kept beside each digest and any change to it
+    recomputes.
     """
+    memo: "dict[tuple[int, str], tuple[dict, str]]" = program.__dict__.setdefault(
+        "_fingerprints", {}
+    )
+    cached = memo.get((page_size, revision))
+    if cached is not None and cached[0] == program.metadata:
+        return cached[1]
     payload = json.dumps(
         program_to_dict(program), sort_keys=True, separators=(",", ":")
     )
@@ -110,4 +124,6 @@ def program_fingerprint(
     digest.update(str(page_size).encode("ascii"))
     digest.update(b"|")
     digest.update(payload.encode("utf-8"))
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    memo[(page_size, revision)] = (copy.deepcopy(program.metadata), fingerprint)
+    return fingerprint

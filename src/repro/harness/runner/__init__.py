@@ -9,8 +9,10 @@ cached at two levels:
   canonical config fingerprint plus a model-version string, so repeat CLI
   and benchmark invocations skip identical simulations across processes.
 
-``run_many`` fans uncached jobs across a process pool; the figure drivers in
-:mod:`repro.harness.experiments` submit their whole grids through it.
+``run_many`` fans uncached jobs across a process pool, one task per trace
+program; the figure drivers in :mod:`repro.harness.experiments` submit their
+whole grids through it. Each process builds a program once and shares it
+across every job that runs on it.
 ``run_many_settled(..., traced=True)`` is the same path with each computed
 run's engine spans shipped back beside its result (the service uses it).
 
@@ -32,6 +34,7 @@ from . import memo
 from .disk import DEFAULT_CACHE_DIR, DiskCache
 from .fingerprint import MODEL_FINGERPRINT, SimJob, job_key, resolve_link
 from .parallel import (
+    clear_programs,
     compute_job,
     fleet_stats,
     run_many,
@@ -103,7 +106,7 @@ def run_speedup(
 
 
 def clear_run_cache() -> None:
-    """Drop memoised results (tests that mutate global knobs use this).
+    """Drop memoised results and programs (tests that mutate global knobs use this).
 
     Also zeroes the :class:`CacheStats` and :class:`FleetStats` counters and
     detaches the persistent cache handle so it is re-resolved from the
@@ -111,6 +114,7 @@ def clear_run_cache() -> None:
     :func:`clear_disk_cache`.
     """
     memo.clear()
+    clear_programs()
     fleet_stats().reset()
 
 

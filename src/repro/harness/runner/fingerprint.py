@@ -25,6 +25,7 @@ from ...config import (
     config_fingerprint,
     default_system,
 )
+from ...workloads.registry import resolve_workload_name
 
 #: Versions every cache key. Bump ``repro.__version__`` (or this suffix) when
 #: the simulation model changes behaviour: old persistent-cache entries then
@@ -101,6 +102,15 @@ class SimJob:
             )
             object.__setattr__(self, "_key", cached)
         return cached
+
+    def program_key(self) -> tuple:
+        """What this job's trace program is built from.
+
+        Builds are deterministic in (workload, GPUs, scale, iterations), so
+        jobs with equal program keys share one program: the runner builds
+        it once and its pool runs them in one task.
+        """
+        return (resolve_workload_name(self.workload), self.num_gpus, self.scale, self.iterations)
 
     def meta(self) -> dict:
         """Human-readable description stored alongside cached results."""

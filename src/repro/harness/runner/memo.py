@@ -1,23 +1,32 @@
 """Process-wide memo layer tying the in-memory and on-disk caches together.
 
-Lookup order: in-memory dict (same-object hits, preserving the historical
+Lookup order: in-memory LRU (same-object hits, preserving the historical
 ``a is b`` memoisation contract), then the persistent :class:`DiskCache`
-(deserialised results are promoted into memory). Environment knobs are
-re-read whenever they change, so tests can flip ``REPRO_NO_CACHE`` /
-``REPRO_CACHE_DIR`` with a plain ``monkeypatch.setenv`` and the next lookup
-honours them.
+(deserialised results are promoted into memory). The memory layer keeps
+:data:`RESULT_MEMO_SIZE` results, so a long-running ``repro serve`` does
+not grow with every distinct job; an evicted key falls through to disk.
+Environment knobs are re-read whenever they change, so tests can flip
+``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` with a plain
+``monkeypatch.setenv`` and the next lookup honours them.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from pathlib import Path
 
 from ...system.results import SimulationResult
 from .disk import DEFAULT_CACHE_DIR, DiskCache
 from .stats import CacheStats
 
-_RESULT_CACHE: "dict[str, SimulationResult]" = {}
+#: Results the memory layer keeps, least recently used evicted first: the
+#: same bound as the service's finished-job records (``JOB_RECORDS``).
+RESULT_MEMO_SIZE = 4096
+
+_RESULT_CACHE: "OrderedDict[str, SimulationResult]" = OrderedDict()
+_RESULT_LOCK = threading.Lock()
 _STATS = CacheStats()
 _DISK: "DiskCache | None" = None
 _DISK_ENV: "tuple | None" = None
@@ -50,7 +59,10 @@ def disk_cache() -> "DiskCache | None":
 
 def lookup(key: str) -> "SimulationResult | None":
     """Resolve one job key through both cache layers, counting the outcome."""
-    cached = _RESULT_CACHE.get(key)
+    with _RESULT_LOCK:
+        cached = _RESULT_CACHE.get(key)
+        if cached is not None:
+            _RESULT_CACHE.move_to_end(key)
     if cached is not None:
         _STATS.memory_hits += 1
         return cached
@@ -59,7 +71,7 @@ def lookup(key: str) -> "SimulationResult | None":
         result = disk.get(key)
         if result is not None:
             _STATS.disk_hits += 1
-            _RESULT_CACHE[key] = result
+            _remember(key, result)
             return result
     _STATS.misses += 1
     return None
@@ -67,11 +79,19 @@ def lookup(key: str) -> "SimulationResult | None":
 
 def store(key: str, result: SimulationResult, meta: "dict | None" = None) -> SimulationResult:
     """Record one freshly computed result in both layers."""
-    _RESULT_CACHE[key] = result
+    _remember(key, result)
     disk = disk_cache()
     if disk is not None:
         disk.put(key, result, meta)
     return result
+
+
+def _remember(key: str, result: SimulationResult) -> None:
+    with _RESULT_LOCK:
+        _RESULT_CACHE[key] = result
+        _RESULT_CACHE.move_to_end(key)
+        while len(_RESULT_CACHE) > RESULT_MEMO_SIZE:
+            _RESULT_CACHE.popitem(last=False)
 
 
 def clear() -> None:
@@ -83,7 +103,8 @@ def clear() -> None:
     Persistent *records* are left on disk; ``clear_disk_cache`` removes those.
     """
     global _DISK, _DISK_ENV
-    _RESULT_CACHE.clear()
+    with _RESULT_LOCK:
+        _RESULT_CACHE.clear()
     _STATS.reset()
     _DISK = None
     _DISK_ENV = None

@@ -21,7 +21,10 @@ deterministic, so a retry gains nothing by waiting.
 
 Shutdown is graceful by default: :meth:`BatchScheduler.stop` with
 ``drain=True`` waits until every queued and running group has settled
-before cancelling the loop.
+before cancelling the loop. ``drain=False`` fails the queued groups and the
+running batch at once: their futures resolve with :class:`ServiceClosed`,
+while the runner thread finishes in the background and its outcomes are
+dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import itertools
 
 from ..harness.runner import run_many_settled
 from .metrics import ServiceMetrics
-from .queue import Job, JobQueue
+from .queue import Job, JobQueue, ServiceClosed
 
 
 class BatchScheduler:
@@ -107,7 +110,13 @@ class BatchScheduler:
             self.queue.mark_running(job.key, {"batch_seq": batch_seq, "batch_size": len(batch)})
         self.metrics.batch_started(len(batch))
         sims = [job.sim for job in batch]
-        slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
+        try:
+            slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
+        except asyncio.CancelledError:
+            stopped = ServiceClosed("service shut down while the job was running")
+            for job in batch:
+                self.queue.finish(job.key, error=stopped)
+            raise
         for job, (outcome, spans) in zip(batch, slots):
             if not isinstance(outcome, Exception):
                 self.queue.finish(job.key, result=outcome, spans=spans)

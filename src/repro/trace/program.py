@@ -32,10 +32,11 @@ def _hash_once(self) -> int:
     return cached
 
 
-def _state_without_hash(self) -> dict:
-    """Pickle state minus the cached hash: ``str`` hashes differ per process."""
+def _state_without_memos(self) -> dict:
+    """Pickle state minus per-instance memos (``str`` hashes differ per process)."""
     state = dict(self.__dict__)
     state.pop("_hash", None)
+    state.pop("_fingerprints", None)
     return state
 
 
@@ -70,7 +71,7 @@ class KernelSpec:
     launch_overhead: float = 5e-6
 
     __hash__ = _hash_once
-    __getstate__ = _state_without_hash
+    __getstate__ = _state_without_memos
 
     def __post_init__(self) -> None:
         if self.gpu < 0:
@@ -97,7 +98,7 @@ class Phase:
     iteration: int = 0
 
     __hash__ = _hash_once
-    __getstate__ = _state_without_hash
+    __getstate__ = _state_without_memos
 
     def __post_init__(self) -> None:
         gpus = [k.gpu for k in self.kernels]
@@ -134,6 +135,8 @@ class TraceProgram:
     buffers: tuple[BufferSpec, ...]
     phases: tuple[Phase, ...]
     metadata: dict = field(default_factory=dict)
+
+    __getstate__ = _state_without_memos
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:

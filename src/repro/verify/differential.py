@@ -24,10 +24,11 @@ bandwidth never increases simulated time, GPS with subscription tracking
 never moves more bytes than GPS with every GPU subscribed, and a warm
 process gives the same bytes as a cold one (``differential-warm-cold``):
 ``gps`` over a small write-queue x GPS-TLB grid, run interleaved in one
-process that already analysed the program, matches each config run after
-the analysis cache is cleared. The four paths above start every program
-from clean memo state, so only this relation sees a memo keyed on too
-little.
+process that already analysed the program, matches each config run cold:
+on a freshly built program (so its fingerprint memo is empty) after the
+analysis cache and the runner's memos are cleared. The four paths above
+start every program from clean memo state, so only this relation sees a
+memo keyed on too little.
 """
 
 from __future__ import annotations
@@ -253,7 +254,11 @@ def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
     warm = [canonical_payload(PARADIGMS["gps"](program, c).run()) for c in configs]
     for (entries, tlb), config, payload in zip(WARM_COLD_GRID, configs, warm):
         clear_analysis_cache()
-        if canonical_payload(PARADIGMS["gps"](program, config).run()) != payload:
+        clear_run_cache()
+        cold = generate_program(
+            spec.seed, spec.num_gpus, scale=spec.scale, iterations=spec.iterations
+        )
+        if canonical_payload(PARADIGMS["gps"](cold, config).run()) != payload:
             report.violations.append(
                 Violation(
                     "differential-warm-cold",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.analysis import build_context, page_count, program_fingerprint
+import pickle
+
+from repro.analysis import analyze_program, build_context, page_count, program_fingerprint
 from repro.analysis.footprints import Footprint
 from repro.trace.program import Phase
 from repro.trace.records import MemOp
@@ -84,3 +86,28 @@ class TestProgramFingerprint:
         digest = program_fingerprint(self._program(), PAGE)
         assert len(digest) == 64
         int(digest, 16)
+
+    def test_memo_is_invisible(self):
+        """The per-instance digest never shows in eq, repr or pickles."""
+        p, q = self._program(), self._program()
+        program_fingerprint(p, PAGE)
+        assert p == q
+        assert repr(p) == repr(q)
+        assert pickle.dumps(p) == pickle.dumps(q)
+        assert program_fingerprint(pickle.loads(pickle.dumps(p)), PAGE) == \
+            program_fingerprint(q, PAGE)
+
+    def test_metadata_edit_recomputes(self):
+        p = program([
+            Phase("it0", (
+                kernel("w", 0, access(length=PAGE, op=MemOp.WRITE)),
+            ), iteration=0),
+        ], num_gpus=2)
+        before = program_fingerprint(p, PAGE)
+        assert "GPS103" in {d.code for d in analyze_program(p, page_size=PAGE)}
+        p.metadata["analysis_ignore"] = ["GPS102"]
+        ignoring = program_fingerprint(p, PAGE)
+        assert ignoring != before
+        p.metadata["analysis_ignore"].append("GPS103")  # an in-place edit counts too
+        assert program_fingerprint(p, PAGE) not in (before, ignoring)
+        assert "GPS103" not in {d.code for d in analyze_program(p, page_size=PAGE)}

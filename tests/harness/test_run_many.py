@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -163,6 +164,226 @@ class TestRunManySettled:
             run_many([SimJob("jacobi", "memcpy", 2, **FAST)], max_workers=1)
 
 
+class TestProgramGroupedPool:
+    """The pool runs one task per program: a program's jobs share a worker."""
+
+    WORKLOADS = ("jacobi", "pagerank", "sssp")
+    PARADIGMS = ("memcpy", "gps", "rdl")
+
+    def grid(self):
+        # Interleaved: consecutive jobs never share a program.
+        return [SimJob(w, p, 2, **FAST) for p in self.PARADIGMS for w in self.WORKLOADS]
+
+    def test_grid_comes_back_in_input_order(self):
+        clear_run_cache()
+        jobs = self.grid()
+        results = run_many(jobs, max_workers=2)
+        assert len(results) == len(jobs)
+        for job, result in zip(jobs, results):
+            assert (result.program_name, result.paradigm) == (job.workload, job.paradigm)
+        assert any("(serial)" not in w.worker for w in fleet_stats().workers.values())
+        clear_run_cache()
+        serial = run_many(jobs, max_workers=1)
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in serial]
+
+    def test_failing_job_fails_only_its_slot(self, monkeypatch):
+        from repro.harness.runner import parallel
+
+        clear_run_cache()
+        real_compute = parallel.compute_job
+
+        def picky(job, traced=False):
+            if (job.workload, job.paradigm) == ("jacobi", "gps"):
+                raise RuntimeError("injected failure")
+            return real_compute(job, traced)
+
+        monkeypatch.setattr(parallel, "compute_job", picky)  # before the fork
+        jobs = self.grid()
+        outcomes = run_many_settled(jobs, max_workers=2)
+        for job, outcome in zip(jobs, outcomes):
+            if (job.workload, job.paradigm) == ("jacobi", "gps"):
+                assert isinstance(outcome, RuntimeError)
+            else:
+                assert outcome.program_name == job.workload
+        assert fleet_stats().jobs_failed == 1
+        assert fleet_stats().jobs_computed == len(jobs) - 1
+
+    def test_each_program_runs_in_one_worker(self, monkeypatch):
+        from repro.harness.runner import parallel
+
+        clear_run_cache()
+        real_compute = parallel.compute_job
+
+        def report_pid(job, traced=False):
+            result, _ = real_compute(job, False)
+            return result, os.getpid()  # rides back in the spans slot
+
+        monkeypatch.setattr(parallel, "compute_job", report_pid)
+        jobs = self.grid()
+        slots = run_many_settled(jobs, max_workers=2, traced=True)
+        pids: "dict[str, set]" = {}
+        for job, (_, pid) in zip(jobs, slots):
+            pids.setdefault(job.workload, set()).add(pid)
+        assert all(len(seen) == 1 for seen in pids.values()), pids
+        assert os.getpid() not in set().union(*pids.values())
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            [SimJob("jacobi", "gps", 2, **FAST), SimJob("pagerank", "gps", 2, **FAST)],
+            [SimJob("jacobi", p, 2, **FAST) for p in ("memcpy", "gps", "rdl", "um")],
+        ],
+        ids=["two-jobs-two-programs", "one-program"],
+    )
+    def test_small_or_single_program_batches_run_serially(self, jobs):
+        clear_run_cache()
+        run_many(jobs, max_workers=2)
+        (worker,) = fleet_stats().workers.values()
+        assert "(serial)" in worker.worker
+        assert worker.jobs == len(jobs)
+
+
+class TestProgramIdentity:
+    """One build and one fingerprint per program, however many jobs share it."""
+
+    def test_sweep_builds_and_serialises_each_program_once(self, monkeypatch):
+        from repro.analysis import footprints
+        from repro.config import default_system
+        from repro.system.analysis import clear_analysis_cache
+        from repro.workloads.registry import WORKLOADS
+
+        clear_run_cache()
+        clear_analysis_cache()
+        counts = {"build": 0, "to_dict": 0}
+        workload = WORKLOADS["jacobi"]
+        real_build = type(workload).build
+        real_to_dict = footprints.program_to_dict
+
+        def counting_build(self, *args, **kwargs):
+            counts["build"] += 1
+            return real_build(self, *args, **kwargs)
+
+        def counting_to_dict(program):
+            counts["to_dict"] += 1
+            return real_to_dict(program)
+
+        monkeypatch.setattr(type(workload), "build", counting_build)
+        monkeypatch.setattr(footprints, "program_to_dict", counting_to_dict)
+        base = default_system(2)
+
+        def sweep(config):
+            return [
+                SimJob("jacobi", "gps", 2, config=dataclasses.replace(
+                    config,
+                    gps=dataclasses.replace(
+                        config.gps, write_queue_entries=entries, gps_tlb_entries=tlb
+                    ),
+                ), **FAST)
+                for entries in (32, 128, 512)
+                for tlb in (8, 32)
+            ]
+
+        run_many(sweep(base), max_workers=1)
+        assert counts == {"build": 1, "to_dict": 1}
+        run_many(sweep(base.with_page_size(2 * base.page_size)), max_workers=1)
+        assert counts == {"build": 1, "to_dict": 2}
+
+    def test_failed_build_is_never_cached(self):
+        from repro.errors import TraceError
+        from repro.harness.runner.parallel import job_program
+
+        clear_run_cache()
+        poison = SimJob("fuzz/5", "gps", 2, scale=0.1, iterations=0)
+        for _ in range(2):
+            with pytest.raises(TraceError):
+                job_program(poison)
+
+    def test_clear_run_cache_drops_programs(self):
+        from repro.harness.runner.parallel import job_program
+
+        clear_run_cache()
+        first = job_program(SimJob("jacobi", "gps", 2, **FAST))
+        assert job_program(SimJob("stencil", "memcpy", 2, **FAST)) is first  # alias
+        clear_run_cache()
+        assert job_program(SimJob("jacobi", "gps", 2, **FAST)) is not first
+
+    def test_program_memo_is_bounded(self, monkeypatch):
+        from repro.harness.runner import parallel
+
+        clear_run_cache()
+        monkeypatch.setattr(parallel, "ANALYSIS_CACHE_SIZE", 2)
+        jobs = [SimJob("jacobi", "gps", gpus, **FAST) for gpus in (1, 2, 4)]
+        programs = [parallel.job_program(job) for job in jobs]
+        assert len(parallel._PROGRAMS) == 2
+        assert parallel.job_program(jobs[2]) is programs[2]
+        assert parallel.job_program(jobs[0]) is not programs[0]  # evicted first
+        clear_run_cache()
+
+
+class TestResultMemoBound:
+    def test_threads_share_the_lru_safely(self, monkeypatch):
+        # The service looks results up on its event loop while its runner
+        # thread stores them: neither may see a torn LRU.
+        import sys
+        import threading
+
+        from repro.harness.runner import memo
+
+        clear_run_cache()
+        monkeypatch.setattr(memo, "RESULT_MEMO_SIZE", 8)
+        errors, wrong = [], []
+
+        def churn(worker):
+            try:
+                for i in range(2000):
+                    key = f"k{(i * 7 + worker) % 24}"
+                    found = memo.lookup(key)
+                    if found is None:
+                        memo.store(key, key)
+                    elif found != key:
+                        wrong.append((key, found))
+                    if len(memo._RESULT_CACHE) > 9:  # one store may be mid-trim
+                        wrong.append(len(memo._RESULT_CACHE))
+            except Exception as exc:  # a lost race surfaces as KeyError etc.
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert len(memo._RESULT_CACHE) <= 8
+        clear_run_cache()
+
+    def test_memory_layer_is_an_lru(self, monkeypatch):
+        from repro.harness.runner import memo, parallel
+
+        clear_run_cache()
+        monkeypatch.setattr(memo, "RESULT_MEMO_SIZE", 3)
+        monkeypatch.setattr(
+            parallel, "compute_job", lambda job, traced=False: (f"result-{job.iterations}", None)
+        )
+        jobs = [SimJob("jacobi", "gps", 2, scale=0.1, iterations=i) for i in range(1, 7)]
+        first = run_many(jobs[:3], max_workers=1)
+        assert run_many([jobs[0]], max_workers=1)[0] is first[0]  # hit refreshes jobs[0]
+        for job in jobs[3:]:
+            run_many([job], max_workers=1)
+            assert len(memo._RESULT_CACHE) <= 3
+        assert list(memo._RESULT_CACHE) == [job.key() for job in jobs[3:]]
+        run_many([jobs[4]], max_workers=1)
+        run_many([SimJob("jacobi", "gps", 2, scale=0.1, iterations=9)], max_workers=1)
+        assert jobs[3].key() not in memo._RESULT_CACHE  # oldest goes first
+        assert jobs[4].key() in memo._RESULT_CACHE  # a hit made it recent
+        clear_run_cache()
+
+
 class TestFleetStats:
     def test_serial_accounting(self):
         clear_run_cache()
@@ -305,6 +526,17 @@ class TestDiskCache:
         path.write_text('"just-a-string"')
         info = disk_cache_info()
         assert info["enabled"]
+
+    def test_evicted_result_falls_through_to_disk(self, disk_cache, monkeypatch):
+        from repro.harness.runner import memo
+
+        monkeypatch.setattr(memo, "RESULT_MEMO_SIZE", 1)
+        first = run_simulation("jacobi", "memcpy", 2, **FAST)
+        run_simulation("jacobi", "gps", 2, **FAST)  # evicts the memcpy result
+        again = run_simulation("jacobi", "memcpy", 2, **FAST)
+        assert again is not first
+        assert cache_stats().disk_hits == 1
+        assert again.to_dict() == first.to_dict()
 
     def test_clear_disk_cache(self, disk_cache):
         run_simulation("jacobi", "memcpy", 2, **FAST)

@@ -6,6 +6,7 @@ without paying for real simulations.
 """
 
 import asyncio
+import threading
 
 from repro.harness.runner import SimJob, clear_run_cache
 from repro.service import BatchScheduler, JobQueue, JobState, ServiceMetrics
@@ -221,3 +222,33 @@ class TestDrain:
             assert runner.batches == []
 
         asyncio.run(body())
+
+    def test_stop_without_drain_settles_the_running_batch(self):
+        # The runner thread is still busy when stop(drain=False) cancels the
+        # loop: its jobs must fail with the stop, not read "running" forever.
+        release = threading.Event()
+        started = threading.Event()
+
+        def blocked(sims, max_workers=None, traced=False):
+            started.set()
+            release.wait(10)
+            return [("late", None) for _ in sims]
+
+        async def body():
+            queue, scheduler, _ = make_stack(blocked)
+            job = queue.submit(sim())
+            scheduler.start()
+            await asyncio.to_thread(started.wait, 5)
+            assert job.state is JobState.RUNNING
+            queue.close()
+            await scheduler.stop(drain=False)
+            assert job.state is JobState.FAILED
+            assert "shut down" in job.error
+            assert job.future.done()
+            assert queue.inflight == 0
+            release.set()  # let the runner thread finish before the loop closes
+
+        try:
+            asyncio.run(body())
+        finally:
+            release.set()
