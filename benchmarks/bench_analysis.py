@@ -1,14 +1,18 @@
 #!/usr/bin/env python
 """Static-analysis throughput benchmark: cold analysis vs cache hits.
 
-Analyzes every registered workload (built at pinned parameters) twice:
-cold (``use_cache=False``, the full vector-clock + footprint pipeline) and
-warm (a fingerprint-keyed cache hit). Reports ms per cold analysis, µs per
-warm lookup, and the warm/cold speedup ratio. Raw rates are
-machine-dependent; the committed ``BENCH_analysis.json`` pins the *ratios*
-and ``--check`` fails on >25% regression — a cache that stops hitting (or
-a fingerprint that became as slow as the analysis it guards) shows up as a
-collapsed ratio on any machine.
+Analyzes every registered workload (built at pinned parameters) cold
+(``use_cache=False``, the full vector-clock + footprint pipeline) and warm
+(a fingerprint-keyed cache hit), in interleaved pairs: one cold analysis,
+then a batch of warm lookups, :data:`PAIRS` times. Each pair's warm/cold
+speedup is measured within milliseconds, so a machine whose speed drifts
+between seconds moves both legs alike; the reported speedup is the median
+of the per-pair ratios. Reports the median ms per cold analysis and µs per
+warm lookup too. Raw rates are machine-dependent; the committed
+``BENCH_analysis.json`` pins the *ratios* and ``--check`` fails on >25%
+regression — a cache that stops hitting (or a fingerprint that became as
+slow as the analysis it guards) shows up as a collapsed ratio on any
+machine.
 
 Usage:
     python benchmarks/bench_analysis.py --out BENCH_analysis.json
@@ -18,14 +22,23 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
+import time
 
-from bench_common import check_speedups, load_report, measure, write_report
+from bench_common import check_speedups, load_report, write_report
 
 #: Pinned build parameters — match tests/analysis/baselines/regen.py.
 NUM_GPUS = 4
 SCALE = 0.25
 ITERATIONS = 2
+
+#: Interleaved (cold, warm) pairs per workload.
+PAIRS = 41
+
+#: Warm lookups timed per pair: one takes microseconds, too short to time
+#: alone against the clock's own overhead.
+WARM_BATCH = 100
 
 
 def bench_workload(name: str) -> dict:
@@ -36,27 +49,28 @@ def bench_workload(name: str) -> dict:
 
     def cold():
         clear_cache()
-        analyze_program(program)
+        return analyze_program(program)
 
-    reps, secs = measure(cold)
-    ns_cold = secs / reps * 1e9
-
-    clear_cache()
-    diagnostics = analyze_program(program)  # prime the cache once
-
-    def warm():
-        analyze_program(program)
-
-    reps, secs = measure(warm)
-    ns_warm = secs / reps * 1e9
+    cold()  # untimed warm-up
+    cold_ns, warm_ns, ratios = [], [], []
+    for _ in range(PAIRS):
+        start = time.perf_counter_ns()
+        diagnostics = cold()  # leaves the cache primed for the warm leg
+        middle = time.perf_counter_ns()
+        for _ in range(WARM_BATCH):
+            analyze_program(program)
+        end = time.perf_counter_ns()
+        cold_ns.append(middle - start)
+        warm_ns.append((end - middle) / WARM_BATCH)
+        ratios.append(cold_ns[-1] / warm_ns[-1])
 
     return {
         "structure": "analysis",
         "op": name,
-        "ms_cold": round(ns_cold / 1e6, 3),
-        "us_cached": round(ns_warm / 1e3, 2),
+        "ms_cold": round(statistics.median(cold_ns) / 1e6, 3),
+        "us_cached": round(statistics.median(warm_ns) / 1e3, 2),
         "diagnostics": len(diagnostics),
-        "speedup": round(ns_cold / ns_warm, 2) if ns_warm else 0.0,
+        "speedup": round(statistics.median(ratios), 2),
     }
 
 

@@ -1,11 +1,20 @@
-"""Paradigm-independent program analysis with memoised trace expansion.
+"""Paradigm-independent program analysis, memoised by access content.
 
-Iterative programs repeat the same kernels every iteration, so everything
-expensive — trace expansion, L2 simulation, page-set extraction — is
-computed once per *distinct kernel* and reused across iterations and
-paradigms. This is the same trick the paper's own methodology leans on:
-"the access patterns in each program segment match those of prior
-segments" (section 3.2) is what makes GPS profiling work at all.
+Iterative programs repeat the same accesses every iteration, so the
+expensive work is done once per *distinct access* or *distinct read set*
+and shared by every kernel, iteration and paradigm that repeats it. This
+is the trick the paper's own methodology leans on: "the access patterns
+in each program segment match those of prior segments" (section 3.2) is
+what makes GPS profiling work at all.
+
+* Each access, keyed by ``(AccessRange, buffer base)``, gets one
+  :class:`AccessFootprint`: its page set, payload bytes and transactions,
+  and for a store its SM-coalesced stream and coalescer accounting.
+* Each kernel's read set, keyed by the tuple of its access keys in kernel
+  order (order changes LRU hits), gets one warm L2 hit rate.
+* Raw :class:`LineStream` expansions are transient. :meth:`footprint`
+  expands what it needs into a local dict and drops it on return, so an
+  analysis keeps products, never streams.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ class AccessFootprint:
     payload_bytes: int
     #: Line transactions across all sweeps.
     txns: int
+    #: A store's SM-coalesced stream and its coalescer accounting (``None``
+    #: for a read). Shared by every kernel that repeats the access.
+    coalesced: Optional[LineStream] = None
+    coalescer: Optional[CoalescerStats] = None
 
     @property
     def kind(self) -> PatternKind:
@@ -73,11 +86,8 @@ class KernelFootprint:
     #: Union of pages the kernel reads / stores (sorted VPN arrays).
     read_pages: np.ndarray
     store_pages: np.ndarray
-
-    @property
-    def all_pages(self) -> np.ndarray:
-        """Every page the kernel touches."""
-        return np.union1d(self.read_pages, self.store_pages)
+    #: Every page the kernel touches.
+    all_pages: np.ndarray
 
     @property
     def total_read_bytes(self) -> int:
@@ -116,9 +126,10 @@ class ProgramAnalysis:
         shared = {b.name for b in program.shared_buffers()}
         self._shared_buffers = shared
         self._footprints: dict[KernelSpec, KernelFootprint] = {}
-        self._streams: dict[tuple, LineStream] = {}
-        self._store_streams: dict[KernelSpec, list] = {}
-        self._coalescer_stats: dict[KernelSpec, CoalescerStats] = {}
+        #: Per-access products, keyed by ``(AccessRange, buffer base)``.
+        self._products: dict[tuple, AccessFootprint] = {}
+        #: Warm L2 hit rate per read set (the tuple of its access keys).
+        self._l2_memo: dict[tuple, float] = {}
         self._home_gpu_arr: "Optional[np.ndarray]" = None
         self._phase_min_readers: dict[Phase, tuple] = {}
         self._phase_max_writers: dict[Phase, tuple] = {}
@@ -218,41 +229,46 @@ class ProgramAnalysis:
             pick = heads
         return sv[heads], so[pick]
 
-    # -- expansion (memoised) ----------------------------------------------------
+    # -- per-access products ------------------------------------------------------
 
     def stream(self, access: AccessRange) -> LineStream:
-        """Expanded line stream for one access (all sweeps), memoised."""
-        base = self._bases[access.buffer]
-        key = (access, base)
-        if key not in self._streams:
-            self._streams[key] = expand_range(access, base)
-        return self._streams[key]
+        """Expanded line stream for one access (all sweeps); not kept."""
+        return expand_range(access, self._bases[access.buffer])
 
     def store_streams(self, kernel: KernelSpec) -> list:
         """SM-coalesced store streams for one kernel.
 
         Returns ``[(AccessFootprint, LineStream, atomic: bool), ...]`` in
-        program order — the exact input the GPS unit consumes.
+        program order — the exact input the GPS unit consumes. The streams
+        are shared per-access products; callers must not mutate them.
         """
-        if kernel not in self._store_streams:
-            out = []
-            stats = self._coalescer_stats.setdefault(kernel, CoalescerStats())
-            footprint = self.footprint(kernel)
-            for access_fp in footprint.stores:
-                stream = sm_coalesce(self.stream(access_fp.access), stats)
-                out.append((access_fp, stream, access_fp.is_atomic))
-            self._store_streams[kernel] = out
-        return self._store_streams[kernel]
+        return [(fp, fp.coalesced, fp.is_atomic) for fp in self.footprint(kernel).stores]
 
     def coalescer_stats(self, kernel: KernelSpec) -> CoalescerStats:
         """SM-coalescer accounting for one kernel's store stream.
 
-        Reflects *one* pass over the distinct kernel (the expansion is
-        memoised, so iterations share it) — a per-replay rate, not a
+        The sum over the kernel's stores, a repeated store counted each
+        time: one pass over the kernel, a per-replay rate, not a
         per-iteration total.
         """
-        self.store_streams(kernel)
-        return self._coalescer_stats[kernel]
+        stats = [fp.coalescer for fp in self.footprint(kernel).stores]
+        return CoalescerStats(sum(s.txns_in for s in stats), sum(s.txns_out for s in stats))
+
+    def _product(self, key: tuple, streams: dict) -> AccessFootprint:
+        """The access's memoised products, expanding it into ``streams`` if new."""
+        fp = self._products.get(key)
+        if fp is None:
+            access, base = key
+            stream = streams[key] = expand_range(access, base)
+            coalesced = stats = None
+            if access.op.is_store:
+                stats = CoalescerStats()
+                coalesced = sm_coalesce(stream, stats)
+            fp = self._products[key] = AccessFootprint(
+                access, base, stream.pages(self.page_size), stream.total_bytes,
+                len(stream), coalesced, stats,
+            )
+        return fp
 
     # -- footprints -------------------------------------------------------------
 
@@ -260,45 +276,21 @@ class ProgramAnalysis:
         """Compute (once) the cached aggregate view of a kernel."""
         if kernel in self._footprints:
             return self._footprints[kernel]
-        reads = []
-        stores = []
-        read_bytes: dict[PatternKind, int] = {}
-        store_bytes: dict[PatternKind, int] = {}
-        read_page_sets = []
-        store_page_sets = []
-        for access in kernel.accesses:
-            stream = self.stream(access)
-            pages = stream.pages(self.page_size)
-            fp = AccessFootprint(
-                access=access,
-                buffer_base=self._bases[access.buffer],
-                pages=pages,
-                payload_bytes=stream.total_bytes,
-                txns=len(stream),
-            )
-            kind = access.pattern.kind
-            if access.op is MemOp.READ:
-                reads.append(fp)
-                read_bytes[kind] = read_bytes.get(kind, 0) + fp.payload_bytes
-                read_page_sets.append(pages)
-            else:
-                stores.append(fp)
-                store_bytes[kind] = store_bytes.get(kind, 0) + fp.payload_bytes
-                store_page_sets.append(pages)
-        footprint = KernelFootprint(
-            kernel=kernel,
-            reads=reads,
-            stores=stores,
-            l2_hit_rate=self._warm_l2_hit_rate(reads),
-            read_bytes_by_kind=read_bytes,
-            store_bytes_by_kind=store_bytes,
-            read_pages=_union(read_page_sets),
-            store_pages=_union(store_page_sets),
+        streams: dict[tuple, LineStream] = {}  # this call's raw expansions
+        fps = [self._product((a, self._bases[a.buffer]), streams) for a in kernel.accesses]
+        reads = [fp for fp in fps if not fp.access.op.is_store]
+        stores = [fp for fp in fps if fp.access.op.is_store]
+        read_pages, store_pages = _union(reads), _union(stores)
+        footprint = self._footprints[kernel] = KernelFootprint(
+            kernel=kernel, reads=reads, stores=stores,
+            l2_hit_rate=self._warm_l2_hit_rate(reads, streams),
+            read_bytes_by_kind=_bytes_by_kind(reads), store_bytes_by_kind=_bytes_by_kind(stores),
+            read_pages=read_pages, store_pages=store_pages,
+            all_pages=np.union1d(read_pages, store_pages),
         )
-        self._footprints[kernel] = footprint
         return footprint
 
-    def _warm_l2_hit_rate(self, reads: list) -> float:
+    def _warm_l2_hit_rate(self, reads: list, streams: dict) -> float:
         """Warm-cache L2 hit rate of the kernel's concatenated read stream.
 
         The stream runs through a fresh L2 twice; the second pass's hit rate
@@ -307,21 +299,31 @@ class ProgramAnalysis:
         per-GPU working set fits where the full one did not.
         :func:`warm_lru_hits` counts the second pass's hits exactly;
         ``REPRO_SCALAR_REPLAY=1`` walks both passes through :class:`Cache`
-        instead, the reference the two are tested against.
+        instead, the reference the two are tested against. Memoised per
+        read set; a miss re-expands any read ``streams`` does not hold.
         """
-        if not reads:
+        key = tuple((fp.access, fp.buffer_base) for fp in reads)
+        if not key:
             return 0.0
+        if key in self._l2_memo:
+            return self._l2_memo[key]
+        for read in key:
+            if read not in streams:  # membership: an empty stream is falsy
+                streams[read] = expand_range(*read)
+        parts = [streams[read].lines for read in key]
+        all_lines = np.concatenate(parts) if len(parts) > 1 else parts[0]
         gpu = self.config.gpu
-        streams = [self.stream(fp.access).lines for fp in reads]
-        all_lines = np.concatenate(streams) if len(streams) > 1 else streams[0]
         if scalar_replay_enabled():
             cache = Cache(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
             cache.simulate_stream(all_lines)  # cold pass: warm the cache
-            return cache.simulate_stream(all_lines).hit_rate
-        if all_lines.shape[0] == 0:
-            return 0.0
-        num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
-        return warm_lru_hits(all_lines, num_sets, gpu.l2_assoc) / all_lines.shape[0]
+            rate = cache.simulate_stream(all_lines).hit_rate
+        elif all_lines.shape[0] == 0:
+            rate = 0.0
+        else:
+            num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+            rate = warm_lru_hits(all_lines, num_sets, gpu.l2_assoc) / all_lines.shape[0]
+        self._l2_memo[key] = rate
+        return rate
 
     # -- phase-level dataflow ------------------------------------------------------
 
@@ -360,12 +362,19 @@ class ProgramAnalysis:
         return total
 
 
-def _union(page_sets: list) -> np.ndarray:
-    if not page_sets:
+def _union(fps: list) -> np.ndarray:
+    if not fps:
         return np.empty(0, dtype=np.int64)
-    if len(page_sets) == 1:
-        return page_sets[0]
-    return np.unique(np.concatenate(page_sets))
+    if len(fps) == 1:
+        return fps[0].pages
+    return np.unique(np.concatenate([fp.pages for fp in fps]))
+
+
+def _bytes_by_kind(fps: list) -> dict:
+    out: dict[PatternKind, int] = {}
+    for fp in fps:
+        out[fp.kind] = out.get(fp.kind, 0) + fp.payload_bytes
+    return out
 
 
 # -- analysis sharing across paradigm executors ---------------------------------

@@ -23,12 +23,12 @@ On top of path identity, each case is checked against the invariant oracle
 bandwidth never increases simulated time, GPS with subscription tracking
 never moves more bytes than GPS with every GPU subscribed, and a warm
 process gives the same bytes as a cold one (``differential-warm-cold``):
-``gps`` over a small write-queue x GPS-TLB grid, run interleaved in one
-process that already analysed the program, matches each config run cold:
-on a freshly built program (so its fingerprint memo is empty) after the
-analysis cache and the runner's memos are cleared. The four paths above
-start every program from clean memo state, so only this relation sees a
-memo keyed on too little.
+``gps`` over a small write-queue x GPS-TLB grid, then ``um`` and
+``memcpy``, all run in one process that already analysed the program,
+match each run cold: on a freshly built program (so its fingerprint memo
+is empty) after the analysis cache and the runner's memos are cleared.
+The four paths above start every program from clean memo state, so only
+this relation sees a memo keyed on too little.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ PATHS = ("direct", "cache", "pool", "service")
 #: ``(write-queue entries, GPS-TLB entries)`` of the warm-process relation,
 #: in run order: two sizes of each, interleaved so consecutive jobs differ.
 WARM_COLD_GRID = ((32, 8), (512, 32), (32, 32), (512, 8))
+
+#: Run after that grid on the same warm analysis: its page sets and L2 rates.
+WARM_COLD_PARADIGMS = ("um", "memcpy")
 
 
 def canonical_payload(result: SimulationResult) -> str:
@@ -242,28 +245,25 @@ def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
     base = SimJob(
         spec.workload_name, "gps", spec.num_gpus, link, spec.scale, spec.iterations
     ).resolved_config()
-    configs = [
-        dataclasses.replace(
-            base,
-            gps=dataclasses.replace(
-                base.gps, write_queue_entries=entries, gps_tlb_entries=tlb
-            ),
-        )
+    runs = [
+        (f"gps (write queue {entries}, GPS-TLB {tlb})", "gps", dataclasses.replace(
+            base, gps=dataclasses.replace(base.gps, write_queue_entries=entries, gps_tlb_entries=tlb)
+        ))
         for entries, tlb in WARM_COLD_GRID
-    ]
-    warm = [canonical_payload(PARADIGMS["gps"](program, c).run()) for c in configs]
-    for (entries, tlb), config, payload in zip(WARM_COLD_GRID, configs, warm):
+    ] + [(paradigm, paradigm, base) for paradigm in WARM_COLD_PARADIGMS]
+    warm = [canonical_payload(PARADIGMS[p](program, c).run()) for _, p, c in runs]
+    for (label, paradigm, config), payload in zip(runs, warm):
         clear_analysis_cache()
         clear_run_cache()
         cold = generate_program(
             spec.seed, spec.num_gpus, scale=spec.scale, iterations=spec.iterations
         )
-        if canonical_payload(PARADIGMS["gps"](cold, config).run()) != payload:
+        if canonical_payload(PARADIGMS[paradigm](cold, config).run()) != payload:
             report.violations.append(
                 Violation(
                     "differential-warm-cold",
-                    f"gps (write queue {entries}, GPS-TLB {tlb}): payload after "
-                    "other configs in one process differs from a cold run",
+                    f"{label}: payload after other runs in one process "
+                    "differs from a cold run",
                 )
             )
     clear_analysis_cache()

@@ -1,16 +1,21 @@
 """Unit tests for program analysis."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import repro
+from repro.cache.cache import set_count
+from repro.cache.warm_lru import warm_lru_hits
 from repro.gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from repro.memory.address_space import AddressSpace
 from repro.paradigms import PARADIGMS
 from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
+from repro.trace.expand import LineStream, expand_range
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
 from repro.verify import canonical_payload, generate_program
@@ -136,35 +141,144 @@ class TestStoreStreams:
         assert atomic
 
 
-class TestFootprintFormula:
-    """Footprints equal the ``np.unique`` page-set and coalescer formulas."""
+def _check_against_memo_free(analysis: ProgramAnalysis) -> None:
+    """Every kernel's footprint equals a recomputation with no memo at all.
 
-    @pytest.mark.parametrize("workload", ["als", "hit"])
+    Page sets follow the ``np.unique`` formula, the L2 rate
+    :func:`warm_lru_hits` over the concatenated reads, and the store
+    streams and coalescer counts :func:`sm_coalesce`.
+    """
+    program, gpu = analysis.program, analysis.config.gpu
+    num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+    lines_per_page = analysis.page_size // 128
+    for kernel in program.iter_kernels():
+        footprint = analysis.footprint(kernel)
+        expanded = [
+            (access, expand_range(access, analysis.buffer_base(access.buffer)))
+            for access in kernel.accesses
+        ]
+        reads = [s for a, s in expanded if not a.op.is_store]
+        stores = [s for a, s in expanded if a.op.is_store]
+        for fp, stream in zip(footprint.reads + footprint.stores, reads + stores):
+            np.testing.assert_array_equal(fp.pages, np.unique(stream.lines // lines_per_page))
+            assert fp.pages.dtype == np.int64
+            assert (fp.payload_bytes, fp.txns) == (stream.total_bytes, len(stream))
+        for got, streams in ((footprint.read_pages, reads), (footprint.store_pages, stores)):
+            want = [s.lines // lines_per_page for s in streams]
+            np.testing.assert_array_equal(
+                got, np.unique(np.concatenate(want)) if want else np.empty(0)
+            )
+        np.testing.assert_array_equal(
+            footprint.all_pages, np.union1d(footprint.read_pages, footprint.store_pages)
+        )
+        lines = LineStream.concat(reads).lines
+        rate = warm_lru_hits(lines, num_sets, gpu.l2_assoc) / len(lines) if len(lines) else 0.0
+        assert footprint.l2_hit_rate == rate
+        want_stats = CoalescerStats()
+        coalesced = [sm_coalesce(s, want_stats) for s in stores]
+        got_streams = [stream for _, stream, _ in analysis.store_streams(kernel)]
+        assert len(got_streams) == len(coalesced)
+        for got, want in zip(got_streams, coalesced):
+            np.testing.assert_array_equal(got.lines, want.lines)
+            np.testing.assert_array_equal(got.bytes_per_txn, want.bytes_per_txn)
+        stats = analysis.coalescer_stats(kernel)
+        assert (stats.txns_in, stats.txns_out) == (want_stats.txns_in, want_stats.txns_out)
+
+
+class TestFootprintFormula:
+    """Memoised footprints equal a memo-free recomputation."""
+
+    @pytest.mark.parametrize("workload", repro.workload_names())
     def test_page_sets_and_coalescer_stats(self, workload):
         program = repro.get_workload(workload).build(4, scale=TINY, iterations=2)
+        _check_against_memo_free(ProgramAnalysis(program, repro.default_system(4)))
+
+    def test_scalar_replay_l2_rate(self, monkeypatch):
+        # The Cache-walking reference must see the same concatenated reads.
+        monkeypatch.setenv("REPRO_SCALAR_REPLAY", "1")
+        program = repro.get_workload("jacobi").build(4, scale=TINY, iterations=2)
+        _check_against_memo_free(ProgramAnalysis(program, repro.default_system(4)))
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of every call ``repro.system.analysis`` makes to ``name``."""
+    calls = []
+    original = getattr(analysis_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis_module, name, counted)
+    return calls
+
+
+class TestContentMemos:
+    """Per-access and per-read-set memos repeat no work and keep no streams."""
+
+    def test_repeated_reads_and_stores_are_not_recomputed(self, monkeypatch):
+        l2_calls = _counting(monkeypatch, "warm_lru_hits")
+        coalesce_calls = _counting(monkeypatch, "sm_coalesce")
+        read_a = AccessRange("a", 0, 2 * PAGE, MemOp.READ)
+        read_b = AccessRange("b", 0, PAGE, MemOp.READ)
+        store_c = AccessRange("c", 0, PAGE, MemOp.WRITE)
+        store_d = AccessRange("d", 0, PAGE, MemOp.WRITE)
+        kernels = (
+            KernelSpec("k0", 0, 1.0, (read_a, read_b, store_c)),
+            KernelSpec("k1", 1, 2.0, (read_a, read_b, store_d)),  # same reads
+            KernelSpec("k2", 2, 3.0, (read_b, store_c)),  # stores repeat k0's
+            KernelSpec("k3", 3, 4.0, (read_b, read_a)),  # k0's reads, reordered
+        )
+        buffers = tuple(BufferSpec(name, 4 * PAGE) for name in "abcd")
+        program = TraceProgram("t", 4, buffers, (Phase("p", kernels),))
         analysis = ProgramAnalysis(program, repro.default_system(4))
-        lines_per_page = analysis.page_size // 128
-        for phase in program.phases:
-            for kernel in phase.kernels:
-                footprint = analysis.footprint(kernel)
-                read_sets, store_sets = [], []
-                for fp in footprint.reads + footprint.stores:
-                    lines = analysis.stream(fp.access).lines
-                    expected = np.unique(lines // lines_per_page)
-                    np.testing.assert_array_equal(fp.pages, expected)
-                    assert fp.pages.dtype == np.int64
-                    (store_sets if fp.access.op.is_store else read_sets).append(expected)
-                for got, sets in ((footprint.read_pages, read_sets),
-                                  (footprint.store_pages, store_sets)):
-                    expected = np.unique(np.concatenate(sets)) if sets else np.empty(0)
-                    np.testing.assert_array_equal(got, expected)
-                expected_stats = CoalescerStats()
-                for fp in footprint.stores:
-                    sm_coalesce(analysis.stream(fp.access), expected_stats)
-                stats = analysis.coalescer_stats(kernel)
-                assert (stats.txns_in, stats.txns_out) == (
-                    expected_stats.txns_in, expected_stats.txns_out
-                )
+        analysis.footprint(kernels[0])
+        analysis.footprint(kernels[1])
+        assert len(l2_calls) == 1
+        assert len(coalesce_calls) == 2
+        analysis.footprint(kernels[2])
+        assert len(coalesce_calls) == 2
+        assert analysis.footprint(kernels[2]).stores[0] is analysis.footprint(kernels[0]).stores[0]
+        # Concatenation order changes LRU hits, so order is part of the key.
+        analysis.footprint(kernels[3])
+        assert len(l2_calls) == 3
+        _check_against_memo_free(analysis)
+
+    def test_other_range_of_the_same_buffer_gets_its_own_rate(self):
+        # At small scale every kernel fits the L2, so equal rates would hide
+        # a key that names buffers but not ranges; the second kernel thrashes.
+        config = repro.default_system(1)
+        span = 2 * config.gpu.l2_bytes
+        kernels = [
+            KernelSpec("k", 0, 1.0, (AccessRange("a", 0, length, MemOp.READ),))
+            for length in (PAGE, span)
+        ]
+        phases = tuple(Phase(f"p{i}", (kernel,)) for i, kernel in enumerate(kernels))
+        program = TraceProgram("t", 1, (BufferSpec("a", span),), phases)
+        analysis = ProgramAnalysis(program, config)
+        small, large = (analysis.footprint(kernel).l2_hit_rate for kernel in kernels)
+        assert small > large
+        _check_against_memo_free(analysis)
+
+    @pytest.mark.parametrize("workload", ["jacobi", "hit"])
+    def test_no_raw_stream_outlives_its_footprint(self, monkeypatch, workload):
+        refs = []
+        original = analysis_module.expand_range
+
+        def recorded(*args):
+            stream = original(*args)
+            refs.append(weakref.ref(stream))
+            return stream
+
+        monkeypatch.setattr(analysis_module, "expand_range", recorded)
+        program = repro.get_workload(workload).build(4, scale=TINY, iterations=2)
+        analysis = ProgramAnalysis(program, repro.default_system(4))
+        for kernel in program.iter_kernels():
+            analysis.footprint(kernel)
+            analysis.store_streams(kernel)
+        gc.collect()
+        assert refs
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestSharedCache:

@@ -94,6 +94,22 @@ class TestWarmColdRelation:
         assert report.violations
         assert {v.check for v in report.violations} == {"differential-warm-cold"}
 
+    @pytest.mark.parametrize("paradigm", ["um", "memcpy"])
+    def test_covers_demand_and_bulk_paradigms(self, monkeypatch, paradigm):
+        # A stand-in for a memo keyed on too little: the result depends on
+        # how much of the analysis the process had already built.
+        class HistoryDependent(PARADIGMS[paradigm]):
+            def run(self):
+                seen = len(self.analysis._footprints)
+                result = super().run()
+                result.total_time += seen
+                return result
+
+        monkeypatch.setitem(PARADIGMS, paradigm, HistoryDependent)
+        report = CaseReport(FuzzSpec(0, 2, 0.25, 2))
+        _warm_cold_case(report.spec, "pcie6", report)
+        assert [v.message.split(":")[0] for v in report.violations] == [paradigm]
+
 
 class TestRunDifferential:
     def test_three_paths_agree(self):
