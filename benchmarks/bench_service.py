@@ -15,7 +15,9 @@ three workload phases through the blocking client SDK:
   either way it never re-simulates).
 
 Reported per phase: submit-to-result p50/p99 and, for cold jobs, the
-server-side queue-wait vs run-time split. Raw latencies are
+server-side queue-wait vs run-time split plus the overhead left over
+(latency - wait - run: HTTP, JSON and the client's wait for its answer),
+printed but not gated. Raw latencies are
 machine-dependent, so the committed ``BENCH_service.json`` gates two
 machine-independent quantities instead: the warm/cold p50 speedup ratio
 (a cache hit answered at HTTP round-trip speed vs a full engine run) and
@@ -137,6 +139,10 @@ def run_load() -> "tuple[list[dict], dict]":
             cold_ids.append(job_id)
         cold_wait = [client.status(job_id)["wait_s"] for job_id in cold_ids]
         cold_run = [client.status(job_id)["run_s"] for job_id in cold_ids]
+        cold_overhead = [
+            latency - wait - run
+            for latency, wait, run in zip(cold_lat, cold_wait, cold_run)
+        ]
 
         # Phase 2: warm, closed loop — every job is a memo-cache hit.
         warm_lat: "list[float]" = []
@@ -181,6 +187,7 @@ def run_load() -> "tuple[list[dict], dict]":
             "structure": "service", "op": "cold",
             "p50_ms": _ms(cold_lat, 50.0), "p99_ms": _ms(cold_lat, 99.0),
             "wait_ms_p50": _ms(cold_wait, 50.0), "run_ms_p50": _ms(cold_run, 50.0),
+            "overhead_ms_p50": _ms(cold_overhead, 50.0),
             "jobs": len(cold_lat),
         },
         {
@@ -230,7 +237,8 @@ def main(argv=None) -> int:
             extra = ""
             if "wait_ms_p50" in row:
                 extra = (f"  (wait {row['wait_ms_p50']:.1f} ms / "
-                         f"run {row['run_ms_p50']:.1f} ms)")
+                         f"run {row['run_ms_p50']:.1f} ms / "
+                         f"overhead {row['overhead_ms_p50']:.1f} ms)")
             print(f"{row['op']:>16}  p50 {row['p50_ms']:>9.3f} ms  "
                   f"p99 {row['p99_ms']:>9.3f} ms  ({row['jobs']} jobs){extra}")
     print(f"{'warm_vs_cold':>16}  {summary['warm_vs_cold_speedup']:.1f}x speedup, "

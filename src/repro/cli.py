@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--no-wait",
         action="store_true",
-        help="print the job id immediately instead of polling to completion",
+        help="print the job id immediately instead of waiting for the result",
     )
     submit.add_argument(
         "--timeout", type=float, default=300.0, help="seconds to wait for the result"

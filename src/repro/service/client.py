@@ -12,6 +12,10 @@ Typical use::
     payload = client.wait(job["id"], timeout=120)
     print(payload["result"]["total_time"])
 
+:meth:`ServiceClient.wait` long-polls: the server holds each
+``GET /results/{id}?wait=`` until the job settles, so the result comes
+back the moment it exists, in one round trip.
+
 The default URL comes from ``REPRO_SERVICE_URL`` (falling back to
 ``http://127.0.0.1:8787``), so CLI verbs and scripts against a local
 service need no configuration at all.
@@ -48,7 +52,7 @@ class ClientError(ServiceError):
     """An HTTP request to the service failed.
 
     ``status`` is the HTTP status code, or ``None`` for transport-level
-    failures (connection refused, timeout).
+    failures (connection refused, no reply within the socket timeout).
     """
 
     def __init__(self, message: str, status: "int | None" = None) -> None:
@@ -97,7 +101,11 @@ class ServiceClient:
         headers: "dict | None" = None,
     ) -> "tuple[int, dict]":
         conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        where = f"service at http://{self.host}:{self.port}"
+        connected = False
         try:
+            conn.connect()
+            connected = True
             payload = json.dumps(body).encode("utf-8") if body is not None else None
             send_headers = {"Content-Type": "application/json"} if payload else {}
             send_headers.update(headers or {})
@@ -109,10 +117,12 @@ class ServiceClient:
             except ValueError:
                 decoded = {}
             return response.status, decoded
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            raise ClientError(
-                f"cannot reach service at http://{self.host}:{self.port}: {exc}"
-            ) from exc
+        except OSError as exc:
+            if connected and isinstance(exc, TimeoutError):
+                raise ClientError(
+                    f"{where} sent no reply to {method} {path} within {self.timeout:g}s"
+                ) from exc
+            raise ClientError(f"cannot reach {where}: {exc}") from exc
         finally:
             conn.close()
 
@@ -182,23 +192,33 @@ class ServiceClient:
 
         Raises :class:`JobFailed` once the job has failed server-side.
         """
-        status, payload = self._request("GET", f"/results/{job_id}")
+        return self._result(job_id)
+
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Block until the job completes; returns the result payload.
+
+        Each request asks the server to hold it until the job settles
+        (``GET /results/{id}?wait=``), for at most half the socket
+        timeout so that a long-poll never outlasts its own socket; a
+        ``202`` asks again until ``timeout`` runs out.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = max(0.0, deadline - time.monotonic())
+            payload = self._result(job_id, wait=min(remaining, self.timeout / 2))
+            if payload is not None:
+                return payload
+            if time.monotonic() >= deadline:
+                raise ClientError(f"timed out after {timeout:.0f}s waiting for {job_id}")
+
+    def _result(self, job_id: str, wait: "float | None" = None) -> "dict | None":
+        path = f"/results/{job_id}" + ("" if wait is None else f"?wait={wait:.3f}")
+        status, payload = self._request("GET", path)
         if status == 202:
             return None
         if status == 500:
             raise JobFailed(payload.get("error") or f"job {job_id} failed")
         return _check(status, payload, accept=(200,))
-
-    def wait(self, job_id: str, timeout: float = 300.0, poll_s: float = 0.05) -> dict:
-        """Poll until the job completes; returns the result payload."""
-        deadline = time.monotonic() + timeout
-        while True:
-            payload = self.result(job_id)
-            if payload is not None:
-                return payload
-            if time.monotonic() >= deadline:
-                raise ClientError(f"timed out after {timeout:.0f}s waiting for {job_id}")
-            time.sleep(poll_s)
 
     def run(self, workload: str, timeout: float = 300.0, **kwargs) -> dict:
         """Submit + wait in one call; returns the result payload."""

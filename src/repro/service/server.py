@@ -14,7 +14,10 @@ run off-loop via the harness runner's process pool. The API surface:
 ``GET /jobs/{id}``          job status (state, latencies, attempts, coalesced,
                             client label, trace id)
 ``GET /results/{id}``       ``200`` + full result once done, ``202`` while
-                            pending, ``500`` once failed
+                            pending, ``500`` once failed; ``?wait=<s>``
+                            first awaits the job for up to ``s`` seconds
+                            (capped at ``RESULT_WAIT_CAP_S``), ``400`` when
+                            ``s`` is not a finite number >= 0
 ``GET /healthz``            liveness + queue gauges
 ``GET /metrics``            the service's ``obs.CounterRegistry`` snapshot
                             as JSON
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from urllib.parse import parse_qs
@@ -73,6 +77,10 @@ _STATUS_PHRASES = {
 
 #: Largest request body the server will read, in bytes.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest a ``GET /results/{id}?wait=`` request holds its connection, in
+#: seconds; a longer ``wait`` is clipped to it.
+RESULT_WAIT_CAP_S = 30.0
 
 
 def _qlast(query: "dict[str, list[str]]", name: str) -> "str | None":
@@ -179,6 +187,7 @@ class SimulationService:
         )
         self._server: "asyncio.Server | None" = None
         self._stopped: "asyncio.Event | None" = None
+        self._answering: "set[asyncio.Task]" = set()  # read a request, not yet replied
         self.host = self.settings.host
         self.port = self.settings.port
 
@@ -212,6 +221,9 @@ class SimulationService:
         self.queue.close()
         await self.scheduler.stop(drain=drain)
         self._server.close()
+        # Every job has settled, so a long-poll still pending has woken:
+        # let its answer go out before the loop stops.
+        await asyncio.gather(*self._answering, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
         assert self._stopped is not None
@@ -231,13 +243,19 @@ class SimulationService:
                 return
             if request is None:
                 return
-            method, path, query, headers, body = request
-            response = await self._route(method, path, query, headers, body)
-            # Handlers return (status, payload) or (status, payload, headers).
-            status, payload = response[0], response[1]
-            extra_headers = response[2] if len(response) > 2 else None
-            writer.write(_render_response(status, payload, extra_headers))
-            await writer.drain()
+            task = asyncio.current_task()
+            assert task is not None
+            self._answering.add(task)
+            try:
+                method, path, query, headers, body = request
+                response = await self._route(method, path, query, headers, body)
+                # Handlers return (status, payload) or (status, payload, headers).
+                status, payload = response[0], response[1]
+                extra_headers = response[2] if len(response) > 2 else None
+                writer.write(_render_response(status, payload, extra_headers))
+                await writer.drain()
+            finally:
+                self._answering.discard(task)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -297,7 +315,7 @@ class SimulationService:
         if path.startswith("/jobs/") and method == "GET":
             return self._job_status(path[len("/jobs/"):])
         if path.startswith("/results/") and method == "GET":
-            return self._job_result(path[len("/results/"):])
+            return await self._job_result(path[len("/results/"):], query)
         if path.startswith("/traces/") and method == "GET":
             return self._trace(path[len("/traces/"):], query)
         if path == "/shutdown" and method == "POST":
@@ -349,10 +367,22 @@ class SimulationService:
             return 404, {"error": f"unknown job id {job_id!r}"}
         return 200, job.as_dict()
 
-    def _job_result(self, job_id: str) -> "tuple[int, dict]":
+    async def _job_result(self, job_id: str, query: dict) -> "tuple[int, dict]":
+        raw_wait = _qlast(query, "wait")
+        try:
+            wait = 0.0 if raw_wait is None else float(raw_wait)
+        except ValueError:
+            wait = math.nan
+        if not 0.0 <= wait < math.inf:
+            return 400, {"error": f"wait must be a finite number >= 0, got {raw_wait!r}"}
         job = self.queue.get(job_id)
         if job is None:
             return 404, {"error": f"unknown job id {job_id!r}"}
+        assert job.future is not None
+        if wait > 0 and not job.future.done():
+            # Not wait_for: its timeout would cancel the future every
+            # coalesced duplicate shares.
+            await asyncio.wait({job.future}, timeout=min(wait, RESULT_WAIT_CAP_S))
         if job.state is JobState.FAILED:
             return 500, {"id": job.id, "state": job.state.value, "error": job.error}
         result = job.result

@@ -34,6 +34,7 @@ from .differential import (
     ServiceHandle,
     VerifyReport,
     canonical_payload,
+    check_memo_free,
     run_differential,
 )
 from .fuzzer import FuzzSpec, FuzzWorkload, generate_program, is_fuzz_workload
@@ -66,6 +67,7 @@ __all__ = [
     "canonical_payload",
     "check_execution",
     "check_family",
+    "check_memo_free",
     "check_result",
     "generate_program",
     "is_fuzz_workload",

@@ -28,7 +28,13 @@ process gives the same bytes as a cold one (``differential-warm-cold``):
 match each run cold: on a freshly built program (so its fingerprint memo
 is empty) after the analysis cache and the runner's memos are cleared.
 The four paths above start every program from clean memo state, so only
-this relation sees a memo keyed on too little.
+this relation sees a memo keyed on too little between programs or
+configs. Inside one program, warm and cold runs visit kernels in the
+same order, so a coarse key gives the same wrong value on both sides;
+:func:`check_memo_free` (``differential-memo-free``) therefore also
+recomputes every kernel of the warm analysis with no memo at all. The
+relation runs on a small L2, so that kernels' reads spill and a kernel's
+hit rate depends on which lines it reads.
 """
 
 from __future__ import annotations
@@ -41,11 +47,17 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 
-from ..config import LinkConfig
+import numpy as np
+
+from ..cache.cache import set_count
+from ..cache.warm_lru import warm_lru_hits
+from ..config import CACHE_BLOCK, LinkConfig
+from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from ..harness.runner import SimJob, clear_run_cache, resolve_link, run_many
 from ..paradigms import PARADIGMS
-from ..system.analysis import clear_analysis_cache
+from ..system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
 from ..system.results import SimulationResult
+from ..trace.expand import LineStream, expand_range
 from .fuzzer import FuzzSpec, generate_program
 from .oracle import Violation, check_execution, check_family, check_result
 
@@ -61,6 +73,10 @@ WARM_COLD_GRID = ((32, 8), (512, 32), (32, 32), (512, 8))
 
 #: Run after that grid on the same warm analysis: its page sets and L2 rates.
 WARM_COLD_PARADIGMS = ("um", "memcpy")
+
+#: L2 size of the warm-process relation: small enough that fuzzed kernels'
+#: reads spill, so equal hit rates cannot hide a coarse L2 memo key.
+WARM_COLD_L2_BYTES = 64 * 1024
 
 
 def canonical_payload(result: SimulationResult) -> str:
@@ -245,6 +261,9 @@ def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
     base = SimJob(
         spec.workload_name, "gps", spec.num_gpus, link, spec.scale, spec.iterations
     ).resolved_config()
+    base = dataclasses.replace(
+        base, gpu=dataclasses.replace(base.gpu, l2_bytes=WARM_COLD_L2_BYTES)
+    )
     runs = [
         (f"gps (write queue {entries}, GPS-TLB {tlb})", "gps", dataclasses.replace(
             base, gps=dataclasses.replace(base.gps, write_queue_entries=entries, gps_tlb_entries=tlb)
@@ -252,6 +271,7 @@ def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
         for entries, tlb in WARM_COLD_GRID
     ] + [(paradigm, paradigm, base) for paradigm in WARM_COLD_PARADIGMS]
     warm = [canonical_payload(PARADIGMS[p](program, c).run()) for _, p, c in runs]
+    report.violations.extend(check_memo_free(get_analysis(program, base)))
     for (label, paradigm, config), payload in zip(runs, warm):
         clear_analysis_cache()
         clear_run_cache()
@@ -267,6 +287,69 @@ def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
                 )
             )
     clear_analysis_cache()
+
+
+def check_memo_free(analysis: ProgramAnalysis) -> "list[Violation]":
+    """Every kernel's footprint against a recomputation with no memo at all.
+
+    Page sets follow the ``np.unique`` formula, the L2 rate
+    :func:`warm_lru_hits` over the concatenated reads, and the store
+    streams and coalescer counts :func:`sm_coalesce`. Returns one
+    ``differential-memo-free`` violation per kernel that differs.
+    """
+    program, gpu = analysis.program, analysis.config.gpu
+    num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+    lines_per_page = analysis.page_size // CACHE_BLOCK
+    violations = []
+    for index, kernel in enumerate(program.iter_kernels()):
+        footprint = analysis.footprint(kernel)
+        expanded = [
+            (access, expand_range(access, analysis.buffer_base(access.buffer)))
+            for access in kernel.accesses
+        ]
+        reads = [s for a, s in expanded if not a.op.is_store]
+        stores = [s for a, s in expanded if a.op.is_store]
+        wrong = []
+        for fp, stream in zip(footprint.reads + footprint.stores, reads + stores):
+            pages = np.unique(stream.lines // lines_per_page)
+            if fp.pages.dtype != np.int64 or not np.array_equal(fp.pages, pages):
+                wrong.append(f"pages of {fp.access}")
+            if (fp.payload_bytes, fp.txns) != (stream.total_bytes, len(stream)):
+                wrong.append(f"payload of {fp.access}")
+        for name, got, streams in (
+            ("read pages", footprint.read_pages, reads),
+            ("store pages", footprint.store_pages, stores),
+        ):
+            want = [s.lines // lines_per_page for s in streams]
+            if not np.array_equal(got, np.unique(np.concatenate(want)) if want else []):
+                wrong.append(name)
+        if not np.array_equal(
+            footprint.all_pages, np.union1d(footprint.read_pages, footprint.store_pages)
+        ):
+            wrong.append("all pages")
+        lines = LineStream.concat(reads).lines
+        rate = warm_lru_hits(lines, num_sets, gpu.l2_assoc) / len(lines) if len(lines) else 0.0
+        if footprint.l2_hit_rate != rate:
+            wrong.append(f"L2 hit rate ({footprint.l2_hit_rate}, not {rate})")
+        want_stats = CoalescerStats()
+        coalesced = [sm_coalesce(s, want_stats) for s in stores]
+        got_streams = [stream for _, stream, _ in analysis.store_streams(kernel)]
+        if len(got_streams) != len(coalesced) or not all(
+            np.array_equal(got.lines, want.lines)
+            and np.array_equal(got.bytes_per_txn, want.bytes_per_txn)
+            for got, want in zip(got_streams, coalesced)
+        ):
+            wrong.append("coalesced store streams")
+        stats = analysis.coalescer_stats(kernel)
+        if (stats.txns_in, stats.txns_out) != (want_stats.txns_in, want_stats.txns_out):
+            wrong.append("coalescer stats")
+        if wrong:
+            violations.append(Violation(
+                "differential-memo-free",
+                f"kernel {index} ({kernel.name}) differs from a memo-free "
+                f"recomputation in: {'; '.join(wrong)}",
+            ))
+    return violations
 
 
 def _compare_path(report: CaseReport, path: str, paradigm: str, payload: str) -> None:

@@ -1,7 +1,7 @@
 """End-to-end acceptance: the full Table 2 suite through the service.
 
 Submits all 8 workloads (two of them duplicated, exercising coalescing),
-polls every job to completion, and asserts the service's result payloads
+waits for every job to complete, and asserts the service's result payloads
 byte-match direct ``run_many()`` output — the serving tier must be a pure
 transport around the deterministic runner, never a source of drift.
 """

@@ -1,20 +1,24 @@
 """HTTP API tests against a live service on an ephemeral port."""
 
+import gc
 import json
+import logging
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
-from repro.harness.runner import clear_run_cache
+from repro.harness.runner import clear_run_cache, run_many_settled
 from repro.service import (
     ClientError,
     JobFailed,
-    ServiceClient,
     ServiceSettings,
     parse_job_payload,
+    server,
 )
 
 from .conftest import LiveService
@@ -22,14 +26,14 @@ from .conftest import LiveService
 FAST = dict(scale=0.1, iterations=2, gpus=2)
 
 
-def raw_request(url, method="GET", body=None):
+def raw_request(url, method="GET", body=None, timeout=60):
     """Talk to the server without the SDK, to pin the wire format."""
     data = json.dumps(body).encode() if body is not None else None
     request = urllib.request.Request(url, data=data, method=method)
     if data:
         request.add_header("Content-Type", "application/json")
     try:
-        with urllib.request.urlopen(request) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
@@ -44,6 +48,68 @@ def raw_exchange(service, data: bytes):
             chunks.append(chunk)
     status_line, _, rest = b"".join(chunks).partition(b"\r\n")
     return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+@pytest.fixture
+def gated(fast_settings):
+    """A live service whose runner holds every batch until ``release`` is set.
+
+    Released, the batch runs for real, or, with ``fail`` set to an
+    exception, fails every simulation in it with that exception.
+    """
+    clear_run_cache()
+    live = LiveService(fast_settings)
+    gate = SimpleNamespace(
+        live=live, running=threading.Event(), release=threading.Event(), fail=None
+    )
+
+    def runner(sims, max_workers=None, traced=False):
+        gate.running.set()
+        gate.release.wait(30)
+        if gate.fail is not None:
+            return [(gate.fail, None) for _ in sims]
+        return run_many_settled(sims, max_workers, traced=traced)
+
+    live.service.scheduler._runner = runner
+    yield gate
+    gate.release.set()
+    live.stop(drain=False)
+    clear_run_cache()
+
+
+def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class _LongPoll(threading.Thread):
+    """``GET /results/{id}?wait=30`` on its own thread; ``answer`` once back."""
+
+    def __init__(self, live, job_id):
+        super().__init__(daemon=True)
+        self.url = f"{live.url}/results/{job_id}?wait=30"
+        self.answer = None
+
+    def run(self):
+        self.answer = raw_request(self.url)
+
+
+def _long_polls(live, *job_ids):
+    """Start one long-poll per id; return once the server holds them all."""
+    polls = [_LongPoll(live, job_id) for job_id in job_ids]
+    for poll in polls:
+        poll.start()
+    _until(lambda: len(live.service._answering) >= len(polls))
+    return polls
+
+
+def _answers(polls):
+    for poll in polls:
+        poll.join(30)
+        assert not poll.is_alive(), "long-poll never answered"
+    return [poll.answer for poll in polls]
 
 
 class TestRoutes:
@@ -168,20 +234,23 @@ class TestJobFlow:
         payload = client.run("stencil", timeout=60, **FAST)
         assert payload["result"]["program_name"].startswith("jacobi")
 
-    def test_concurrent_identical_submissions_coalesce(self, live_service):
-        client = live_service.client()
-        # Two submissions race in over separate connections before the
-        # batch window closes: exactly one simulation must run.
+    def test_concurrent_identical_submissions_coalesce(self, gated):
+        live = gated.live
+        client = live.client()
+        # Two submissions race in over separate connections while the
+        # runner holds the first batch: exactly one simulation must run.
+        # Unheld, a run of a few ms can finish before the second arrives.
         jobs = {}
 
         def submit(slot):
-            jobs[slot] = live_service.client().submit("ct", **FAST)
+            jobs[slot] = live.client().submit("ct", **FAST)
 
         threads = [threading.Thread(target=submit, args=(i,)) for i in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
+        gated.release.set()
         first, second = jobs[0], jobs[1]
         assert first["key"] == second["key"]
         assert sorted([first["coalesced"], second["coalesced"]]) == [False, True]
@@ -227,6 +296,107 @@ class TestJobFlow:
         metrics = client.metrics()
         assert metrics["service.jobs.failed"] == 1
         assert metrics["service.jobs.retried"] == 1
+
+
+class TestResultWait:
+    def test_wait_on_a_finished_job_answers_at_once(self, live_service):
+        client = live_service.client()
+        done = client.run("jacobi", timeout=60, **FAST)
+        url = f"{live_service.url}/results/{done['id']}"
+        start = time.monotonic()
+        status, payload = raw_request(url + "?wait=30")
+        assert time.monotonic() - start < 5
+        assert (status, payload) == raw_request(url) == (200, done)
+
+    def test_timed_out_wait_is_a_202_and_the_job_still_completes(self, gated):
+        client = gated.live.client()
+        job = client.submit("jacobi", **FAST)
+        assert gated.running.wait(10)
+        start = time.monotonic()
+        status, payload = raw_request(f"{gated.live.url}/results/{job['id']}?wait=0.2")
+        assert time.monotonic() - start >= 0.2
+        assert status == 202
+        assert payload == {"id": job["id"], "state": "running"}
+        gated.release.set()
+        assert client.wait(job["id"], timeout=60)["state"] == "done"
+
+    def test_primary_and_duplicate_both_wake(self, gated):
+        client = gated.live.client()
+        primary = client.submit("ct", **FAST)
+        assert gated.running.wait(10)
+        duplicate = client.submit("ct", **FAST)
+        assert duplicate["coalesced"] is True
+        # The duplicate's wait times out on the shared future: that must
+        # not cancel it for the primary.
+        url = f"{gated.live.url}/results/{duplicate['id']}?wait=0.1"
+        assert raw_request(url)[0] == 202
+        polls = _long_polls(gated.live, primary["id"], duplicate["id"])
+        gated.release.set()
+        (status_a, a), (status_b, b) = _answers(polls)
+        assert status_a == status_b == 200
+        assert (a["id"], b["id"]) == (primary["id"], duplicate["id"])
+        assert a["result"] == b["result"]
+        assert client.metrics()["service.runner.fleet.jobs_computed"] == 1
+
+    def test_failed_job_is_a_500_and_logs_nothing(self, gated, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        gated.fail = RuntimeError("injected failure")
+        job = gated.live.client().submit("eqwp", **FAST)
+        (poll,) = _long_polls(gated.live, job["id"])
+        gated.release.set()
+        ((status, payload),) = _answers([poll])
+        assert status == 500
+        assert payload["state"] == "failed"
+        assert "injected failure" in payload["error"]
+        gc.collect()
+        assert "never retrieved" not in caplog.text
+
+    def test_wait_is_capped(self, gated, monkeypatch):
+        monkeypatch.setattr(server, "RESULT_WAIT_CAP_S", 0.2)
+        job = gated.live.client().submit("jacobi", **FAST)
+        start = time.monotonic()
+        status, _ = raw_request(f"{gated.live.url}/results/{job['id']}?wait=3600")
+        assert status == 202
+        assert time.monotonic() - start < 10
+
+    def test_unknown_id_is_a_404(self, live_service):
+        status, payload = raw_request(f"{live_service.url}/results/job-999999?wait=30")
+        assert status == 404
+        assert "unknown job id" in payload["error"]
+
+    @pytest.mark.parametrize("wait", ["abc", "-1", "nan", "inf"])
+    def test_bad_wait_is_a_400(self, gated, wait):
+        job = gated.live.client().submit("jacobi", **FAST)
+        status, payload = raw_request(f"{gated.live.url}/results/{job['id']}?wait={wait}")
+        assert status == 400
+        assert "wait must be a finite number" in payload["error"]
+
+    def test_shutdown_drain_delivers_a_pending_long_poll(self, gated):
+        live = gated.live
+        job = live.client().submit("jacobi", **FAST)
+        assert gated.running.wait(10)
+        (poll,) = _long_polls(live, job["id"])
+        live.client().shutdown(drain=True)
+        gated.release.set()
+        ((status, payload),) = _answers([poll])
+        assert status == 200
+        assert payload["state"] == "done"
+        live._thread.join(30)
+        assert not live._thread.is_alive()
+
+    def test_shutdown_without_drain_fails_a_pending_long_poll(self, gated):
+        live = gated.live
+        job = live.client().submit("jacobi", **FAST)
+        assert gated.running.wait(10)
+        (poll,) = _long_polls(live, job["id"])
+        live.client().shutdown(drain=False)
+        ((status, payload),) = _answers([poll])
+        assert status == 500
+        assert payload["error"].startswith("ServiceClosed")
+        # The loop's exit joins the runner thread, which the gate holds.
+        gated.release.set()
+        live._thread.join(30)
+        assert not live._thread.is_alive()
 
 
 class TestBackpressure:

@@ -8,17 +8,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cache.cache import set_count
-from repro.cache.warm_lru import warm_lru_hits
-from repro.gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from repro.memory.address_space import AddressSpace
 from repro.paradigms import PARADIGMS
 from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
-from repro.trace.expand import LineStream, expand_range
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
-from repro.verify import canonical_payload, generate_program
+from repro.verify import canonical_payload, check_memo_free, generate_program
 from tests.conftest import TINY
 
 PAGE = 65536
@@ -141,63 +137,19 @@ class TestStoreStreams:
         assert atomic
 
 
-def _check_against_memo_free(analysis: ProgramAnalysis) -> None:
-    """Every kernel's footprint equals a recomputation with no memo at all.
-
-    Page sets follow the ``np.unique`` formula, the L2 rate
-    :func:`warm_lru_hits` over the concatenated reads, and the store
-    streams and coalescer counts :func:`sm_coalesce`.
-    """
-    program, gpu = analysis.program, analysis.config.gpu
-    num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
-    lines_per_page = analysis.page_size // 128
-    for kernel in program.iter_kernels():
-        footprint = analysis.footprint(kernel)
-        expanded = [
-            (access, expand_range(access, analysis.buffer_base(access.buffer)))
-            for access in kernel.accesses
-        ]
-        reads = [s for a, s in expanded if not a.op.is_store]
-        stores = [s for a, s in expanded if a.op.is_store]
-        for fp, stream in zip(footprint.reads + footprint.stores, reads + stores):
-            np.testing.assert_array_equal(fp.pages, np.unique(stream.lines // lines_per_page))
-            assert fp.pages.dtype == np.int64
-            assert (fp.payload_bytes, fp.txns) == (stream.total_bytes, len(stream))
-        for got, streams in ((footprint.read_pages, reads), (footprint.store_pages, stores)):
-            want = [s.lines // lines_per_page for s in streams]
-            np.testing.assert_array_equal(
-                got, np.unique(np.concatenate(want)) if want else np.empty(0)
-            )
-        np.testing.assert_array_equal(
-            footprint.all_pages, np.union1d(footprint.read_pages, footprint.store_pages)
-        )
-        lines = LineStream.concat(reads).lines
-        rate = warm_lru_hits(lines, num_sets, gpu.l2_assoc) / len(lines) if len(lines) else 0.0
-        assert footprint.l2_hit_rate == rate
-        want_stats = CoalescerStats()
-        coalesced = [sm_coalesce(s, want_stats) for s in stores]
-        got_streams = [stream for _, stream, _ in analysis.store_streams(kernel)]
-        assert len(got_streams) == len(coalesced)
-        for got, want in zip(got_streams, coalesced):
-            np.testing.assert_array_equal(got.lines, want.lines)
-            np.testing.assert_array_equal(got.bytes_per_txn, want.bytes_per_txn)
-        stats = analysis.coalescer_stats(kernel)
-        assert (stats.txns_in, stats.txns_out) == (want_stats.txns_in, want_stats.txns_out)
-
-
 class TestFootprintFormula:
     """Memoised footprints equal a memo-free recomputation."""
 
     @pytest.mark.parametrize("workload", repro.workload_names())
     def test_page_sets_and_coalescer_stats(self, workload):
         program = repro.get_workload(workload).build(4, scale=TINY, iterations=2)
-        _check_against_memo_free(ProgramAnalysis(program, repro.default_system(4)))
+        assert check_memo_free(ProgramAnalysis(program, repro.default_system(4))) == []
 
     def test_scalar_replay_l2_rate(self, monkeypatch):
         # The Cache-walking reference must see the same concatenated reads.
         monkeypatch.setenv("REPRO_SCALAR_REPLAY", "1")
         program = repro.get_workload("jacobi").build(4, scale=TINY, iterations=2)
-        _check_against_memo_free(ProgramAnalysis(program, repro.default_system(4)))
+        assert check_memo_free(ProgramAnalysis(program, repro.default_system(4))) == []
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -242,7 +194,7 @@ class TestContentMemos:
         # Concatenation order changes LRU hits, so order is part of the key.
         analysis.footprint(kernels[3])
         assert len(l2_calls) == 3
-        _check_against_memo_free(analysis)
+        assert check_memo_free(analysis) == []
 
     def test_other_range_of_the_same_buffer_gets_its_own_rate(self):
         # At small scale every kernel fits the L2, so equal rates would hide
@@ -258,7 +210,7 @@ class TestContentMemos:
         analysis = ProgramAnalysis(program, config)
         small, large = (analysis.footprint(kernel).l2_hit_rate for kernel in kernels)
         assert small > large
-        _check_against_memo_free(analysis)
+        assert check_memo_free(analysis) == []
 
     @pytest.mark.parametrize("workload", ["jacobi", "hit"])
     def test_no_raw_stream_outlives_its_footprint(self, monkeypatch, workload):

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.core.gps_unit import GPSUnit
+from repro.system.analysis import ProgramAnalysis
 from repro.verify.differential import (
     CaseReport,
     _compare_path,
@@ -93,6 +94,26 @@ class TestWarmColdRelation:
         _warm_cold_case(report.spec, "pcie6", report)
         assert report.violations
         assert {v.check for v in report.violations} == {"differential-warm-cold"}
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_catches_an_l2_memo_keyed_by_buffer_names(self, monkeypatch, seed):
+        # Warm and cold runs visit kernels in one order, so this coarse key
+        # gives the same wrong rate on both sides; only the memo-free
+        # recomputation sees it.
+        original = ProgramAnalysis._warm_l2_hit_rate
+
+        def by_buffer_names(analysis, reads, streams):
+            key = ("names",) + tuple(fp.access.buffer for fp in reads)
+            if key not in analysis._l2_memo:
+                analysis._l2_memo[key] = original(analysis, reads, streams)
+            return analysis._l2_memo[key]
+
+        monkeypatch.setattr(ProgramAnalysis, "_warm_l2_hit_rate", by_buffer_names)
+        report = CaseReport(FuzzSpec(seed, 2, 0.25, 2))
+        _warm_cold_case(report.spec, "pcie6", report)
+        assert report.violations
+        assert {v.check for v in report.violations} == {"differential-memo-free"}
+        assert all("L2 hit rate" in v.message for v in report.violations)
 
     @pytest.mark.parametrize("paradigm", ["um", "memcpy"])
     def test_covers_demand_and_bulk_paradigms(self, monkeypatch, paradigm):
