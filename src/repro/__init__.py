@@ -14,6 +14,10 @@ MICRO 2021. The public API:
 * :mod:`repro.verify` — invariant oracle, trace-program fuzzer, and the
   differential conformance harness (``python -m repro verify``).
 
+Every name above resolves on first use: ``import repro`` loads only the
+standard library, and the simulator (numpy included) loads on the first
+access that needs it, such as ``repro.simulate``.
+
 Quick start::
 
     import repro
@@ -23,40 +27,63 @@ Quick start::
     print(result.total_time, result.interconnect_bytes)
 """
 
-from .config import (
-    CACHE_BLOCK,
-    GPSConfig,
-    GPUConfig,
-    LinkConfig,
-    LINKS_BY_NAME,
-    PAGE_2M,
-    PAGE_4K,
-    PAGE_64K,
-    PCIE3,
-    PCIE4,
-    PCIE5,
-    PCIE6,
-    INFINITE_LINK,
-    NVLINK2,
-    NVLINK3,
-    SystemConfig,
-    UMConfig,
-    default_system,
-)
-from .analysis import Diagnostic, Severity, analyze_program, check_program
-from .core.runtime import GPSRuntime, MemAdvise
-from .errors import AnalysisError, ReproError
-from .obs import (
-    CounterRegistry,
-    Span,
-    chrome_trace,
-    self_time_profile,
-    write_chrome_trace,
-)
-from .paradigms.registry import FIGURE8_ORDER, LABELS, PARADIGMS, make_executor
-from .system.executor import simulate, speedup_over_single_gpu
-from .system.results import SimulationResult
-from .workloads.registry import WORKLOADS, get_workload, workload_names
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analysis import Diagnostic, Severity, analyze_program, check_program
+    from .config import (
+        CACHE_BLOCK,
+        GPSConfig,
+        GPUConfig,
+        LinkConfig,
+        LINKS_BY_NAME,
+        PAGE_2M,
+        PAGE_4K,
+        PAGE_64K,
+        PCIE3,
+        PCIE4,
+        PCIE5,
+        PCIE6,
+        INFINITE_LINK,
+        NVLINK2,
+        NVLINK3,
+        SystemConfig,
+        UMConfig,
+        default_system,
+    )
+    from .core.runtime import GPSRuntime, MemAdvise
+    from .errors import AnalysisError, ReproError
+    from .obs import (
+        CounterRegistry,
+        Span,
+        chrome_trace,
+        self_time_profile,
+        write_chrome_trace,
+    )
+    from .paradigms.registry import FIGURE8_ORDER, LABELS, PARADIGMS, make_executor
+    from .system.executor import simulate, speedup_over_single_gpu
+    from .system.results import SimulationResult
+    from .workloads.registry import WORKLOADS, get_workload, workload_names
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".analysis": ("Diagnostic", "Severity", "analyze_program", "check_program"),
+    ".config": (
+        "CACHE_BLOCK", "GPSConfig", "GPUConfig", "LinkConfig", "LINKS_BY_NAME",
+        "PAGE_2M", "PAGE_4K", "PAGE_64K", "PCIE3", "PCIE4", "PCIE5", "PCIE6",
+        "INFINITE_LINK", "NVLINK2", "NVLINK3", "SystemConfig", "UMConfig",
+        "default_system",
+    ),
+    ".core.runtime": ("GPSRuntime", "MemAdvise"),
+    ".errors": ("AnalysisError", "ReproError"),
+    ".obs": ("CounterRegistry", "Span", "chrome_trace", "self_time_profile",
+             "write_chrome_trace"),
+    ".paradigms.registry": ("FIGURE8_ORDER", "LABELS", "PARADIGMS", "make_executor"),
+    ".system.executor": ("simulate", "speedup_over_single_gpu"),
+    ".system.results": ("SimulationResult",),
+    ".workloads.registry": ("WORKLOADS", "get_workload", "workload_names"),
+})
 
 __version__ = "1.3.0"
 

@@ -22,47 +22,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import (
-    FIGURE8_ORDER,
-    LABELS,
-    LINKS_BY_NAME,
-    PARADIGMS,
-    default_system,
-    get_workload,
-    simulate,
-    speedup_over_single_gpu,
-    workload_names,
-)
+from .config import LINKS_BY_NAME, default_system
 from .errors import ReproError
-from .harness import experiments
-from .harness.ascii_plot import bar_chart
-from .harness.runner import cache_stats, clear_disk_cache, disk_cache_info, fleet_stats
-from .harness.export import to_json
-from .harness.report import format_speedup_matrix, format_table
+from .names import DEFAULT_VERIFY_PARADIGMS, FIGURES, PARADIGM_NAMES, WORKLOAD_NAMES
 from .units import fmt_bytes, fmt_time
-from .workloads.registry import resolve_workload_name as _resolve_workload
 
-
-#: Default paradigm set ``repro verify`` differentials (imported lazily in
-#: the handler; duplicated here so the parser needs no heavy imports).
-_DEFAULT_VERIFY_PARADIGMS = ("gps", "gps_nosub", "memcpy", "infinite")
-
-#: CLI figure name -> (driver, accepts scale/iterations).
-FIGURES = {
-    "fig1": (experiments.fig1_motivation, True),
-    "fig3": (experiments.fig3_bandwidth_gap, False),
-    "fig8": (experiments.fig8_end_to_end, True),
-    "fig9": (experiments.fig9_subscriber_distribution, True),
-    "fig10": (experiments.fig10_interconnect_traffic, True),
-    "fig11": (experiments.fig11_subscription_benefit, True),
-    "fig12": (experiments.fig12_sixteen_gpus, True),
-    "fig13": (experiments.fig13_bandwidth_sensitivity, True),
-    "fig14": (experiments.fig14_write_queue_hit_rate, False),
-    "gps-tlb": (experiments.gps_tlb_sensitivity, False),
-    "page-size": (experiments.page_size_sensitivity, True),
-    "table1": (experiments.table1_simulation_settings, False),
-    "table2": (experiments.table2_applications, False),
-}
+# Only the stdlib and the modules above load at import: the client verbs
+# (submit/status/result) never touch the simulator, and every handler that
+# simulates imports what it needs itself.
 
 
 def _non_negative_int(text: str) -> int:
@@ -81,15 +48,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate one workload under one paradigm")
-    run.add_argument("workload", choices=workload_names())
-    run.add_argument("--paradigm", default="gps", choices=sorted(PARADIGMS))
+    run.add_argument("workload", choices=WORKLOAD_NAMES)
+    run.add_argument("--paradigm", default="gps", choices=sorted(PARADIGM_NAMES))
     run.add_argument("--gpus", type=int, default=4)
     run.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     run.add_argument("--scale", type=float, default=0.5)
     run.add_argument("--iterations", type=int, default=8)
 
     compare = sub.add_parser("compare", help="all six paradigms on one workload")
-    compare.add_argument("workload", choices=workload_names())
+    compare.add_argument("workload", choices=WORKLOAD_NAMES)
     compare.add_argument("--gpus", type=int, default=4)
     compare.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     compare.add_argument("--scale", type=float, default=0.5)
@@ -127,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     trace.add_argument("workload", help="workload name (or alias, e.g. 'stencil')")
-    trace.add_argument("--paradigm", default="gps", choices=sorted(PARADIGMS))
+    trace.add_argument("--paradigm", default="gps", choices=sorted(PARADIGM_NAMES))
     trace.add_argument("--gpus", type=int, default=4)
     trace.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     trace.add_argument("--scale", type=float, default=0.5)
@@ -148,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one workload and print a top-N self-time profile",
     )
     profile.add_argument("workload", help="workload name (or alias, e.g. 'stencil')")
-    profile.add_argument("--paradigm", default="gps", choices=sorted(PARADIGMS))
+    profile.add_argument("--paradigm", default="gps", choices=sorted(PARADIGM_NAMES))
     profile.add_argument("--gpus", type=int, default=4)
     profile.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     profile.add_argument("--scale", type=float, default=0.5)
@@ -166,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_trace = sub.add_parser("run-trace", help="simulate a saved trace file")
     run_trace.add_argument("path")
-    run_trace.add_argument("--paradigm", default="gps", choices=sorted(PARADIGMS))
+    run_trace.add_argument("--paradigm", default="gps", choices=sorted(PARADIGM_NAMES))
     run_trace.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     run_trace.add_argument(
         "--no-analyze",
@@ -253,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one simulation to a running service"
     )
     submit.add_argument("workload", help="workload name (or alias, e.g. 'stencil')")
-    submit.add_argument("--paradigm", default="gps", choices=sorted(PARADIGMS))
+    submit.add_argument("--paradigm", default="gps", choices=sorted(PARADIGM_NAMES))
     submit.add_argument("--gpus", type=int, default=4)
     submit.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
     submit.add_argument("--scale", type=float, default=0.5)
@@ -293,9 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cases", type=int, default=10, help="number of fuzz cases")
     verify.add_argument(
         "--paradigms",
-        default=",".join(_DEFAULT_VERIFY_PARADIGMS),
+        default=",".join(DEFAULT_VERIFY_PARADIGMS),
         help="comma-separated paradigm list, or 'all' "
-        f"(default: {','.join(_DEFAULT_VERIFY_PARADIGMS)})",
+        f"(default: {','.join(DEFAULT_VERIFY_PARADIGMS)})",
     )
     verify.add_argument("--gpus", type=int, default=4)
     verify.add_argument("--link", default="pcie6", choices=sorted(LINKS_BY_NAME))
@@ -330,6 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from . import LABELS, get_workload, simulate, speedup_over_single_gpu
+
     config = default_system(args.gpus, LINKS_BY_NAME[args.link])
     workload = get_workload(args.workload)
     program = workload.build(args.gpus, scale=args.scale, iterations=args.iterations)
@@ -353,6 +322,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import FIGURE8_ORDER, LABELS, get_workload, speedup_over_single_gpu
+    from .harness.ascii_plot import bar_chart
+
     config = default_system(args.gpus, LINKS_BY_NAME[args.link])
     workload = get_workload(args.workload)
     speedups = {}
@@ -378,11 +350,17 @@ def _cmd_compare(args) -> int:
 def _cmd_figure(args) -> int:
     import os
 
+    from .harness import experiments
+    from .harness.export import to_json
+    from .harness.report import format_speedup_matrix, format_table
+    from .harness.runner import cache_stats, fleet_stats
+
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
     if args.workers is not None:
         os.environ["REPRO_MAX_WORKERS"] = str(args.workers)
-    driver, takes_knobs = FIGURES[args.name]
+    driver_name, takes_knobs = FIGURES[args.name]
+    driver = getattr(experiments, driver_name)
     kwargs = {}
     if takes_knobs:
         kwargs = {"scale": args.scale, "iterations": args.iterations}
@@ -418,6 +396,8 @@ def _cmd_cache(args) -> int:
     missing cache directory is a normal state (0 entries), not an error —
     followed by the fleet (service/run_many) stats when any run happened.
     """
+    from .harness.runner import cache_stats, clear_disk_cache, disk_cache_info, fleet_stats
+
     info = disk_cache_info()
     if args.action == "clear":
         if not info["enabled"]:
@@ -453,9 +433,9 @@ def _traced_run(args):
     """
     import time as _time
 
-    from .paradigms.registry import make_executor
+    from . import get_workload, make_executor
 
-    workload = get_workload(_resolve_workload(args.workload))
+    workload = get_workload(args.workload)
     program = workload.build(args.gpus, scale=args.scale, iterations=args.iterations)
     config = default_system(args.gpus, LINKS_BY_NAME[args.link])
     executor = make_executor(args.paradigm, program, config)
@@ -476,9 +456,10 @@ def _cmd_trace(args) -> int:
         validate_chrome_trace,
         write_chrome_trace,
     )
+    from .workloads.registry import resolve_workload_name
 
     executor, result, wall = _traced_run(args)
-    out = args.out or f"{_resolve_workload(args.workload)}.trace.json"
+    out = args.out or f"{resolve_workload_name(args.workload)}.trace.json"
     manifest = run_manifest(result, executor.config, wall_clock=wall)
     spans = executor.engine.spans()
     payload = write_chrome_trace(out, spans, manifest)
@@ -508,11 +489,12 @@ def _cmd_trace(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .obs import format_profile, self_time_profile
+    from .workloads.registry import resolve_workload_name
 
     executor, result, _wall = _traced_run(args)
     print(f"simulated time: {fmt_time(result.total_time)}")
     title = (
-        f"self-time profile: {_resolve_workload(args.workload)} / {args.paradigm} "
+        f"self-time profile: {resolve_workload_name(args.workload)} / {args.paradigm} "
         f"on {args.gpus} GPUs"
     )
     print(format_profile(self_time_profile(executor.engine.spans(), top=args.top), title))
@@ -520,9 +502,10 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_export_trace(args) -> int:
+    from . import get_workload
     from .trace.io import save_program
 
-    program = get_workload(_resolve_workload(args.workload)).build(
+    program = get_workload(args.workload).build(
         args.gpus, scale=args.scale, iterations=args.iterations
     )
     save_program(program, args.path)
@@ -535,6 +518,7 @@ def _cmd_export_trace(args) -> int:
 
 
 def _cmd_run_trace(args) -> int:
+    from . import LABELS, simulate
     from .analysis import check_program
     from .errors import AnalysisError
     from .trace.io import load_program
@@ -572,6 +556,7 @@ def _lint_programs(args) -> "list":
     """Resolve the lint targets to a program list ('all' expands in place)."""
     from pathlib import Path
 
+    from . import get_workload
     from .trace.io import load_program
 
     programs = []
@@ -581,9 +566,9 @@ def _lint_programs(args) -> "list":
                 get_workload(name).build(
                     args.gpus, scale=args.scale, iterations=args.iterations
                 )
-                for name in workload_names()
+                for name in WORKLOAD_NAMES
             )
-        elif target in workload_names() or not Path(target).exists():
+        elif target in WORKLOAD_NAMES or not Path(target).exists():
             programs.append(
                 get_workload(target).build(
                     args.gpus, scale=args.scale, iterations=args.iterations
@@ -760,6 +745,8 @@ def _cmd_result(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import simulate
+    from .harness.report import format_table
     from .verify import (
         build_artifact,
         generate_program,
@@ -809,7 +796,7 @@ def _cmd_verify(args) -> int:
         )
         return 0
     if args.paradigms.strip() == "all":
-        paradigms = tuple(sorted(PARADIGMS))
+        paradigms = tuple(sorted(PARADIGM_NAMES))
     else:
         paradigms = tuple(p.strip() for p in args.paradigms.split(",") if p.strip())
     seeds = range(args.seed, args.seed + args.cases)
@@ -867,13 +854,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list(_args) -> int:
+    from . import get_workload
+    from .harness.report import format_table
+
     rows = [
         [name, get_workload(name).info.comm_pattern, get_workload(name).info.description]
-        for name in workload_names()
+        for name in WORKLOAD_NAMES
     ]
     print(format_table(["workload", "pattern", "description"], rows, title="Workloads"))
     print()
-    print("Paradigms     :", ", ".join(sorted(PARADIGMS)))
+    print("Paradigms     :", ", ".join(sorted(PARADIGM_NAMES)))
     print("Interconnects :", ", ".join(sorted(LINKS_BY_NAME)))
     return 0
 

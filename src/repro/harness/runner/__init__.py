@@ -134,16 +134,23 @@ def clear_disk_cache() -> int:
 def disk_cache_info() -> dict:
     """Status of the persistent layer (for ``python -m repro cache show``).
 
-    One directory scan total: ``entries`` and ``size_bytes`` share the
-    cache's memoised scan instead of walking the directory twice.
+    Lists the directory once; a record removed between the listing and its
+    ``stat`` counts as an entry of 0 bytes.
     """
     disk = memo.disk_cache()
     if disk is None:
         return {"enabled": False}
+    paths = disk.record_paths()
+    size = 0
+    for path in paths:
+        try:
+            size += path.stat().st_size
+        except OSError:
+            pass
     return {
         "enabled": True,
         "directory": str(disk.directory),
-        "entries": disk.entry_count(),
-        "size_bytes": disk.size_bytes(),
+        "entries": len(paths),
+        "size_bytes": size,
         "model": MODEL_FINGERPRINT,
     }

@@ -10,10 +10,6 @@ bytes are flushed and fsynced to a temp file *before* the atomic
 can observe a torn record — the published name either holds the complete
 old record or the complete new one. Corrupt files (e.g. a stray partial
 temp promoted by hand) are dropped on read and counted as evictions.
-
-Directory scans (``entry_count``/``size_bytes``/``entries``) share one
-memoised listing, invalidated by this process's own writes/evictions —
-``repro cache show`` walks the directory once, not three times.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ class DiskCache:
     def __init__(self, directory: "str | Path", stats: "CacheStats | None" = None) -> None:
         self.directory = Path(directory)
         self.stats = stats if stats is not None else CacheStats()
-        self._scan: "list[Path] | None" = None
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -103,7 +98,6 @@ class DiskCache:
             except OSError:
                 pass
             return
-        self._scan = None
         self.stats.disk_writes += 1
 
     def _evict(self, path: Path) -> None:
@@ -112,61 +106,21 @@ class DiskCache:
             self.stats.evictions += 1
         except OSError:
             pass
-        self._scan = None
 
     def clear(self) -> int:
         """Delete every record; returns how many were removed."""
         removed = 0
-        for path in self._record_paths():
+        for path in self.record_paths():
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-        self._scan = None
         self.stats.evictions += removed
         return removed
 
-    def _record_paths(self) -> "list[Path]":
-        """The record listing, scanned once and reused until a local mutation.
-
-        Other processes writing the shared directory invalidate nothing
-        here — the memo only serves the read-only inspection surface
-        (``entry_count``/``size_bytes``/``entries``), where a point-in-time
-        listing is the desired semantics anyway.
-        """
-        if self._scan is None:
-            if not self.directory.is_dir():
-                return []
-            self._scan = sorted(self.directory.glob("*.json"))
-        return self._scan
-
-    def entry_count(self) -> int:
-        """Number of persisted records."""
-        return len(self._record_paths())
-
-    def size_bytes(self) -> int:
-        """Total bytes of persisted records (entries evicted mid-scan count 0)."""
-        total = 0
-        for path in self._record_paths():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def entries(self) -> "list[dict]":
-        """Job metadata of every record (for ``python -m repro cache show``)."""
-        rows = []
-        for path in self._record_paths():
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            job = dict(payload.get("job", {}))
-            job["model"] = payload.get("model", "?")
-            job["key"] = payload.get("key", path.stem)[:12]
-            rows.append(job)
-        return rows
+    def record_paths(self) -> "list[Path]":
+        """Every persisted record, listed from the directory on each call."""
+        if not self.directory.is_dir():
+            return []
+        return list(self.directory.glob("*.json"))

@@ -21,25 +21,40 @@ Three instruments, threaded through every run (see ``docs/OBSERVABILITY.md``):
   top-N self-time profile (:func:`self_time_profile`).
 """
 
-from .distributed import (
-    SequentialIds,
-    TraceContext,
-    derived_span_id,
-    parse_traceparent,
-    set_id_generator,
-)
-from .export import (
-    chrome_trace,
-    dump_chrome_trace,
-    metrics_csv,
-    metrics_json,
-    run_manifest,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .profile import ProfileRow, format_profile, self_time_profile
-from .registry import Counter, CounterRegistry, Histogram
-from .span import Span
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .distributed import (
+        SequentialIds,
+        TraceContext,
+        derived_span_id,
+        parse_traceparent,
+        set_id_generator,
+    )
+    from .export import (
+        chrome_trace,
+        dump_chrome_trace,
+        metrics_csv,
+        metrics_json,
+        run_manifest,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+    from .profile import ProfileRow, format_profile, self_time_profile
+    from .registry import Counter, CounterRegistry, Histogram
+    from .span import Span
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".distributed": ("SequentialIds", "TraceContext", "derived_span_id",
+                     "parse_traceparent", "set_id_generator"),
+    ".export": ("chrome_trace", "dump_chrome_trace", "metrics_csv", "metrics_json",
+                "run_manifest", "validate_chrome_trace", "write_chrome_trace"),
+    ".profile": ("ProfileRow", "format_profile", "self_time_profile"),
+    ".registry": ("Counter", "CounterRegistry", "Histogram"),
+    ".span": ("Span",),
+})
 
 __all__ = [
     "Counter",

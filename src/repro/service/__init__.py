@@ -25,13 +25,29 @@ the full reference):
 
 Everything is stdlib-only (asyncio + http.client); simulations themselves
 run through the existing cached, analyzed, process-pooled harness runner.
+Each name resolves on first use, so ``from repro.service import
+ServiceClient`` imports the client and the standard library only, never
+the server, the harness runner or numpy.
 """
 
-from .client import ClientError, JobFailed, ServiceClient, service_url
-from .metrics import LATENCY_BUCKETS_S, ServiceMetrics
-from .queue import Job, JobQueue, JobState, QueueFull, ServiceClosed
-from .scheduler import BatchScheduler
-from .server import ServiceSettings, SimulationService, parse_job_payload, serve
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .client import ClientError, JobFailed, ServiceClient, service_url
+    from .metrics import LATENCY_BUCKETS_S, ServiceMetrics
+    from .queue import Job, JobQueue, JobState, QueueFull, ServiceClosed
+    from .scheduler import BatchScheduler
+    from .server import ServiceSettings, SimulationService, parse_job_payload, serve
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".client": ("ClientError", "JobFailed", "ServiceClient", "service_url"),
+    ".metrics": ("LATENCY_BUCKETS_S", "ServiceMetrics"),
+    ".queue": ("Job", "JobQueue", "JobState", "QueueFull", "ServiceClosed"),
+    ".scheduler": ("BatchScheduler",),
+    ".server": ("ServiceSettings", "SimulationService", "parse_job_payload", "serve"),
+})
 
 __all__ = [
     "BatchScheduler",

@@ -4,6 +4,9 @@
 :mod:`http.client` (nothing outside the stdlib) and raises
 :class:`ClientError` (a :class:`repro.errors.ServiceError`) on HTTP-level
 failures, carrying the status code and the server's ``error`` message.
+Importing it loads the stdlib, :mod:`repro.errors` and
+:mod:`repro.obs.distributed` only: no numpy and no simulator, so a
+client process starts in tens of milliseconds.
 
 Typical use::
 

@@ -54,6 +54,7 @@ from ..cache.warm_lru import warm_lru_hits
 from ..config import CACHE_BLOCK, LinkConfig
 from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from ..harness.runner import SimJob, clear_run_cache, resolve_link, run_many
+from ..names import DEFAULT_VERIFY_PARADIGMS
 from ..paradigms import PARADIGMS
 from ..system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
 from ..system.results import SimulationResult
@@ -61,8 +62,8 @@ from ..trace.expand import LineStream, expand_range
 from .fuzzer import FuzzSpec, generate_program
 from .oracle import Violation, check_execution, check_family, check_result
 
-#: Default paradigm set: the pair each family law needs, plus the bounds.
-DEFAULT_PARADIGMS = ("gps", "gps_nosub", "memcpy", "infinite")
+#: Default paradigm set, shared with the CLI's ``verify --paradigms`` default.
+DEFAULT_PARADIGMS = DEFAULT_VERIFY_PARADIGMS
 
 #: Execution paths the harness compares, in the order they run.
 PATHS = ("direct", "cache", "pool", "service")

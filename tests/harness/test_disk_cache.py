@@ -1,25 +1,24 @@
-"""Unit tests for DiskCache durability and the memoised directory scan.
-
-These pin the two satellite hardenings on the flat persistent cache:
+"""Unit tests for DiskCache durability and its directory listing.
 
 * ``put`` is crash-safe — record bytes are flushed/fsynced to a temp file
   before ``os.replace``, so an injected failure mid-write can never tear
   the published record; and
-* the inspection surface (``entry_count``/``size_bytes``/``entries``)
-  shares one memoised directory listing, invalidated by the cache's own
-  mutations, instead of re-globbing the directory per call.
+* the listing (``record_paths``, and the counts ``repro cache show``
+  prints from it) always reflects the directory after the cache's own
+  writes, clears and evictions.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
 import repro
+from repro.cli import main
 from repro.config import PCIE6
+from repro.harness.runner import clear_run_cache
 from repro.harness.runner.disk import DiskCache
 
 
@@ -96,52 +95,61 @@ class TestCrashSafePut:
 
 
 class TestMemoisedScan:
+    """The listing is read from the directory on every call (no memo), so it
+    follows the cache's own writes, clears and evictions."""
+
     def _populate(self, cache, results, n=3):
         for i in range(n):
             cache.put(f"k{i}", results["memcpy"], {"workload": "jacobi"})
 
-    def test_inspection_shares_one_scan(self, tmp_path, monkeypatch, results):
-        cache = DiskCache(tmp_path)
-        self._populate(cache, results)
-        assert cache.entry_count() == 3  # primes the memo
+    def test_cache_show_counts_follow_put_and_clear(
+        self, tmp_path, monkeypatch, capsys, results
+    ):
+        monkeypatch.setenv("REPRO_NO_CACHE", "")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_run_cache()
 
-        def no_rescan(self, pattern):
-            raise AssertionError("inspection re-scanned the directory")
+        def shown_entries() -> str:
+            """The ``entries`` value: ``<count> (<size>)``."""
+            assert main(["cache", "show"]) == 0
+            line = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("entries")
+            )
+            return line.split(":", 1)[1].strip()
 
-        with monkeypatch.context() as patched:
-            patched.setattr(Path, "glob", no_rescan)
-            assert cache.entry_count() == 3
-            assert cache.size_bytes() > 0
-            assert len(cache.entries()) == 3
-            assert all(row["workload"] == "jacobi" for row in cache.entries())
-
-    def test_put_invalidates_scan(self, tmp_path, results):
-        cache = DiskCache(tmp_path)
-        self._populate(cache, results)
-        assert cache.entry_count() == 3
-        cache.put("k9", results["gps"])
-        assert cache.entry_count() == 4
+        try:
+            cache = DiskCache(tmp_path)
+            self._populate(cache, results)
+            three = shown_entries()
+            assert three.startswith("3 (") and three != "3 (0.0 B)"
+            cache.put("k9", results["gps"])
+            assert shown_entries().startswith("4 (")
+            assert main(["cache", "clear"]) == 0
+            assert "removed 4" in capsys.readouterr().out
+            assert shown_entries() == "0 (0.0 B)"
+        finally:
+            clear_run_cache()
 
     def test_clear_invalidates_scan(self, tmp_path, results):
         cache = DiskCache(tmp_path)
         self._populate(cache, results)
-        assert cache.entry_count() == 3
+        assert len(cache.record_paths()) == 3
         assert cache.clear() == 3
-        assert cache.entry_count() == 0
-        assert cache.size_bytes() == 0
+        assert len(cache.record_paths()) == 0
 
     def test_corrupt_eviction_invalidates_scan(self, tmp_path, results):
         cache = DiskCache(tmp_path)
         self._populate(cache, results)
-        assert cache.entry_count() == 3
+        assert len(cache.record_paths()) == 3
         (tmp_path / "k1.json").write_text("{torn")
         assert cache.get("k1") is None  # evicts the corrupt record
-        assert cache.entry_count() == 2
+        assert len(cache.record_paths()) == 2
 
     def test_scan_starts_fresh_when_directory_appears_late(self, tmp_path, results):
         cache = DiskCache(tmp_path / "not-yet")
-        assert cache.entry_count() == 0
+        assert len(cache.record_paths()) == 0
         cache.put("k0", results["memcpy"])
-        assert cache.entry_count() == 1
+        assert len(cache.record_paths()) == 1
         record = json.loads((tmp_path / "not-yet" / "k0.json").read_text())
         assert record["key"] == "k0"
