@@ -13,30 +13,35 @@ import argparse
 
 import repro
 from repro.harness.report import format_table, geomean
+from repro.harness.runner import SimJob, run_many
 
 APPS = ("jacobi", "pagerank", "ct")
 PARADIGMS = ("memcpy", "rdl", "gps", "infinite")
 LINKS = ("pcie3", "pcie4", "pcie5", "pcie6", "nvlink2")
 
 
-def sweep(num_gpus: int, scale: float, iterations: int) -> None:
-    """Print the geomean speedup matrix for one GPU count."""
+def sweep(num_gpus: int, scale: float, iterations: int) -> list:
+    """Print the geomean speedup matrix for one GPU count; returns its rows.
+
+    The whole grid is one ``run_many`` call: every (link, paradigm, app)
+    job on ``num_gpus`` GPUs plus one single-GPU ``memcpy`` baseline per
+    (link, app), each simulated once.
+    """
+
+    def job(app: str, paradigm: str, gpus: int, link: str) -> SimJob:
+        return SimJob(app, paradigm, gpus, link, scale, iterations)
+
+    jobs = [job(a, p, num_gpus, link) for link in LINKS for p in PARADIGMS for a in APPS]
+    jobs += [job(a, "memcpy", 1, link) for link in LINKS for a in APPS]
+    times = {j: r.total_time for j, r in zip(jobs, run_many(jobs))}
     rows = []
-    for link_name in LINKS:
-        link = repro.LINKS_BY_NAME[link_name]
-        config = repro.default_system(num_gpus, link)
-        row = [link.name]
+    for link in LINKS:
+        row = [repro.LINKS_BY_NAME[link].name]
         for paradigm in PARADIGMS:
-            speedups = []
-            for app in APPS:
-                workload = repro.get_workload(app)
-                speedup, _, _ = repro.speedup_over_single_gpu(
-                    lambda n: workload.build(n, scale=scale, iterations=iterations),
-                    paradigm,
-                    config,
-                )
-                speedups.append(speedup)
-            row.append(geomean(speedups))
+            row.append(geomean([
+                times[job(app, "memcpy", 1, link)] / times[job(app, paradigm, num_gpus, link)]
+                for app in APPS
+            ]))
         rows.append(row)
     print(
         format_table(
@@ -46,6 +51,7 @@ def sweep(num_gpus: int, scale: float, iterations: int) -> None:
         )
     )
     print()
+    return rows
 
 
 def main() -> None:

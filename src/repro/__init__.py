@@ -4,7 +4,7 @@ Trace-driven reproduction of Muthukrishnan, Lustig, Nellans, and Wenisch,
 MICRO 2021. The public API:
 
 * :func:`repro.simulate` — run one workload trace under one paradigm;
-* :func:`repro.speedup_over_single_gpu` — the paper's strong-scaling metric;
+* :func:`repro.harness.run_speedup` — the paper's strong-scaling metric;
 * :data:`repro.WORKLOADS` / :func:`repro.get_workload` — the Table 2 suite;
 * :data:`repro.PARADIGMS` — UM, UM+hints, RDL, memcpy, GPS, infinite-BW;
 * :class:`repro.GPSRuntime` — the ``cudaMallocGPS``-style driver API;
@@ -63,7 +63,7 @@ if TYPE_CHECKING:
         write_chrome_trace,
     )
     from .paradigms.registry import FIGURE8_ORDER, LABELS, PARADIGMS, make_executor
-    from .system.executor import simulate, speedup_over_single_gpu
+    from .system.executor import simulate
     from .system.results import SimulationResult
     from .workloads.registry import WORKLOADS, get_workload, workload_names
 
@@ -80,7 +80,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".obs": ("CounterRegistry", "Span", "chrome_trace", "self_time_profile",
              "write_chrome_trace"),
     ".paradigms.registry": ("FIGURE8_ORDER", "LABELS", "PARADIGMS", "make_executor"),
-    ".system.executor": ("simulate", "speedup_over_single_gpu"),
+    ".system.executor": ("simulate",),
     ".system.results": ("SimulationResult",),
     ".workloads.registry": ("WORKLOADS", "get_workload", "workload_names"),
 })
@@ -114,7 +114,6 @@ __all__ = [
     "PARADIGMS",
     "make_executor",
     "simulate",
-    "speedup_over_single_gpu",
     "SimulationResult",
     "WORKLOADS",
     "get_workload",

@@ -29,7 +29,7 @@ CLI use::
     python -m repro lint jacobi --gpus 4 --portability
 
 The harness runner calls :func:`check_program` (with the job's paradigm)
-before every simulation it computes; ``REPRO_NO_ANALYZE=1`` opts out.
+before every simulation it computes.
 """
 
 from .cache import CacheStats, cache_size, cache_stats, clear_cache

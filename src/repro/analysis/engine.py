@@ -134,8 +134,8 @@ def check_program(
     global gate); with a concrete paradigm only errors whose portability
     impact marks that paradigm unsafe do — see
     :func:`repro.analysis.portability.blocking_diagnostics`. The harness
-    runner calls this with the job's paradigm before every simulation; set
-    ``REPRO_NO_ANALYZE=1`` to opt out.
+    runner calls this with the job's paradigm before every simulation it
+    computes.
     """
     diagnostics = analyze_program(program, page_size=page_size)
     errors = blocking_diagnostics(diagnostics, paradigm)

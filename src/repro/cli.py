@@ -296,19 +296,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    from . import LABELS, get_workload, simulate, speedup_over_single_gpu
+def _speedup_jobs(args, paradigms) -> list:
+    """One job per paradigm on ``args.gpus`` GPUs, then the one-GPU baseline.
 
-    config = default_system(args.gpus, LINKS_BY_NAME[args.link])
-    workload = get_workload(args.workload)
-    program = workload.build(args.gpus, scale=args.scale, iterations=args.iterations)
-    result = simulate(program, args.paradigm, config)
-    speedup, _, single = speedup_over_single_gpu(
-        lambda n: workload.build(n, scale=args.scale, iterations=args.iterations),
-        args.paradigm,
-        config,
-    )
-    print(f"workload      : {args.workload} ({workload.info.comm_pattern})")
+    The baseline is ``memcpy`` on one GPU over the same link: the paper's
+    "well-optimized single GPU implementation" (section 7.1).
+    """
+    from .harness.runner import SimJob
+
+    jobs = [
+        SimJob(args.workload, paradigm, args.gpus, args.link, args.scale, args.iterations)
+        for paradigm in paradigms
+    ]
+    return [*jobs, SimJob(args.workload, "memcpy", 1, args.link, args.scale, args.iterations)]
+
+
+def _cmd_run(args) -> int:
+    from . import LABELS, get_workload
+    from .harness.runner import run_many
+
+    jobs = _speedup_jobs(args, [args.paradigm])
+    result, single = run_many(jobs)
+    config = jobs[0].resolved_config()
+    speedup = single.total_time / result.total_time
+    print(f"workload      : {args.workload} ({get_workload(args.workload).info.comm_pattern})")
     print(f"paradigm      : {LABELS[args.paradigm]}")
     print(f"system        : {args.gpus}x {config.gpu.name} over {config.link.name}")
     print(f"simulated time: {fmt_time(result.total_time)}")
@@ -322,24 +333,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from . import FIGURE8_ORDER, LABELS, get_workload, speedup_over_single_gpu
+    from . import FIGURE8_ORDER, LABELS
     from .harness.ascii_plot import bar_chart
+    from .harness.runner import run_many
 
-    config = default_system(args.gpus, LINKS_BY_NAME[args.link])
-    workload = get_workload(args.workload)
-    speedups = {}
-    for paradigm in FIGURE8_ORDER:
-        speedup, multi, _ = speedup_over_single_gpu(
-            lambda n: workload.build(n, scale=args.scale, iterations=args.iterations),
-            paradigm,
-            config,
-        )
-        speedups[LABELS[paradigm]] = speedup
+    jobs = _speedup_jobs(args, FIGURE8_ORDER)
+    *results, single = run_many(jobs)
+    speedups = {
+        LABELS[job.paradigm]: single.total_time / result.total_time
+        for job, result in zip(jobs[:-1], results)
+    }
     print(
         bar_chart(
             speedups,
             title=(
-                f"{args.workload} on {args.gpus} GPUs over {config.link.name} "
+                f"{args.workload} on {args.gpus} GPUs over {LINKS_BY_NAME[args.link].name} "
                 f"(speedup vs 1 GPU)"
             ),
         )
@@ -392,11 +400,10 @@ def _cmd_figure(args) -> int:
 def _cmd_cache(args) -> int:
     """Inspect or clear the persistent cache; always exits 0.
 
-    ``show`` prints fixed-order ``label : value`` columns — an empty or
-    missing cache directory is a normal state (0 entries), not an error —
-    followed by the fleet (service/run_many) stats when any run happened.
+    ``show`` prints fixed-order ``label : value`` columns; an empty or
+    missing cache directory is a normal state (0 entries), not an error.
     """
-    from .harness.runner import cache_stats, clear_disk_cache, disk_cache_info, fleet_stats
+    from .harness.runner import clear_disk_cache, disk_cache_info
 
     info = disk_cache_info()
     if args.action == "clear":
@@ -408,40 +415,33 @@ def _cmd_cache(args) -> int:
         return 0
     if not info["enabled"]:
         print("persistent cache  : disabled (REPRO_NO_CACHE is set)")
-    else:
-        rows = [
-            ("persistent cache", info["directory"]),
-            ("model fingerprint", info["model"]),
-            ("entries", f"{info['entries']} ({fmt_bytes(info['size_bytes'])})"),
-        ]
-        stats = cache_stats()
-        if stats.lookups:
-            rows.append(("this process", stats.report()))
-        for label, value in rows:
-            print(f"{label:<18}: {value}")
-    fleet = fleet_stats()
-    if fleet.runs:
-        print(fleet.report())
+        return 0
+    rows = [
+        ("persistent cache", info["directory"]),
+        ("model fingerprint", info["model"]),
+        ("entries", f"{info['entries']} ({fmt_bytes(info['size_bytes'])})"),
+    ]
+    for label, value in rows:
+        print(f"{label:<18}: {value}")
     return 0
 
 
 def _traced_run(args):
-    """Build + run one executor, keeping it for its span view.
+    """Run one job through the runner's compute path, keeping its engine spans.
 
-    Returns ``(executor, result, wall_clock_seconds)``. Deliberately skips
-    the result cache: a cached result has no engine to derive spans from.
+    Returns ``(job, result, spans, wall_clock_seconds)``. The job passes the
+    analyzer gate like any other but skips the result cache: a cached
+    result has no engine to derive spans from.
     """
     import time as _time
 
-    from . import get_workload, make_executor
+    from .harness.runner import SimJob
+    from .harness.runner.parallel import compute_job
 
-    workload = get_workload(args.workload)
-    program = workload.build(args.gpus, scale=args.scale, iterations=args.iterations)
-    config = default_system(args.gpus, LINKS_BY_NAME[args.link])
-    executor = make_executor(args.paradigm, program, config)
+    job = SimJob(args.workload, args.paradigm, args.gpus, args.link, args.scale, args.iterations)
     t0 = _time.perf_counter()
-    result = executor.run()
-    return executor, result, _time.perf_counter() - t0
+    result, spans = compute_job(job, traced=True)
+    return job, result, spans, _time.perf_counter() - t0
 
 
 def _cmd_trace(args) -> int:
@@ -458,10 +458,9 @@ def _cmd_trace(args) -> int:
     )
     from .workloads.registry import resolve_workload_name
 
-    executor, result, wall = _traced_run(args)
+    job, result, spans, wall = _traced_run(args)
     out = args.out or f"{resolve_workload_name(args.workload)}.trace.json"
-    manifest = run_manifest(result, executor.config, wall_clock=wall)
-    spans = executor.engine.spans()
+    manifest = run_manifest(result, job.resolved_config(), wall_clock=wall)
     payload = write_chrome_trace(out, spans, manifest)
     print(f"simulated time: {fmt_time(result.total_time)}")
     print(f"wrote {out}: {len(spans)} spans on "
@@ -491,13 +490,13 @@ def _cmd_profile(args) -> int:
     from .obs import format_profile, self_time_profile
     from .workloads.registry import resolve_workload_name
 
-    executor, result, _wall = _traced_run(args)
+    _job, result, spans, _wall = _traced_run(args)
     print(f"simulated time: {fmt_time(result.total_time)}")
     title = (
         f"self-time profile: {resolve_workload_name(args.workload)} / {args.paradigm} "
         f"on {args.gpus} GPUs"
     )
-    print(format_profile(self_time_profile(executor.engine.spans(), top=args.top), title))
+    print(format_profile(self_time_profile(spans, top=args.top), title))
     return 0
 
 

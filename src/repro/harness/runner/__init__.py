@@ -18,12 +18,13 @@ run's engine spans shipped back beside its result (the service uses it).
 
 Every uncached job's trace is gated through the static analyzer
 (:func:`repro.analysis.check_program`) before it simulates, so a workload
-generator bug cannot silently corrupt a figure.
+generator bug cannot silently corrupt a figure. ``run_simulation`` and
+``run_speedup`` are one ``run_many`` call each, so every computed result is
+stored, and counted in :class:`FleetStats`, by the same code.
 
 Environment knobs: ``REPRO_NO_CACHE`` (disable the persistent layer),
 ``REPRO_CACHE_DIR`` (cache directory, default ``.repro-cache/``),
-``REPRO_MAX_WORKERS`` (pool width; ``1`` forces serial execution),
-``REPRO_NO_ANALYZE`` (skip the pre-simulation static analysis gate).
+``REPRO_MAX_WORKERS`` (pool width; ``1`` forces serial execution).
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from ...system.results import SimulationResult
 from . import memo
 from .disk import DEFAULT_CACHE_DIR, DiskCache
 from .fingerprint import MODEL_FINGERPRINT, SimJob, job_key, resolve_link
-from .parallel import (
-    clear_programs,
-    compute_job,
-    fleet_stats,
-    run_many,
-    run_many_settled,
-)
+from .parallel import clear_programs, fleet_stats, run_many, run_many_settled
 from .stats import CacheStats, FleetStats, WorkerStats
 
 __all__ = [
@@ -73,13 +68,7 @@ def run_simulation(
     config: "SystemConfig | None" = None,
 ) -> SimulationResult:
     """Run (and memoise) one simulation."""
-    job = SimJob(workload, paradigm, num_gpus, link, scale, iterations, config)
-    key = job.key()
-    cached = memo.lookup(key)
-    if cached is not None:
-        return cached
-    result, _ = compute_job(job)
-    return memo.store(key, result, job.meta())
+    return run_many([SimJob(workload, paradigm, num_gpus, link, scale, iterations, config)])[0]
 
 
 def run_speedup(
@@ -100,8 +89,10 @@ def run_speedup(
     first-touch population costs and would *not* be a neutral baseline —
     which is why the choice is an explicit kwarg rather than an assumption.
     """
-    single = run_simulation(workload, baseline_paradigm, 1, link, scale, iterations, config)
-    multi = run_simulation(workload, paradigm, num_gpus, link, scale, iterations, config)
+    single, multi = run_many([
+        SimJob(workload, baseline_paradigm, 1, link, scale, iterations, config),
+        SimJob(workload, paradigm, num_gpus, link, scale, iterations, config),
+    ])
     return single.total_time / multi.total_time
 
 

@@ -20,6 +20,7 @@ only decides whether it ships the run's engine spans back beside the result.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -104,13 +105,13 @@ def compute_job(
     every figure computed from it. The gate is per-paradigm — a stale-read
     hazard blocks ``gps`` but not ``memcpy`` — and the underlying analysis
     is cached by program fingerprint, so a paradigm sweep analyzes each
-    program once. ``REPRO_NO_ANALYZE=1`` opts out. The program itself comes
-    from :func:`job_program`.
+    program once. The gate has no off switch (``repro run-trace
+    --no-analyze`` simulates a saved trace file without this function).
+    The program itself comes from :func:`job_program`.
     """
     program = job_program(job)
     config = job.resolved_config()
-    if not os.environ.get("REPRO_NO_ANALYZE"):
-        check_program(program, page_size=config.page_size, paradigm=job.paradigm)
+    check_program(program, page_size=config.page_size, paradigm=job.paradigm)
     if not traced:
         return simulate(program, job.paradigm, config), None
     from ...paradigms.registry import make_executor  # local import: avoids a cycle
@@ -142,8 +143,8 @@ def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[int, list[tuple]
 
 
 def _worker_init() -> None:
-    # Workers never consult the caches and must never recursively fork.
-    os.environ["REPRO_RUNNER_WORKER"] = "1"
+    # Workers only compute: the parent stores every result, so a worker
+    # never writes the disk cache.
     os.environ["REPRO_NO_CACHE"] = "1"
 
 
@@ -160,7 +161,12 @@ def env_int(name: str, default: "int | None") -> "int | None":
 
 
 def _resolve_workers(max_workers: "int | None", pending: int, programs: int) -> int:
-    if os.environ.get("REPRO_RUNNER_WORKER"):
+    """Pool width for ``pending`` jobs over ``programs`` programs; 1 means serial.
+
+    A process started by :mod:`multiprocessing` (a pool worker, under any
+    start method) always runs serially: a worker never forks a pool of its own.
+    """
+    if multiprocessing.parent_process() is not None:
         return 1
     if max_workers is None:
         max_workers = env_int("REPRO_MAX_WORKERS", None)

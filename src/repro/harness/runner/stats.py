@@ -3,7 +3,7 @@
 :class:`CacheStats` counts cache-layer outcomes per lookup;
 :class:`FleetStats` aggregates ``run_many`` fan-outs — how many jobs each
 worker process computed and how much wall-clock the computation took —
-surfaced by ``python -m repro cache show``.
+printed by ``python -m repro figure`` after its grid.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class FleetStats:
         }
 
     def report(self) -> str:
-        """Multi-line human summary for ``python -m repro cache show``."""
+        """Multi-line human summary, as ``python -m repro figure`` prints it."""
         failed = f", {self.jobs_failed} failed" if self.jobs_failed else ""
         lines = [
             f"fleet: {self.runs} run_many call(s), {self.jobs_submitted} jobs submitted "

@@ -6,13 +6,12 @@ configuration and returns a :class:`repro.system.results.SimulationResult`.
 """
 
 from .analysis import KernelFootprint, ProgramAnalysis
-from .executor import simulate, speedup_over_single_gpu
+from .executor import simulate
 from .results import SimulationResult
 
 __all__ = [
     "KernelFootprint",
     "ProgramAnalysis",
     "simulate",
-    "speedup_over_single_gpu",
     "SimulationResult",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..config import SystemConfig, default_system
+from ..config import SystemConfig
 from ..system.results import SimulationResult
 from ..trace.program import TraceProgram
 
@@ -14,27 +14,3 @@ def simulate(program: TraceProgram, paradigm: str, config: SystemConfig) -> Simu
     executor = make_executor(paradigm, program, config)
     return executor.run()
 
-
-def speedup_over_single_gpu(
-    build_program,
-    paradigm: str,
-    config: SystemConfig,
-    single_gpu_config: "SystemConfig | None" = None,
-) -> tuple:
-    """Strong-scaling speedup: single-GPU time / multi-GPU time.
-
-    ``build_program`` is a callable ``(num_gpus) -> TraceProgram`` (a
-    workload's ``build``). The single-GPU baseline runs the same problem on
-    one GPU with no communication — the "well-optimized single GPU
-    implementation" of section 7.1. Returns
-    ``(speedup, multi_result, single_result)``.
-    """
-    if single_gpu_config is None:
-        single_gpu_config = default_system(num_gpus=1, link=config.link)
-    single_program = build_program(1)
-    multi_program = build_program(config.num_gpus)
-    single = simulate(single_program, "memcpy", single_gpu_config)
-    multi = simulate(multi_program, paradigm, config)
-    if multi.total_time <= 0:
-        raise ZeroDivisionError("multi-GPU run produced zero time")
-    return single.total_time / multi.total_time, multi, single

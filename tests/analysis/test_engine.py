@@ -151,9 +151,16 @@ class TestHarnessGate:
         with pytest.raises(AnalysisError, match="GPS001"):
             run_simulation("brokenw", "gps", 2, scale=0.1, iterations=2)
 
-    def test_no_analyze_env_bypasses_gate(self, broken_workload, monkeypatch):
-        from repro.harness.runner import run_simulation
+    @pytest.mark.parametrize("verb", ["trace", "profile"])
+    def test_trace_verbs_refuse_broken_workload(
+        self, broken_workload, verb, capsys, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
 
-        monkeypatch.setenv("REPRO_NO_ANALYZE", "1")
-        result = run_simulation("brokenw", "gps", 2, scale=0.1, iterations=2)
-        assert result.total_time > 0
+        monkeypatch.chdir(tmp_path)
+        argv = [verb, "brokenw", "--gpus", "2", "--scale", "0.1", "--iterations", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{verb}: trace program 'brokenw' fails static analysis")
+        assert list(tmp_path.iterdir()) == []

@@ -434,6 +434,33 @@ class TestFleetStats:
         assert worker["jobs"] == 1
         assert fleet.report().startswith("fleet: 1 run_many call(s)")
 
+    def test_run_simulation_and_run_speedup_go_through_run_many(self):
+        clear_run_cache()
+        run_simulation("jacobi", "gps", 2, **FAST)
+        run_speedup("jacobi", "gps", 2, **FAST)  # the multi-GPU job is a memo hit
+        fleet = fleet_stats()
+        assert fleet.runs == 2
+        assert fleet.jobs_submitted == 3
+        assert fleet.jobs_cached == 1
+        assert fleet.jobs_computed == 2
+        clear_run_cache()
+
+
+class TestWorkerProcessesStaySerial:
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_pool_task_resolves_one_worker(self, method):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.harness.runner.parallel import _resolve_workers
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(_resolve_workers, 4, 10, 5).result() == 1
+        assert _resolve_workers(4, 10, 5) == 4
+
 
 class TestBaselineParadigm:
     def test_all_non_fault_paradigms_agree_on_one_gpu(self):

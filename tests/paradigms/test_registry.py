@@ -45,12 +45,3 @@ class TestSimulateEntry:
             result = repro.simulate(program, name, system4)
             assert result.total_time > 0
             assert result.num_gpus == 4
-
-    def test_speedup_helper(self, system4):
-        wl = repro.get_workload("jacobi")
-        speedup, multi, single = repro.speedup_over_single_gpu(
-            lambda n: wl.build(n, scale=0.1, iterations=2), "infinite", system4
-        )
-        assert speedup > 1.0
-        assert multi.num_gpus == 4
-        assert single.num_gpus == 1

@@ -48,6 +48,55 @@ class TestCompare:
         assert "#" in out
 
 
+class TestVerbsGoThroughRunner:
+    """`run` and `compare` are one `run_many` call each: every job is
+    computed once, and each program is built once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.harness.runner import clear_run_cache, parallel
+        from repro.workloads.registry import get_workload
+
+        counts = {"computed": 0, "built": 0}
+        real_compute = parallel.compute_job
+        workload_cls = type(get_workload("jacobi"))
+        real_build = workload_cls.build
+
+        def counting_compute(job, traced=False):
+            counts["computed"] += 1
+            return real_compute(job, traced)
+
+        def counting_build(self, *args, **kwargs):
+            counts["built"] += 1
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "compute_job", counting_compute)
+        monkeypatch.setattr(workload_cls, "build", counting_build)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
+        clear_run_cache()
+        yield counts
+        clear_run_cache()
+
+    def test_run_computes_job_and_baseline(self, capsys, counts):
+        code = main(["run", "jacobi", "--paradigm", "gps", "--scale", "0.1", "--iterations", "2"])
+        assert code == 0
+        assert "speedup" in capsys.readouterr().out
+        assert counts == {"computed": 2, "built": 2}
+
+    def test_compare_computes_seven_jobs_from_two_builds(self, capsys, counts):
+        assert main(["compare", "jacobi", "--scale", "0.1", "--iterations", "2"]) == 0
+        assert "GPS" in capsys.readouterr().out
+        assert counts == {"computed": 7, "built": 2}
+
+    def test_repeat_run_is_a_memo_hit(self, capsys, counts):
+        argv = ["run", "jacobi", "--paradigm", "um", "--scale", "0.1", "--iterations", "2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert counts == {"computed": 2, "built": 2}
+
+
 class TestFigure:
     def test_table2(self, capsys):
         assert main(["figure", "table2"]) == 0
@@ -124,17 +173,6 @@ class TestCache:
         assert main(["cache"]) == 0
         assert "persistent cache" in capsys.readouterr().out
 
-    def test_show_reports_fleet_after_run_many(self, capsys):
-        from repro.harness.runner import SimJob, clear_run_cache, run_many
-
-        clear_run_cache()
-        run_many([SimJob("jacobi", "memcpy", 2, scale=0.1, iterations=2)])
-        assert main(["cache", "show"]) == 0
-        out = capsys.readouterr().out
-        assert "fleet: 1 run_many call(s)" in out
-        assert "1 computed" in out
-        clear_run_cache()
-
     def test_show_empty_cache_dir_exits_zero_with_stable_columns(
         self, capsys, cache_dir
     ):
@@ -165,13 +203,9 @@ class TestCache:
         run_simulation("jacobi", "memcpy", 2, scale=0.1, iterations=2)
         assert main(["cache", "show"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        labels = [line.split(":")[0].strip() for line in lines if ":" in line]
-        assert labels[:4] == [
-            "persistent cache",
-            "model fingerprint",
-            "entries",
-            "this process",
-        ]
+        labels = [line.split(":")[0].strip() for line in lines]
+        assert labels == ["persistent cache", "model fingerprint", "entries"]
+        assert "1 (" in lines[2]
 
 
 class TestServiceVerbs:

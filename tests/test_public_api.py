@@ -17,7 +17,6 @@ class TestTopLevelExports:
 
     def test_key_callables(self):
         assert callable(repro.simulate)
-        assert callable(repro.speedup_over_single_gpu)
         assert callable(repro.default_system)
         assert callable(repro.get_workload)
         assert callable(repro.make_executor)
