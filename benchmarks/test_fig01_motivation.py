@@ -5,16 +5,13 @@ PCIe 3.0 can be ~30% *slower* than one GPU, projected PCIe 6.0 reaches
 ~2x, and an infinite interconnect ~3x.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig1_motivation
 from repro.harness.report import format_table
 
 
-def test_fig1_motivation(benchmark, bench_scale, bench_iterations):
-    result = run_once(
-        benchmark, fig1_motivation, scale=bench_scale, iterations=bench_iterations
-    )
+def test_fig1_motivation(benchmark):
+    result = run_figure(benchmark, "fig1")
     rows = [
         [w] + [result["speedups"][w][l] for l in result["interconnects"]]
         for w in result["workloads"]

@@ -1,13 +1,12 @@
 """Figure 3: the persistent ~3x local-vs-remote bandwidth gap."""
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig3_bandwidth_gap
 from repro.harness.report import format_table
 
 
 def test_fig3_bandwidth_gap(benchmark):
-    result = run_once(benchmark, fig3_bandwidth_gap)
+    result = run_figure(benchmark, "fig3")
     rows = [
         [r["platform"], r["gpu"], r["interconnect"], r["local_gb_s"], r["remote_gb_s"], r["gap"]]
         for r in result["rows"]

@@ -5,16 +5,13 @@ infinite-bandwidth opportunity) and beats the next best paradigm by 2.3x
 on average; UM is below 1x; memcpy averages ~1x with CT its best case.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig8_end_to_end
 from repro.harness.report import format_speedup_matrix
 
 
-def test_fig8_end_to_end(benchmark, bench_scale, bench_iterations):
-    result = run_once(
-        benchmark, fig8_end_to_end, scale=bench_scale, iterations=bench_iterations
-    )
+def test_fig8_end_to_end(benchmark):
+    result = run_figure(benchmark, "fig8")
     print()
     print(format_speedup_matrix(result, title="Figure 8: 4-GPU speedups (PCIe 6.0)"))
     print(

@@ -5,16 +5,13 @@ one remote subscriber (2 total) for most pages because of halo exchange;
 the variation across apps justifies automatic unsubscription.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig9_subscriber_distribution
 from repro.harness.report import format_table
 
 
-def test_fig9_subscriber_distribution(benchmark, bench_scale):
-    result = run_once(
-        benchmark, fig9_subscriber_distribution, scale=bench_scale, iterations=2
-    )
+def test_fig9_subscriber_distribution(benchmark):
+    result = run_figure(benchmark, "fig9")
     dist = result["percent_by_subscribers"]
     rows = [
         [w, d.get(2, 0.0), d.get(3, 0.0), d.get(4, 0.0)] for w, d in dist.items()

@@ -5,19 +5,13 @@ unsubscription drastically cuts traffic for most apps (tiny for stencils,
 near 1x for the all-to-all apps); RDL exceeds memcpy only for ALS.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig10_interconnect_traffic
 from repro.harness.report import format_table
 
 
-def test_fig10_interconnect_traffic(benchmark, bench_scale, bench_iterations):
-    result = run_once(
-        benchmark,
-        fig10_interconnect_traffic,
-        scale=bench_scale,
-        iterations=bench_iterations,
-    )
+def test_fig10_interconnect_traffic(benchmark):
+    result = run_figure(benchmark, "fig10")
     norm = result["normalized_to_memcpy"]
     rows = [
         [w] + [norm[w][p] for p in result["paradigms"]] for w in result["workloads"]

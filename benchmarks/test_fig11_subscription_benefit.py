@@ -5,19 +5,13 @@ factor in GPS's scalability for most apps; the exceptions are ALS and CT,
 whose pages are subscribed by all GPUs anyway.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig11_subscription_benefit
 from repro.harness.report import format_speedup_matrix
 
 
-def test_fig11_subscription_benefit(benchmark, bench_scale, bench_iterations):
-    result = run_once(
-        benchmark,
-        fig11_subscription_benefit,
-        scale=bench_scale,
-        iterations=bench_iterations,
-    )
+def test_fig11_subscription_benefit(benchmark):
+    result = run_figure(benchmark, "fig11")
     print()
     print(
         format_speedup_matrix(

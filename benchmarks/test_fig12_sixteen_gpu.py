@@ -7,14 +7,13 @@ fewer iterations than the real applications, so GPS's one-time profiling
 broadcast weighs more heavily here (see EXPERIMENTS.md).
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig12_sixteen_gpus
 from repro.harness.report import format_speedup_matrix
 
 
-def test_fig12_sixteen_gpus(benchmark, bench_scale):
-    result = run_once(benchmark, fig12_sixteen_gpus, scale=bench_scale, iterations=32)
+def test_fig12_sixteen_gpus(benchmark):
+    result = run_figure(benchmark, "fig12")
     print()
     print(format_speedup_matrix(result, title="Figure 12: 16-GPU speedups (PCIe 6.0)"))
     print(f"opportunity captured: {100 * result['opportunity_captured']:.1f}%")

@@ -6,19 +6,13 @@ bandwidth limit at PCIe 6.0.
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig13_bandwidth_sensitivity
 from repro.harness.report import format_table
 
 
-def test_fig13_bandwidth_sensitivity(benchmark, bench_scale, bench_iterations):
-    result = run_once(
-        benchmark,
-        fig13_bandwidth_sensitivity,
-        scale=bench_scale,
-        iterations=bench_iterations,
-    )
+def test_fig13_bandwidth_sensitivity(benchmark):
+    result = run_figure(benchmark, "fig13")
     rows = [
         [link] + [result["geomean"][link][p] for p in result["paradigms"]]
         for link in result["links"]

@@ -6,15 +6,14 @@ locality) and Pagerank/ALS/SSSP at 0% (atomics are not coalesced); CT,
 EQWP, Diffusion, and HIT show rising curves.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import fig14_write_queue_hit_rate
 from repro.harness.experiments import COALESCING_APPS, ZERO_HIT_APPS
 from repro.harness.report import format_table
 
 
-def test_fig14_write_queue_hit_rate(benchmark, bench_scale):
-    result = run_once(benchmark, fig14_write_queue_hit_rate, scale=bench_scale)
+def test_fig14_write_queue_hit_rate(benchmark):
+    result = run_figure(benchmark, "fig14")
     sizes = result["queue_sizes"]
     rows = [
         [w] + [100 * result["hit_rate"][w][s] for s in sizes]

@@ -5,14 +5,13 @@ the GPS-TLB hit rate approaches 100% at just 32 entries, because it only
 services coalesced remote writes to the GPS heap.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import gps_tlb_sensitivity
 from repro.harness.report import format_table
 
 
-def test_gps_tlb_sensitivity(benchmark, bench_scale):
-    result = run_once(benchmark, gps_tlb_sensitivity, scale=bench_scale)
+def test_gps_tlb_sensitivity(benchmark):
+    result = run_figure(benchmark, "gps-tlb")
     sizes = result["tlb_sizes"]
     rows = [
         [w] + [100 * result["hit_rate"][w][s] for s in sizes]

@@ -5,17 +5,14 @@ pages are 15% slower (false sharing inflates interconnect traffic); 64 KiB
 is the sweet spot GPS uses.
 """
 
-from conftest import run_once
+from conftest import run_figure
 
 from repro.config import PAGE_2M, PAGE_4K, PAGE_64K
-from repro.harness import page_size_sensitivity
 from repro.harness.report import format_table
 
 
-def test_page_size_sensitivity(benchmark, bench_scale):
-    result = run_once(
-        benchmark, page_size_sensitivity, scale=bench_scale, iterations=8
-    )
+def test_page_size_sensitivity(benchmark):
+    result = run_figure(benchmark, "page-size")
     labels = {PAGE_4K: "4 KiB", PAGE_64K: "64 KiB", PAGE_2M: "2 MiB"}
     rows = [
         [labels[ps], result["total_time"][ps] * 1e3, result["slowdown_vs_64k"][ps]]

@@ -1,14 +1,13 @@
 """Table 1: simulation settings (GV100 + GPS structures)."""
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import table1_simulation_settings
 from repro.harness.report import format_table
 from repro.units import fmt_bytes
 
 
 def test_table1_simulation_settings(benchmark):
-    result = run_once(benchmark, table1_simulation_settings)
+    result = run_figure(benchmark, "table1")
     gpu, gps = result["gpu"], result["gps"]
     rows = [
         ["Cache block size", fmt_bytes(gpu["cache_block_bytes"])],

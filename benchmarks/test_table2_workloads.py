@@ -1,13 +1,12 @@
 """Table 2: the application suite under study."""
 
-from conftest import run_once
+from conftest import run_figure
 
-from repro.harness import table2_applications
 from repro.harness.report import format_table
 
 
 def test_table2_applications(benchmark):
-    result = run_once(benchmark, table2_applications)
+    result = run_figure(benchmark, "table2")
     rows = [[r["name"], r["description"], r["comm_pattern"]] for r in result["rows"]]
     print()
     print(

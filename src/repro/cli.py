@@ -5,6 +5,7 @@ Usage (after ``pip install -e .``)::
     python -m repro run jacobi --paradigm gps --gpus 4 --link pcie6
     python -m repro compare ct --gpus 4 --scale 0.5
     python -m repro figure fig8 --scale 0.5 --iterations 8 --json out.json
+    python -m repro figure all --json paper.json             # the whole paper, one grid
     python -m repro trace stencil --gpus 2 --out trace.json   # Perfetto trace
     python -m repro profile jacobi --paradigm gps --top 10
     python -m repro serve --port 8787                         # simulation service
@@ -14,7 +15,8 @@ Usage (after ``pip install -e .``)::
     python -m repro list
 
 Everything the CLI does goes through the same public API the examples use;
-it exists so that a reproduction run is one shell command per figure.
+it exists so that a reproduction run is one shell command per figure, or one
+(``figure all``) for the whole paper.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--scale", type=float, default=0.5)
     compare.add_argument("--iterations", type=int, default=8)
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure/table")
-    figure.add_argument("name", choices=sorted(FIGURES))
-    figure.add_argument("--scale", type=float, default=1.0)
-    figure.add_argument("--iterations", type=int, default=16)
-    figure.add_argument("--json", metavar="PATH", help="also write the result as JSON")
+    figure = sub.add_parser("figure", help="regenerate paper figures/tables ('all': one grid)")
+    figure.add_argument("names", nargs="+", metavar="NAME", choices=[*FIGURES, "all"])
+    figure.add_argument("--scale", type=float, help="default: each figure's paper setting")
+    figure.add_argument("--iterations", type=int, help="default: each figure's paper setting")
+    figure.add_argument("--json", metavar="PATH", help="also write the result(s) as JSON")
     figure.add_argument(
         "--workers",
         type=int,
@@ -358,7 +360,7 @@ def _cmd_compare(args) -> int:
 def _cmd_figure(args) -> int:
     import os
 
-    from .harness import experiments
+    from .harness.experiments import run_figures
     from .harness.export import to_json
     from .harness.report import format_speedup_matrix, format_table
     from .harness.runner import cache_stats, fleet_stats
@@ -367,26 +369,19 @@ def _cmd_figure(args) -> int:
         os.environ["REPRO_NO_CACHE"] = "1"
     if args.workers is not None:
         os.environ["REPRO_MAX_WORKERS"] = str(args.workers)
-    driver_name, takes_knobs = FIGURES[args.name]
-    driver = getattr(experiments, driver_name)
-    kwargs = {}
-    if takes_knobs:
-        kwargs = {"scale": args.scale, "iterations": args.iterations}
-        if args.name in ("fig9",):
-            kwargs["iterations"] = min(args.iterations, 4)
-    result = driver(**kwargs)
-    if "speedups" in result and "paradigms" in result:
-        print(format_speedup_matrix(result, title=args.name))
-    elif "rows" in result:
-        rows = result["rows"]
-        headers = list(rows[0].keys())
-        print(
-            format_table(headers, [[r[h] for h in headers] for r in rows], title=args.name)
-        )
-    else:
-        print(to_json(result))
+    names = list(FIGURES) if "all" in args.names else list(dict.fromkeys(args.names))
+    payloads = run_figures(names, scale=args.scale, iterations=args.iterations)
+    for name, result in payloads.items():
+        if "speedups" in result and "paradigms" in result:
+            print(format_speedup_matrix(result, title=name))
+        elif "rows" in result:
+            rows = result["rows"]
+            headers = list(rows[0].keys())
+            print(format_table(headers, [[r[h] for h in headers] for r in rows], title=name))
+        else:
+            print(to_json(result))
     if args.json:
-        to_json(result, path=args.json)
+        to_json(payloads[names[0]] if len(names) == 1 else payloads, path=args.json)
         print(f"(wrote {args.json})")
     stats = cache_stats()
     if stats.lookups:

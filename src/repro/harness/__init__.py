@@ -1,9 +1,9 @@
-"""Evaluation harness: one driver per paper table/figure.
+"""Evaluation harness: one table entry per paper table/figure.
 
-Each ``fig*``/``table*`` function in :mod:`repro.harness.experiments`
-regenerates the corresponding artifact of the paper and returns structured
-rows; :mod:`repro.harness.report` renders them as aligned text tables. The
-benchmark suite under ``benchmarks/`` is a thin wrapper over these drivers.
+:data:`repro.harness.experiments.FIGURE_TABLE` holds each artifact's paper
+settings, jobs and reduce; :func:`run_figures` regenerates any of them as one
+grid, each ``fig*``/``table*`` driver is that call for one artifact, and
+:mod:`repro.harness.report` renders the returned rows as text tables.
 """
 
 from .experiments import (
@@ -18,6 +18,7 @@ from .experiments import (
     fig14_write_queue_hit_rate,
     gps_tlb_sensitivity,
     page_size_sensitivity,
+    run_figures,
     table1_simulation_settings,
     table2_applications,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "fig14_write_queue_hit_rate",
     "gps_tlb_sensitivity",
     "page_size_sensitivity",
+    "run_figures",
     "table1_simulation_settings",
     "table2_applications",
     "format_table",

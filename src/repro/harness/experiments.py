@@ -1,14 +1,19 @@
-"""One driver per paper artifact (every table and every figure).
+"""Every paper artifact (each table and figure) as one entry of one table.
 
-Each function returns a plain dict of rows/series so callers (benchmarks,
-tests, notebooks) can assert on values or render them with
-:mod:`repro.harness.report`. All drivers accept ``scale`` / ``iterations``
-knobs so the test suite can run them at reduced fidelity.
+:data:`FIGURE_TABLE` holds each artifact as a :class:`Figure`: its paper
+settings, the jobs they ask for and the reduce that turns the jobs' results
+into the artifact's payload, a plain dict of rows/series. :func:`run_figures`
+submits the union of the named figures' jobs as one ``run_many`` call, so a
+job two figures share simulates once, then reduces each figure. Each public
+driver (``fig8_end_to_end`` and the rest) is :func:`run_figures` over one
+name; a keyword left ``None`` keeps the table's paper setting.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass, field
+from typing import Callable
 
 from ..config import CACHE_BLOCK, GPSConfig, PAGE_2M, PAGE_4K, PAGE_64K, default_system
 from ..core.gps_page_table import GPSPageTable
@@ -17,9 +22,10 @@ from ..core.write_queue import RemoteWriteQueue
 from ..interconnect.platforms import bandwidth_gap_summary
 from ..paradigms.registry import FIGURE8_ORDER
 from ..system.analysis import get_analysis
-from ..workloads.registry import WORKLOADS, get_workload, workload_names
+from ..workloads.registry import WORKLOADS, workload_names
 from .report import geomean
 from .runner import SimJob, run_many
+from .runner.parallel import job_program
 
 #: The four applications whose write streams coalesce (Figure 14 curves);
 #: the other four sit at 0% by construction (sequential writes or atomics).
@@ -27,24 +33,87 @@ COALESCING_APPS = ("ct", "eqwp", "diffusion", "hit")
 ZERO_HIT_APPS = ("jacobi", "pagerank", "sssp", "als")
 
 
-def _run_indexed(jobs: "list[SimJob]") -> dict:
-    """Fan a job list through the parallel runner; index results by job key.
+def _no_jobs(settings: dict) -> dict:
+    return {}
 
-    Drivers build their whole simulation grid up front, submit it once (so
-    uncached jobs run concurrently across worker processes), then read
-    results back by reconstructing the same :class:`SimJob`.
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper artifact: settings, the jobs they ask for, and a reduce.
+
+    ``jobs(settings)`` returns ``{label: SimJob}``; ``reduce(settings,
+    results)`` turns ``{label: SimulationResult}`` into the payload. An
+    artifact that simulates nothing has no jobs and works in ``reduce``.
     """
-    return {job.key(): result for job, result in zip(jobs, run_many(jobs))}
+
+    reduce: Callable[[dict, dict], dict]
+    settings: dict = field(default_factory=dict)
+    jobs: Callable[[dict], dict] = _no_jobs
+
+
+def _grid(s: dict, cells) -> dict:
+    """``{(workload, paradigm, gpus, link): SimJob}`` at the settings' scale and iterations."""
+    return {cell: SimJob(*cell, s["scale"], s["iterations"]) for cell in cells}
+
+
+def _speedup_cells(workloads, paradigms, num_gpus: int, links) -> list:
+    """Each app's 1-GPU memcpy baseline per link, then each paradigm on ``num_gpus``."""
+    cells = [(w, "memcpy", 1, link) for w in workloads for link in links]
+    return cells + [(w, p, num_gpus, link) for w in workloads for link in links for p in paradigms]
+
+
+def _speedup(results: dict, workload: str, paradigm: str, num_gpus: int, link) -> float:
+    """Strong-scaling speedup: the 1-GPU memcpy time over the ``num_gpus`` time."""
+    single = results[workload, "memcpy", 1, link]
+    return single.total_time / results[workload, paradigm, num_gpus, link].total_time
+
+
+def _speedup_matrix(s: dict, results: dict, paradigms, num_gpus: int, link) -> tuple:
+    """``{app: {paradigm: speedup}}`` and each paradigm's geomean over the apps."""
+    speedups = {
+        w: {p: _speedup(results, w, p, num_gpus, link) for p in paradigms}
+        for w in s["workloads"]
+    }
+    return speedups, {p: geomean([speedups[w][p] for w in s["workloads"]]) for p in paradigms}
 
 
 # -- Figure 1 -------------------------------------------------------------------
-
 
 #: The pre-GPS techniques available to Figure 1's hypothetical programmer.
 _FIG1_PARADIGMS = ("um_hints", "rdl", "memcpy")
 
 
-def fig1_motivation(scale: float = 1.0, iterations: int = 16, workloads=None) -> dict:
+def _fig1_jobs(s: dict) -> dict:
+    cells = _speedup_cells(s["workloads"], _FIG1_PARADIGMS, 4, ("pcie3", "pcie6"))
+    # The upper bound ignores all transfer costs regardless of paradigm
+    # (paper section 6).
+    return _grid(s, cells + [(w, "infinite", 4, "pcie6") for w in s["workloads"]])
+
+
+def _fig1_reduce(s: dict, results: dict) -> dict:
+    workloads = list(s["workloads"])
+    interconnects = ["pcie3", "pcie6", "infinite"]
+    speedups: dict = {}
+    best_paradigm: dict = {}
+    for w in workloads:
+        speedups[w], best_paradigm[w] = {}, {}
+        for link in ("pcie3", "pcie6"):
+            candidates = {p: _speedup(results, w, p, 4, link) for p in _FIG1_PARADIGMS}
+            best_paradigm[w][link] = max(candidates, key=candidates.get)
+            speedups[w][link] = candidates[best_paradigm[w][link]]
+        speedups[w]["infinite"] = _speedup(results, w, "infinite", 4, "pcie6")
+        best_paradigm[w]["infinite"] = "infinite"
+    return {
+        "figure": "fig1",
+        "workloads": workloads,
+        "interconnects": interconnects,
+        "speedups": speedups,
+        "best_paradigm": best_paradigm,
+        "geomean": {k: geomean([speedups[w][k] for w in workloads]) for k in interconnects},
+    }
+
+
+def fig1_motivation(scale=None, iterations=None, workloads=None) -> dict:
     """Figure 1: 4-GPU strong scaling under today's best practice.
 
     The paper's motivation figure runs each application under the best
@@ -53,57 +122,13 @@ def fig1_motivation(scale: float = 1.0, iterations: int = 16, workloads=None) ->
     PCIe 3.0 loses to one GPU, projected PCIe 6.0 reaches ~2x, and an
     infinite interconnect ~3x.
     """
-    workloads = list(workloads or workload_names())
-    interconnects = ["pcie3", "pcie6", "infinite"]
-    jobs = []
-    for workload in workloads:
-        for link in ("pcie3", "pcie6"):
-            jobs.append(SimJob(workload, "memcpy", 1, link, scale, iterations))
-            jobs.extend(
-                SimJob(workload, p, 4, link, scale, iterations) for p in _FIG1_PARADIGMS
-            )
-        # The upper bound ignores all transfer costs regardless of paradigm
-        # (paper section 6).
-        jobs.append(SimJob(workload, "infinite", 4, "pcie6", scale, iterations))
-    results = _run_indexed(jobs)
-
-    def _speedup(workload: str, paradigm: str, link: str) -> float:
-        single = results[SimJob(workload, "memcpy", 1, link, scale, iterations).key()]
-        multi = results[SimJob(workload, paradigm, 4, link, scale, iterations).key()]
-        return single.total_time / multi.total_time
-
-    speedups: dict = {}
-    best_paradigm: dict = {}
-    for workload in workloads:
-        speedups[workload] = {}
-        best_paradigm[workload] = {}
-        for link in interconnects:
-            if link == "infinite":
-                speedups[workload][link] = _speedup(workload, "infinite", "pcie6")
-                best_paradigm[workload][link] = "infinite"
-                continue
-            candidates = {p: _speedup(workload, p, link) for p in _FIG1_PARADIGMS}
-            best = max(candidates, key=candidates.get)
-            speedups[workload][link] = candidates[best]
-            best_paradigm[workload][link] = best
-    mean = {
-        link: geomean([speedups[w][link] for w in workloads]) for link in interconnects
-    }
-    return {
-        "figure": "fig1",
-        "workloads": workloads,
-        "interconnects": interconnects,
-        "speedups": speedups,
-        "best_paradigm": best_paradigm,
-        "geomean": mean,
-    }
+    return run_figures(["fig1"], **locals())["fig1"]
 
 
 # -- Figure 3 -------------------------------------------------------------------
 
 
-def fig3_bandwidth_gap() -> dict:
-    """Figure 3: local vs remote bandwidth across five GPU platforms."""
+def _fig3_reduce(s: dict, results: dict) -> dict:
     rows = bandwidth_gap_summary()
     return {
         "figure": "fig3",
@@ -113,229 +138,181 @@ def fig3_bandwidth_gap() -> dict:
     }
 
 
-# -- Figure 8 -------------------------------------------------------------------
+def fig3_bandwidth_gap() -> dict:
+    """Figure 3: local vs remote bandwidth across five GPU platforms."""
+    return run_figures(["fig3"])["fig3"]
 
 
-def fig8_end_to_end(
-    scale: float = 1.0,
-    iterations: int = 16,
-    workloads=None,
-    num_gpus: int = 4,
-    link: str = "pcie6",
-    paradigms=FIGURE8_ORDER,
-) -> dict:
-    """Figure 8: 4-GPU speedup of every paradigm on every application."""
-    workloads = list(workloads or workload_names())
-    jobs = [SimJob(w, "memcpy", 1, link, scale, iterations) for w in workloads]
-    jobs += [
-        SimJob(w, p, num_gpus, link, scale, iterations)
-        for w in workloads
-        for p in paradigms
-    ]
-    results = _run_indexed(jobs)
-    speedups: dict = {}
-    for workload in workloads:
-        single = results[SimJob(workload, "memcpy", 1, link, scale, iterations).key()]
-        speedups[workload] = {
-            p: single.total_time
-            / results[SimJob(workload, p, num_gpus, link, scale, iterations).key()].total_time
-            for p in paradigms
-        }
-    mean = {p: geomean([speedups[w][p] for w in workloads]) for p in paradigms}
+# -- Figures 8 and 12 -----------------------------------------------------------
+
+
+def _fig8_jobs(s: dict) -> dict:
+    return _grid(s, _speedup_cells(s["workloads"], s["paradigms"], s["num_gpus"], [s["link"]]))
+
+
+def _fig8_reduce(s: dict, results: dict, figure: str = "fig8") -> dict:
+    workloads, paradigms = list(s["workloads"]), s["paradigms"]
+    speedups, mean = _speedup_matrix(s, results, paradigms, s["num_gpus"], s["link"])
     non_gps = [p for p in paradigms if p not in ("gps", "infinite")]
     next_best = {w: max(speedups[w][p] for p in non_gps) for w in workloads}
-    gps_vs_next = geomean([speedups[w]["gps"] / next_best[w] for w in workloads])
     return {
-        "figure": "fig8",
+        "figure": figure,
         "workloads": workloads,
         "paradigms": list(paradigms),
         "speedups": speedups,
         "geomean": mean,
-        "gps_vs_next_best": gps_vs_next,
+        "gps_vs_next_best": geomean([speedups[w]["gps"] / next_best[w] for w in workloads]),
         "opportunity_captured": mean["gps"] / mean["infinite"],
     }
+
+
+def fig8_end_to_end(
+    scale=None, iterations=None, workloads=None, num_gpus=None, link=None, paradigms=None
+) -> dict:
+    """Figure 8: 4-GPU speedup of every paradigm on every application."""
+    return run_figures(["fig8"], **locals())["fig8"]
+
+
+def fig12_sixteen_gpus(scale=None, iterations=None, workloads=None, paradigms=None) -> dict:
+    """Figure 12: strong scaling on 16 GPUs with projected PCIe 6.0."""
+    return run_figures(["fig12"], **locals())["fig12"]
 
 
 # -- Figure 9 -------------------------------------------------------------------
 
 
-def fig9_subscriber_distribution(
-    scale: float = 1.0, iterations: int = 4, workloads=None, num_gpus: int = 4
-) -> dict:
-    """Figure 9: subscriber-count distribution of shared GPS pages."""
-    workloads = list(workloads or workload_names())
-    results = run_many(
-        [SimJob(w, "gps", num_gpus, "pcie6", scale, iterations) for w in workloads]
-    )
+def _fig9_jobs(s: dict) -> dict:
+    return _grid(s, [(w, "gps", s["num_gpus"], "pcie6") for w in s["workloads"]])
+
+
+def _fig9_reduce(s: dict, results: dict) -> dict:
     distribution: dict = {}
-    for workload, result in zip(workloads, results):
-        hist = result.subscriber_histogram
+    for w in s["workloads"]:
+        hist = results[w, "gps", s["num_gpus"], "pcie6"].subscriber_histogram
         total = sum(hist.values())
-        distribution[workload] = {
+        distribution[w] = {
             count: 100.0 * pages / total if total else 0.0
             for count, pages in sorted(hist.items())
         }
     return {
         "figure": "fig9",
-        "workloads": workloads,
-        "num_gpus": num_gpus,
+        "workloads": list(s["workloads"]),
+        "num_gpus": s["num_gpus"],
         "percent_by_subscribers": distribution,
     }
 
 
+def fig9_subscriber_distribution(scale=None, iterations=None, workloads=None, num_gpus=None):
+    """Figure 9: subscriber-count distribution of shared GPS pages."""
+    return run_figures(["fig9"], **locals())["fig9"]
+
+
 # -- Figure 10 ------------------------------------------------------------------
 
+_FIG10_PARADIGMS = ("um", "um_hints", "rdl", "gps")
 
-def fig10_interconnect_traffic(
-    scale: float = 1.0, iterations: int = 16, workloads=None, num_gpus: int = 4
-) -> dict:
-    """Figure 10: total interconnect bytes, normalised to memcpy."""
-    workloads = list(workloads or workload_names())
-    paradigms = ["um", "um_hints", "rdl", "gps"]
-    jobs = [
-        SimJob(w, p, num_gpus, "pcie6", scale, iterations)
-        for w in workloads
-        for p in ["memcpy"] + paradigms
-    ]
-    results = _run_indexed(jobs)
 
-    def _bytes(workload: str, paradigm: str) -> int:
-        job = SimJob(workload, paradigm, num_gpus, "pcie6", scale, iterations)
-        return results[job.key()].interconnect_bytes
+def _fig10_jobs(s: dict) -> dict:
+    paradigms = ("memcpy",) + _FIG10_PARADIGMS
+    return _grid(s, [(w, p, s["num_gpus"], "pcie6") for w in s["workloads"] for p in paradigms])
 
-    normalized: dict = {}
-    raw: dict = {}
-    for workload in workloads:
-        base = _bytes(workload, "memcpy")
-        raw[workload] = {"memcpy": base}
-        normalized[workload] = {}
-        for paradigm in paradigms:
-            moved = _bytes(workload, paradigm)
-            raw[workload][paradigm] = moved
-            normalized[workload][paradigm] = moved / base if base else float("inf")
+
+def _fig10_reduce(s: dict, results: dict) -> dict:
+    raw = {
+        w: {
+            p: results[w, p, s["num_gpus"], "pcie6"].interconnect_bytes
+            for p in ("memcpy",) + _FIG10_PARADIGMS
+        }
+        for w in s["workloads"]
+    }
+    normalized = {
+        w: {p: raw[w][p] / raw[w]["memcpy"] if raw[w]["memcpy"] else float("inf")
+            for p in _FIG10_PARADIGMS}
+        for w in s["workloads"]
+    }
     return {
         "figure": "fig10",
-        "workloads": workloads,
-        "paradigms": paradigms,
+        "workloads": list(s["workloads"]),
+        "paradigms": list(_FIG10_PARADIGMS),
         "normalized_to_memcpy": normalized,
         "raw_bytes": raw,
     }
 
 
+def fig10_interconnect_traffic(scale=None, iterations=None, workloads=None, num_gpus=None):
+    """Figure 10: total interconnect bytes, normalised to memcpy."""
+    return run_figures(["fig10"], **locals())["fig10"]
+
+
 # -- Figure 11 ------------------------------------------------------------------
 
+_FIG11_PARADIGMS = ("gps_nosub", "gps")
 
-def fig11_subscription_benefit(
-    scale: float = 1.0, iterations: int = 16, workloads=None, num_gpus: int = 4
-) -> dict:
-    """Figure 11: GPS with vs without subscription tracking."""
-    workloads = list(workloads or workload_names())
-    variants = ("gps_nosub", "gps")
-    jobs = [SimJob(w, "memcpy", 1, "pcie6", scale, iterations) for w in workloads]
-    jobs += [
-        SimJob(w, p, num_gpus, "pcie6", scale, iterations)
-        for w in workloads
-        for p in variants
-    ]
-    results = _run_indexed(jobs)
-    speedups: dict = {}
-    for workload in workloads:
-        single = results[SimJob(workload, "memcpy", 1, "pcie6", scale, iterations).key()]
-        speedups[workload] = {
-            p: single.total_time
-            / results[SimJob(workload, p, num_gpus, "pcie6", scale, iterations).key()].total_time
-            for p in variants
-        }
+
+def _fig11_jobs(s: dict) -> dict:
+    return _grid(s, _speedup_cells(s["workloads"], _FIG11_PARADIGMS, s["num_gpus"], ["pcie6"]))
+
+
+def _fig11_reduce(s: dict, results: dict) -> dict:
+    speedups, mean = _speedup_matrix(s, results, _FIG11_PARADIGMS, s["num_gpus"], "pcie6")
     return {
         "figure": "fig11",
-        "workloads": workloads,
-        "paradigms": ["gps_nosub", "gps"],
+        "workloads": list(s["workloads"]),
+        "paradigms": list(_FIG11_PARADIGMS),
         "speedups": speedups,
-        "geomean": {
-            p: geomean([speedups[w][p] for w in workloads]) for p in ("gps_nosub", "gps")
-        },
+        "geomean": mean,
     }
 
 
-# -- Figure 12 ------------------------------------------------------------------
-
-
-def fig12_sixteen_gpus(
-    scale: float = 1.0, iterations: int = 32, workloads=None, paradigms=FIGURE8_ORDER
-) -> dict:
-    """Figure 12: strong scaling on 16 GPUs with projected PCIe 6.0."""
-    result = fig8_end_to_end(
-        scale=scale,
-        iterations=iterations,
-        workloads=workloads,
-        num_gpus=16,
-        link="pcie6",
-        paradigms=paradigms,
-    )
-    result["figure"] = "fig12"
-    return result
+def fig11_subscription_benefit(scale=None, iterations=None, workloads=None, num_gpus=None):
+    """Figure 11: GPS with vs without subscription tracking."""
+    return run_figures(["fig11"], **locals())["fig11"]
 
 
 # -- Figure 13 ------------------------------------------------------------------
 
+_FIG13_LINKS = ("pcie3", "pcie4", "pcie5", "pcie6")
 
-def fig13_bandwidth_sensitivity(
-    scale: float = 1.0, iterations: int = 16, workloads=None, paradigms=FIGURE8_ORDER
-) -> dict:
-    """Figure 13: geomean speedup of each paradigm vs PCIe generation."""
-    workloads = list(workloads or workload_names())
-    links = ["pcie3", "pcie4", "pcie5", "pcie6"]
-    jobs = [SimJob(w, "memcpy", 1, link, scale, iterations) for w in workloads for link in links]
-    jobs += [
-        SimJob(w, p, 4, link, scale, iterations)
-        for w in workloads
-        for link in links
-        for p in paradigms
-    ]
-    results = _run_indexed(jobs)
 
-    def _speedup(workload: str, paradigm: str, link: str) -> float:
-        single = results[SimJob(workload, "memcpy", 1, link, scale, iterations).key()]
-        multi = results[SimJob(workload, paradigm, 4, link, scale, iterations).key()]
-        return single.total_time / multi.total_time
+def _fig13_jobs(s: dict) -> dict:
+    return _grid(s, _speedup_cells(s["workloads"], s["paradigms"], 4, _FIG13_LINKS))
 
-    means: dict = {}
-    for link in links:
-        means[link] = {
-            p: geomean([_speedup(w, p, link) for w in workloads]) for p in paradigms
-        }
+
+def _fig13_reduce(s: dict, results: dict) -> dict:
     return {
         "figure": "fig13",
-        "links": links,
-        "paradigms": list(paradigms),
-        "geomean": means,
+        "links": list(_FIG13_LINKS),
+        "paradigms": list(s["paradigms"]),
+        "geomean": {
+            link: _speedup_matrix(s, results, s["paradigms"], 4, link)[1] for link in _FIG13_LINKS
+        },
     }
 
 
-# -- Figure 14 ------------------------------------------------------------------
+def fig13_bandwidth_sensitivity(scale=None, iterations=None, workloads=None, paradigms=None):
+    """Figure 13: geomean speedup of each paradigm vs PCIe generation."""
+    return run_figures(["fig13"], **locals())["fig13"]
 
 
-def fig14_write_queue_hit_rate(
-    scale: float = 1.0,
-    queue_sizes=(16, 32, 64, 128, 256, 512, 1024),
-    workloads=COALESCING_APPS + ZERO_HIT_APPS,
-    num_gpus: int = 4,
-) -> dict:
-    """Figure 14: remote write queue hit rate vs queue size.
+# -- Figure 14 and the GPS-TLB sweep: structure replays, no simulation ------------
 
-    Drives the queue directly with each application's SM-coalesced store
-    streams (the same streams the full simulation replays), flushing at
-    phase boundaries — no end-to-end timing needed for this metric.
-    """
-    config = default_system(num_gpus)
+
+def _store_streams_of(workload: str, s: dict):
+    """``(kernels, analysis, config)``: one app's distinct kernels on GPU 0, from
+    the runner's program memo at two iterations (each steady-state kernel once)."""
+    config = default_system(s["num_gpus"])
+    program = job_program(SimJob(workload, "gps", s["num_gpus"], "pcie6", s["scale"], 2))
+    # Distinct steady-state kernels, one per GPU per phase shape.
+    kernels = {k: None for k in program.iter_kernels() if k.gpu == 0}
+    return kernels, get_analysis(program, config), config
+
+
+def _fig14_reduce(s: dict, results: dict) -> dict:
     hit_rates: dict = {}
-    for workload in workloads:
-        program = get_workload(workload).build(num_gpus, scale=scale, iterations=2)
-        analysis = get_analysis(program, config)
-        # Distinct steady-state kernels, one per GPU per phase shape.
-        kernels = {k: None for k in program.iter_kernels() if k.gpu == 0}
+    for workload in s["workloads"]:
+        kernels, analysis, config = _store_streams_of(workload, s)
         hit_rates[workload] = {}
-        for size in queue_sizes:
+        for size in s["queue_sizes"]:
             gps_cfg = dataclasses.replace(config.gps, write_queue_entries=size)
             queue = RemoteWriteQueue(gps_cfg)
             for kernel in kernels:
@@ -345,42 +322,35 @@ def fig14_write_queue_hit_rate(
             hit_rates[workload][size] = queue.stats.hit_rate
     return {
         "figure": "fig14",
-        "workloads": list(workloads),
-        "queue_sizes": list(queue_sizes),
+        "workloads": list(s["workloads"]),
+        "queue_sizes": list(s["queue_sizes"]),
         "hit_rate": hit_rates,
     }
 
 
-# -- Section 7.4: GPS-TLB sensitivity ---------------------------------------------
+def fig14_write_queue_hit_rate(scale=None, queue_sizes=None, workloads=None, num_gpus=None):
+    """Figure 14: remote write queue hit rate vs queue size.
 
-
-def gps_tlb_sensitivity(
-    scale: float = 1.0,
-    tlb_sizes=(4, 8, 16, 32, 64),
-    workloads=None,
-    num_gpus: int = 4,
-) -> dict:
-    """Section 7.4: GPS-TLB hit rate vs size (~100% at just 32 entries).
-
-    Replays each application's drained write-queue output through a
-    GPS-TLB of each size, over an all-to-all GPS page table — the same
-    datapath as the full GPS unit, isolated.
+    Drives the queue directly with each application's SM-coalesced store
+    streams (the same streams the full simulation replays), flushing at
+    phase boundaries — no end-to-end timing needed for this metric.
     """
-    config = default_system(num_gpus)
-    workloads = list(workloads or workload_names())
-    lines_per_page = config.page_size // CACHE_BLOCK
+    return run_figures(["fig14"], **locals())["fig14"]
+
+
+def _gps_tlb_reduce(s: dict, results: dict) -> dict:
+    num_gpus = s["num_gpus"]
     hit_rates: dict = {}
-    for workload in workloads:
-        program = get_workload(workload).build(num_gpus, scale=scale, iterations=2)
-        analysis = get_analysis(program, config)
-        kernels = [k for k in program.iter_kernels() if k.gpu == 0]
+    for workload in s["workloads"]:
+        kernels, analysis, config = _store_streams_of(workload, s)
+        lines_per_page = config.page_size // CACHE_BLOCK
         # Capture each kernel's drained entries once. The store stream is
         # issued by many concurrent CTAs striding across the shard, so the
         # drains interleave several regions — modelled by slicing each
         # stream and weaving warp-sized chunks round-robin.
         drained_vpns: list = []
         queue = RemoteWriteQueue(config.gps)
-        for kernel in {k: None for k in kernels}:
+        for kernel in kernels:
             entries = []
             for _, stream, atomic in analysis.store_streams(kernel):
                 lines = _interleave_cta_slices(stream.lines)
@@ -389,7 +359,7 @@ def gps_tlb_sensitivity(
             entries.extend(queue.flush())
             drained_vpns.append([e.line // lines_per_page for e in entries])
         hit_rates[workload] = {}
-        for size in tlb_sizes:
+        for size in s["tlb_sizes"]:
             gps_cfg = dataclasses.replace(
                 config.gps,
                 gps_tlb_entries=size,
@@ -408,10 +378,20 @@ def gps_tlb_sensitivity(
             hit_rates[workload][size] = tlb.stats.hit_rate
     return {
         "figure": "sec7.4-gps-tlb",
-        "workloads": workloads,
-        "tlb_sizes": list(tlb_sizes),
+        "workloads": list(s["workloads"]),
+        "tlb_sizes": list(s["tlb_sizes"]),
         "hit_rate": hit_rates,
     }
+
+
+def gps_tlb_sensitivity(scale=None, tlb_sizes=None, workloads=None, num_gpus=None) -> dict:
+    """Section 7.4: GPS-TLB hit rate vs size (~100% at just 32 entries).
+
+    Replays each application's drained write-queue output through a
+    GPS-TLB of each size, over an all-to-all GPS page table — the same
+    datapath as the full GPS unit, isolated.
+    """
+    return run_figures(["gps-tlb"], **locals())["gps-tlb"]
 
 
 def _interleave_cta_slices(lines, ways: int = 8, chunk: int = 32):
@@ -443,12 +423,34 @@ def _interleave_cta_slices(lines, ways: int = 8, chunk: int = 32):
 # -- Section 7.4: page-size sensitivity -------------------------------------------
 
 
+def _page_size_jobs(s: dict) -> dict:
+    jobs = {}
+    for page_size in s["page_sizes"]:
+        config = dataclasses.replace(
+            default_system(s["num_gpus"]), gps=dataclasses.replace(GPSConfig(), page_size=page_size)
+        )
+        for w in s["workloads"]:
+            jobs[w, page_size] = SimJob(
+                w, "gps", s["num_gpus"], "pcie6", s["scale"], s["iterations"], config=config
+            )
+    return jobs
+
+
+def _page_size_reduce(s: dict, results: dict) -> dict:
+    times = {
+        ps: sum(results[w, ps].total_time for w in s["workloads"]) for ps in s["page_sizes"]
+    }
+    return {
+        "figure": "sec7.4-page-size",
+        "workloads": list(s["workloads"]),
+        "page_sizes": list(s["page_sizes"]),
+        "total_time": times,
+        "slowdown_vs_64k": {ps: times[ps] / times[PAGE_64K] for ps in s["page_sizes"]},
+    }
+
+
 def page_size_sensitivity(
-    scale: float = 1.0,
-    iterations: int = 8,
-    workloads=None,
-    num_gpus: int = 4,
-    page_sizes=(PAGE_4K, PAGE_64K, PAGE_2M),
+    scale=None, iterations=None, workloads=None, num_gpus=None, page_sizes=None
 ) -> dict:
     """Section 7.4: GPS runtime at 4 KiB / 64 KiB / 2 MiB pages.
 
@@ -456,41 +458,10 @@ def page_size_sensitivity(
     slower (false sharing inflating interconnect traffic), making 64 KiB
     the sweet spot.
     """
-    workloads = list(workloads or workload_names())
-    configs = {
-        page_size: dataclasses.replace(
-            default_system(num_gpus),
-            gps=dataclasses.replace(GPSConfig(), page_size=page_size),
-        )
-        for page_size in page_sizes
-    }
-    jobs = [
-        SimJob(w, "gps", num_gpus, "pcie6", scale, iterations, config=configs[ps])
-        for ps in page_sizes
-        for w in workloads
-    ]
-    results = _run_indexed(jobs)
-    times: dict = {}
-    for page_size in page_sizes:
-        times[page_size] = sum(
-            results[
-                SimJob(
-                    w, "gps", num_gpus, "pcie6", scale, iterations, config=configs[page_size]
-                ).key()
-            ].total_time
-            for w in workloads
-        )
-    base = times[PAGE_64K]
-    return {
-        "figure": "sec7.4-page-size",
-        "workloads": workloads,
-        "page_sizes": list(page_sizes),
-        "total_time": times,
-        "slowdown_vs_64k": {ps: times[ps] / base for ps in page_sizes},
-    }
+    return run_figures(["page-size"], **locals())["page-size"]
 
 
-# -- Extension: weak scaling -------------------------------------------------------
+# -- Extension: weak scaling (not a paper figure, so not in the table) ------------
 
 
 def weak_scaling(
@@ -509,19 +480,13 @@ def weak_scaling(
     while bulk-synchronous transfers degrade (broadcast volume grows with
     N).
     """
-    jobs = [
-        SimJob(workload, paradigm, num_gpus, "pcie6", scale_per_gpu * num_gpus, iterations)
-        for paradigm in paradigms
-        for num_gpus in gpu_counts
-    ]
-    results = _run_indexed(jobs)
-    times: dict = {p: {} for p in paradigms}
-    for paradigm in paradigms:
-        for num_gpus in gpu_counts:
-            job = SimJob(
-                workload, paradigm, num_gpus, "pcie6", scale_per_gpu * num_gpus, iterations
-            )
-            times[paradigm][num_gpus] = results[job.key()].total_time
+    jobs = {
+        (p, n): SimJob(workload, p, n, "pcie6", scale_per_gpu * n, iterations)
+        for p in paradigms
+        for n in gpu_counts
+    }
+    results = dict(zip(jobs, run_many(list(jobs.values()))))
+    times = {p: {n: results[p, n].total_time for n in gpu_counts} for p in paradigms}
     efficiency = {
         p: {n: times[p][gpu_counts[0]] / times[p][n] for n in gpu_counts}
         for p in paradigms
@@ -539,8 +504,7 @@ def weak_scaling(
 # -- Tables ---------------------------------------------------------------------
 
 
-def table1_simulation_settings() -> dict:
-    """Table 1: simulation settings (GV100 + GPS structures)."""
+def _table1_reduce(s: dict, results: dict) -> dict:
     system = default_system(4)
     gpu, gps = system.gpu, system.gps
     return {
@@ -566,14 +530,88 @@ def table1_simulation_settings() -> dict:
     }
 
 
-def table2_applications() -> dict:
-    """Table 2: the application suite and its communication patterns."""
+def table1_simulation_settings() -> dict:
+    """Table 1: simulation settings (GV100 + GPS structures)."""
+    return run_figures(["table1"])["table1"]
+
+
+def _table2_reduce(s: dict, results: dict) -> dict:
     rows = [
-        {
-            "name": wl.info.name,
-            "description": wl.info.description,
-            "comm_pattern": wl.info.comm_pattern,
-        }
+        {"name": wl.info.name, "description": wl.info.description,
+         "comm_pattern": wl.info.comm_pattern}
         for wl in WORKLOADS.values()
     ]
     return {"table": "table2", "rows": rows}
+
+
+def table2_applications() -> dict:
+    """Table 2: the application suite and its communication patterns."""
+    return run_figures(["table2"])["table2"]
+
+
+# -- The table ------------------------------------------------------------------
+
+_APPS = dict(scale=1.0, iterations=16, workloads=tuple(workload_names()))
+_FIG8 = dict(_APPS, num_gpus=4, link="pcie6", paradigms=FIGURE8_ORDER)
+
+#: Every paper artifact by its ``repro figure`` name (``repro.names.FIGURES``),
+#: with the paper settings both the benchmark suite and ``repro figure`` run.
+FIGURE_TABLE: "dict[str, Figure]" = {
+    "fig1": Figure(_fig1_reduce, _APPS, _fig1_jobs),
+    "fig3": Figure(_fig3_reduce),
+    "fig8": Figure(_fig8_reduce, _FIG8, _fig8_jobs),
+    "fig9": Figure(_fig9_reduce, dict(_APPS, iterations=2, num_gpus=4), _fig9_jobs),
+    "fig10": Figure(_fig10_reduce, dict(_APPS, num_gpus=4), _fig10_jobs),
+    "fig11": Figure(_fig11_reduce, dict(_APPS, num_gpus=4), _fig11_jobs),
+    "fig12": Figure(
+        lambda s, results: _fig8_reduce(s, results, figure="fig12"),
+        dict(_FIG8, iterations=32, num_gpus=16),
+        _fig8_jobs,
+    ),
+    "fig13": Figure(_fig13_reduce, dict(_APPS, paradigms=FIGURE8_ORDER), _fig13_jobs),
+    "fig14": Figure(_fig14_reduce, dict(
+        scale=1.0, num_gpus=4, workloads=COALESCING_APPS + ZERO_HIT_APPS,
+        queue_sizes=(16, 32, 64, 128, 256, 512, 1024),
+    )),
+    "gps-tlb": Figure(_gps_tlb_reduce, dict(
+        scale=1.0, num_gpus=4, workloads=_APPS["workloads"], tlb_sizes=(4, 8, 16, 32, 64)
+    )),
+    "page-size": Figure(
+        _page_size_reduce,
+        dict(_APPS, iterations=8, num_gpus=4, page_sizes=(PAGE_4K, PAGE_64K, PAGE_2M)),
+        _page_size_jobs,
+    ),
+    "table1": Figure(_table1_reduce),
+    "table2": Figure(_table2_reduce),
+}
+
+_SETTING_NAMES = frozenset(key for entry in FIGURE_TABLE.values() for key in entry.settings)
+
+
+def run_figures(names, **overrides) -> "dict[str, dict]":
+    """Regenerate the named figures as one grid; ``{name: payload}`` in ``names`` order.
+
+    An override replaces that setting in every named figure that has it
+    (``scale`` reaches all that take one; fig3 and the tables take none),
+    and ``None`` keeps the table's value. The union of the figures' jobs is
+    one :func:`run_many` call; each figure then reduces its own labels. A
+    setting no figure has raises ``TypeError``.
+    """
+    unknown = sorted(set(overrides) - _SETTING_NAMES)
+    if unknown:
+        raise TypeError(f"no figure has the setting(s) {unknown}")
+    settings = {}
+    for name in names:
+        base = FIGURE_TABLE[name].settings
+        settings[name] = {**base, **{
+            k: v for k, v in overrides.items() if k in base and v is not None
+        }}
+    jobs = {
+        (name, label): job
+        for name, s in settings.items()
+        for label, job in FIGURE_TABLE[name].jobs(s).items()
+    }
+    results: "dict[str, dict]" = {name: {} for name in settings}
+    for (name, label), result in zip(jobs, run_many(list(jobs.values())) if jobs else []):
+        results[name][label] = result
+    return {name: FIGURE_TABLE[name].reduce(s, results[name]) for name, s in settings.items()}

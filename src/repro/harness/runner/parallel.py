@@ -243,14 +243,17 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
             _FLEET.record_job(worker, wall)
             outcomes[key] = (memo.store(key, outcome, pending[key].meta()), spans)
 
+    # One task per program, largest first, so the longest tasks start before
+    # the short ones fill in behind them. The serial path walks the same
+    # order, so each program's jobs run back to back there too and a union
+    # of more programs than the program memo holds builds each one once.
+    by_size = sorted(groups.values(), key=len, reverse=True)
     workers = _resolve_workers(max_workers, len(pending), len(groups))
     if workers <= 1:
-        pid, slots = _compute_jobs(list(pending.values()), traced)
-        settle(list(pending), slots, f"pid{pid} (serial)")
+        order = [key for group in by_size for key in group]
+        pid, slots = _compute_jobs([pending[key] for key in order], traced)
+        settle(order, slots, f"pid{pid} (serial)")
     else:
-        # One task per program, largest first, so the longest tasks start
-        # before the short ones fill in behind them.
-        by_size = sorted(groups.values(), key=len, reverse=True)
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
             futures = {
                 pool.submit(_compute_jobs, [pending[key] for key in group], traced): group

@@ -19,20 +19,9 @@ PARADIGM_NAMES = (
 #: family law needs, plus the bounds.
 DEFAULT_VERIFY_PARADIGMS = ("gps", "gps_nosub", "memcpy", "infinite")
 
-#: ``repro figure`` name -> (driver function in :mod:`repro.harness.experiments`,
-#: whether it accepts scale/iterations).
-FIGURES = {
-    "fig1": ("fig1_motivation", True),
-    "fig3": ("fig3_bandwidth_gap", False),
-    "fig8": ("fig8_end_to_end", True),
-    "fig9": ("fig9_subscriber_distribution", True),
-    "fig10": ("fig10_interconnect_traffic", True),
-    "fig11": ("fig11_subscription_benefit", True),
-    "fig12": ("fig12_sixteen_gpus", True),
-    "fig13": ("fig13_bandwidth_sensitivity", True),
-    "fig14": ("fig14_write_queue_hit_rate", False),
-    "gps-tlb": ("gps_tlb_sensitivity", False),
-    "page-size": ("page_size_sensitivity", True),
-    "table1": ("table1_simulation_settings", False),
-    "table2": ("table2_applications", False),
-}
+#: ``repro figure`` names, in paper order: the keys of
+#: ``repro.harness.experiments.FIGURE_TABLE`` (a test pins them equal).
+FIGURES = (
+    "fig1", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "gps-tlb", "page-size", "table1", "table2",
+)

@@ -70,7 +70,7 @@ class RDLExecutor(ParadigmExecutor):
                 # in Figure 10 describe.
                 wire_bytes = txns * 128
                 n_remote = int(remote_mask.sum())
-                for src in np.unique(writers[remote_mask]).tolist():
+                for src in sorted(set(writers[remote_mask].tolist())):
                     share = wire_bytes * int((writers == src).sum()) // n_remote
                     pull_from[src] = pull_from.get(src, 0) + share
             demands.append((kernel, footprint, local_reads, pull_from, remote_txns, remote_payload))

@@ -307,6 +307,40 @@ class TestProgramIdentity:
         clear_run_cache()
         assert job_program(SimJob("jacobi", "gps", 2, **FAST)) is not first
 
+    def test_serial_union_over_the_memo_bound_builds_each_program_once(self, monkeypatch):
+        # Two figures' grids over three apps hold six programs, more than a
+        # memo of four. Run in insertion order, the second grid's one-GPU
+        # baselines come back after eviction and rebuild; walked program by
+        # program, as the pool does, each builds once.
+        from repro.harness.runner import parallel
+        from repro.system import analysis
+
+        clear_run_cache()
+        monkeypatch.setattr(parallel, "ANALYSIS_CACHE_SIZE", 4)
+        monkeypatch.setattr(analysis, "ANALYSIS_CACHE_SIZE", 4)
+        built = []
+        real_get_workload = parallel.get_workload
+
+        class CountingWorkload:
+            def __init__(self, name):
+                self.name, self.workload = name, real_get_workload(name)
+
+            def build(self, num_gpus, **kwargs):
+                built.append((self.name, num_gpus))
+                return self.workload.build(num_gpus, **kwargs)
+
+        monkeypatch.setattr(parallel, "get_workload", CountingWorkload)
+        apps = ("jacobi", "pagerank", "ct")
+        union = [
+            job
+            for link, paradigms in (("pcie6", ("memcpy", "gps")), ("pcie3", ("memcpy", "rdl")))
+            for job in [SimJob(w, "memcpy", 1, link, **FAST) for w in apps]
+            + [SimJob(w, p, 4, link, **FAST) for w in apps for p in paradigms]
+        ]
+        run_many(union, max_workers=1)
+        assert sorted(built) == sorted((w, n) for w in apps for n in (1, 4))
+        clear_run_cache()
+
     def test_program_memo_is_bounded(self, monkeypatch):
         from repro.harness.runner import parallel
 

@@ -392,3 +392,50 @@ class TestTwoProgramsOneProcess:
         assert all(_cold(a, p) != _cold(b, p) for p in repro.FIGURE8_ORDER)
         a, b = pairs["private-buffer"]
         assert _cold(a, "um") != _cold(b, "um")
+
+
+class TestSortedUnique:
+    """Page-set unions use a sort and a keep-first mask, never ``np.unique``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(0).integers(0, 1 << 40, 5000),
+            np.empty(0, dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.random.default_rng(1).integers(0, 6, 4000),
+            np.full(100, 3, dtype=np.int64),
+        ],
+        ids=["random", "empty", "single", "duplicate-heavy", "all-equal"],
+    )
+    def test_equals_np_unique(self, values):
+        got = analysis_module._sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_a_serial_run_many_never_loads_numpy_ma(self):
+        # ``np.unique`` imports ``numpy.ma`` (~9 ms) on first use: a fresh
+        # process must not pay it inside its first simulation.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.harness.runner import SimJob, run_many\n"
+            "from repro.paradigms.registry import PARADIGMS\n"
+            "jobs = [SimJob(w, p, 2, 'pcie6', 0.1, 2)"
+            " for w in ('jacobi', 'ct', 'als') for p in PARADIGMS]\n"
+            "jobs.append(SimJob('jacobi', 'memcpy', 1, 'pcie6', 0.1, 2))\n"
+            "run_many(jobs, max_workers=1)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "REPRO_NO_CACHE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
