@@ -68,8 +68,8 @@ def test_ablation_watermark(benchmark, bench_scale):
             )
             for kernel in kernels:
                 for _, stream, atomic in analysis.store_streams(kernel):
-                    queue.process_stream(stream.lines, stream.bytes_per_txn, atomic=atomic)
-                queue.flush()
+                    queue.process_stream_batch(stream.lines, stream.bytes_per_txn, atomic=atomic)
+                queue.flush_batch()
             out[watermark] = queue.stats.hit_rate
         return out
 

@@ -19,7 +19,9 @@ without walking the first pass at all:
    costs no more than one scalar pass.
 
 Working memory is O(stream length) plus one ``(assoc, sets)`` tag and code
-array; no ``sets x longest-sequence`` matrix is ever built.
+array; no ``sets x longest-sequence`` matrix is ever built. Positions, line
+ids and set indices take the narrowest integer type their bound allows
+(int32, int32 and int16 for an L2-sized read stream).
 """
 
 from __future__ import annotations
@@ -48,13 +50,28 @@ def warm_lru_hits(lines, num_sets: int, assoc: int) -> int:
     hot_pos = _spilling_accesses(lines, num_sets, assoc)
     if hot_pos.shape[0] == 0:
         return n
+    hot_pos = hot_pos.astype(_index_dtype(n))
     hot_lines = lines[hot_pos]
-    hot_set = hot_lines % num_sets
-    ids, id_line, last_pos = _dense_ids(hot_lines, hot_pos)
+    hot_set = (hot_lines % num_sets).astype(_index_dtype(num_sets))
+    ids, id_set, last_pos = _dense_ids(hot_lines, hot_pos, hot_set)
+    del hot_lines
     slot_of_set, lengths = _slots(hot_set, num_sets)
-    seq = _set_major(ids, slot_of_set[hot_set])
-    tags, codes = _cold_state(slot_of_set[id_line % num_sets], last_pos, n, assoc, lengths.shape[0])
+    seq = ids[np.argsort(slot_of_set[hot_set], kind="stable")]  # set-major, stream order
+    del ids, hot_set
+    tags, codes = _cold_state(slot_of_set[id_set], last_pos, n, assoc, lengths.shape[0])
     return n - hot_pos.shape[0] + _warm_pass(seq, lengths, tags, codes)
+
+
+def _index_dtype(bound: int) -> type:
+    """The narrowest signed integer type that holds every index below ``bound``.
+
+    Set indices (3,072 L2 sets) fit int16, whose stable sort numpy runs as
+    a radix sort; positions and line ids fit int32 below 2**31 accesses.
+    """
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _spilling_accesses(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
@@ -64,38 +81,42 @@ def _spilling_accesses(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarr
     """
     ordered = np.sort(lines)
     uniq = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    del ordered
     spills = np.bincount(uniq % num_sets, minlength=num_sets) > assoc
     if not spills.any():
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(spills[lines % num_sets])
 
 
-def _dense_ids(lines: np.ndarray, pos: np.ndarray) -> tuple:
-    """``(id of each access, line of each id, last position of each id)``."""
+def _dense_ids(lines: np.ndarray, pos: np.ndarray, access_set: np.ndarray) -> tuple:
+    """``(id of each access, set of each id, last position of each id)``.
+
+    Ids take the type of ``pos``: there are no more lines than accesses.
+    """
     by_line = np.argsort(lines)
-    heads = np.r_[True, lines[by_line[1:]] != lines[by_line[:-1]]]
-    ids = np.empty(lines.shape[0], dtype=np.int64)
-    ids[by_line] = np.cumsum(heads) - 1
-    return ids, lines[by_line[heads]], np.maximum.reduceat(pos[by_line], np.flatnonzero(heads))
+    ordered = lines[by_line]
+    heads = np.empty(lines.shape[0], dtype=bool)
+    heads[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    del ordered
+    ids = np.empty(lines.shape[0], dtype=pos.dtype)
+    ids[by_line] = np.cumsum(heads, dtype=pos.dtype) - 1
+    starts = np.flatnonzero(heads)
+    return ids, access_set[by_line[starts]], np.maximum.reduceat(pos[by_line], starts)
 
 
 def _slots(access_set: np.ndarray, num_sets: int) -> tuple:
     """``(slot of each set, accesses per slot)``, slots ordered longest first.
 
     Only sets with accesses get a counted slot; the rest sort to the end.
+    Slots take the type of ``access_set``.
     """
     per_set = np.bincount(access_set, minlength=num_sets)
     set_of_slot = np.argsort(-per_set, kind="stable")
-    slot_of_set = np.empty(num_sets, dtype=np.int64)
-    slot_of_set[set_of_slot] = np.arange(num_sets)
+    slot_of_set = np.empty(num_sets, dtype=access_set.dtype)
+    slot_of_set[set_of_slot] = np.arange(num_sets, dtype=access_set.dtype)
     lengths = per_set[set_of_slot]
     return slot_of_set, lengths[lengths > 0]
-
-
-def _set_major(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """``ids`` grouped by slot, each group in stream order."""
-    # The keys are unique, so an unstable sort keeps stream order.
-    return ids[np.argsort(slot * slot.shape[0] + np.arange(slot.shape[0]))]
 
 
 def _cold_state(id_slot: np.ndarray, last_pos: np.ndarray, n: int, assoc: int,
@@ -107,7 +128,7 @@ def _cold_state(id_slot: np.ndarray, last_pos: np.ndarray, n: int, assoc: int,
     the least recently used way without an argmin. Cold-pass stamps are
     negative positions, older than any warm-pass rank.
     """
-    newest = np.argsort(id_slot * n + (n - 1 - last_pos))
+    newest = np.argsort(id_slot.astype(np.int64) * n + (n - 1 - last_pos))
     newest_slot = id_slot[newest]
     way = np.arange(newest.shape[0]) - np.searchsorted(newest_slot, newest_slot)
     resident = way < assoc
@@ -115,7 +136,7 @@ def _cold_state(id_slot: np.ndarray, last_pos: np.ndarray, n: int, assoc: int,
     tags = np.empty((assoc, slots), dtype=np.int64)
     codes = np.empty((assoc, slots), dtype=np.int64)
     tags[way, slot] = line
-    codes[way, slot] = (last_pos[line] - n) * assoc + way
+    codes[way, slot] = (last_pos[line].astype(np.int64) - n) * assoc + way
     return tags, codes
 
 
@@ -123,14 +144,15 @@ def _warm_pass(seq: np.ndarray, lengths: np.ndarray, tags: np.ndarray,
                codes: np.ndarray) -> int:
     """Warm-pass hits of the set-major sequence ``seq``, all sets in lockstep."""
     assoc, slots = tags.shape
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    index = seq.dtype  # every rank, offset and slot below is under len(seq)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(index)
     # Rank-major copy: step t reads flat[offsets[t]:offsets[t + 1]], one
     # access for each of the active[t] longest sets.
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
-    offsets = np.concatenate(([0], np.cumsum(active)))
-    seq_slot = np.repeat(np.arange(slots), lengths)
+    offsets = np.concatenate(([0], np.cumsum(active))).astype(index)
+    seq_slot = np.repeat(np.arange(slots, dtype=index), lengths)
     flat = np.empty_like(seq)
-    flat[offsets[np.arange(seq.shape[0]) - starts[seq_slot]] + seq_slot] = seq
+    flat[offsets[np.arange(seq.shape[0], dtype=index) - starts[seq_slot]] + seq_slot] = seq
     del seq_slot
 
     ways = np.arange(assoc)[:, None]

@@ -15,6 +15,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from ..config import CACHE_BLOCK, GPSConfig, PAGE_2M, PAGE_4K, PAGE_64K, default_system
 from ..core.gps_page_table import GPSPageTable
 from ..core.gps_tlb import GPSTLB
@@ -317,8 +319,8 @@ def _fig14_reduce(s: dict, results: dict) -> dict:
             queue = RemoteWriteQueue(gps_cfg)
             for kernel in kernels:
                 for _, stream, atomic in analysis.store_streams(kernel):
-                    queue.process_stream(stream.lines, stream.bytes_per_txn, atomic=atomic)
-                queue.flush()  # grid-end implicit release
+                    queue.process_stream_batch(stream.lines, stream.bytes_per_txn, atomic=atomic)
+                queue.flush_batch()  # grid-end implicit release
             hit_rates[workload][size] = queue.stats.hit_rate
     return {
         "figure": "fig14",
@@ -344,20 +346,26 @@ def _gps_tlb_reduce(s: dict, results: dict) -> dict:
     for workload in s["workloads"]:
         kernels, analysis, config = _store_streams_of(workload, s)
         lines_per_page = config.page_size // CACHE_BLOCK
-        # Capture each kernel's drained entries once. The store stream is
-        # issued by many concurrent CTAs striding across the shard, so the
-        # drains interleave several regions — modelled by slicing each
-        # stream and weaving warp-sized chunks round-robin.
-        drained_vpns: list = []
+        # Capture the drained writes once. The store stream is issued by
+        # many concurrent CTAs striding across the shard, so the drains
+        # interleave several regions — modelled by slicing each stream and
+        # weaving warp-sized chunks round-robin.
         queue = RemoteWriteQueue(config.gps)
+        drained = []
         for kernel in kernels:
-            entries = []
             for _, stream, atomic in analysis.store_streams(kernel):
                 lines = _interleave_cta_slices(stream.lines)
-                payload = stream.bytes_per_txn
-                entries.extend(queue.process_stream(lines, payload, atomic=atomic))
-            entries.extend(queue.flush())
-            drained_vpns.append([e.line // lines_per_page for e in entries])
+                batch = queue.process_stream_batch(lines, stream.bytes_per_txn, atomic=atomic)
+                drained.append(batch.lines)
+            drained.append(queue.flush_batch().lines)
+        vpns = np.concatenate(drained) // lines_per_page
+        # Back-to-back writes to one page hit the MRU entry: only each page
+        # run's head takes a real set-associative access.
+        heads = vpns[np.r_[True, vpns[1:] != vpns[:-1]]].tolist() if vpns.size else []
+        page_table = GPSPageTable(config.gps, num_gpus)
+        pages = sorted(set(heads))
+        for gpu in range(num_gpus):
+            page_table.install_replicas(pages, gpu, pages)
         hit_rates[workload] = {}
         for size in s["tlb_sizes"]:
             gps_cfg = dataclasses.replace(
@@ -365,16 +373,8 @@ def _gps_tlb_reduce(s: dict, results: dict) -> dict:
                 gps_tlb_entries=size,
                 gps_tlb_assoc=min(size, config.gps.gps_tlb_assoc),
             )
-            page_table = GPSPageTable(gps_cfg, num_gpus)
-            for vpns in drained_vpns:
-                for vpn in vpns:
-                    if vpn not in page_table:
-                        for gpu in range(num_gpus):
-                            page_table.install_replica(vpn, gpu, vpn)
             tlb = GPSTLB(gps_cfg, page_table)
-            for vpns in drained_vpns:
-                for vpn in vpns:
-                    tlb.translate(vpn)
+            tlb.translate_batch(heads, vpns.shape[0])
             hit_rates[workload][size] = tlb.stats.hit_rate
     return {
         "figure": "sec7.4-gps-tlb",
@@ -400,8 +400,6 @@ def _interleave_cta_slices(lines, ways: int = 8, chunk: int = 32):
     Approximates the issue order of a grid whose CTAs each own one slice
     of the shard and make progress concurrently.
     """
-    import numpy as np
-
     n = lines.shape[0]
     if n < ways * chunk:
         return lines

@@ -9,12 +9,17 @@ what makes GPS profiling work at all.
 
 * Each access, keyed by ``(AccessRange, buffer base)``, gets one
   :class:`AccessFootprint`: its page set, payload bytes and transactions,
-  and for a store its SM-coalesced stream and coalescer accounting.
+  and for a store its coalescer accounting.
 * Each kernel's read set, keyed by the tuple of its access keys in kernel
   order (order changes LRU hits), gets one warm L2 hit rate.
 * Raw :class:`LineStream` expansions are transient. :meth:`footprint`
   expands what it needs into a local dict and drops it on return, so an
-  analysis keeps products, never streams.
+  analysis keeps products, never raw streams.
+* A store's SM-coalesced stream lives in the analysis' stream table, and
+  only while its program runs: :func:`get_analysis` empties the table of
+  every other program's analyses when the process moves on to a different
+  program, and :meth:`ProgramAnalysis.store_streams`, the only way to a
+  stream, rebuilds a released one on demand.
 """
 
 from __future__ import annotations
@@ -51,9 +56,8 @@ class AccessFootprint:
     payload_bytes: int
     #: Line transactions across all sweeps.
     txns: int
-    #: A store's SM-coalesced stream and its coalescer accounting (``None``
-    #: for a read). Shared by every kernel that repeats the access.
-    coalesced: Optional[LineStream] = None
+    #: A store's coalescer accounting (``None`` for a read). Its coalesced
+    #: stream is in the analysis' stream table (see ``store_streams``).
     coalescer: Optional[CoalescerStats] = None
 
     @property
@@ -130,6 +134,12 @@ class ProgramAnalysis:
         self._products: dict[tuple, AccessFootprint] = {}
         #: Warm L2 hit rate per read set (the tuple of its access keys).
         self._l2_memo: dict[tuple, float] = {}
+        #: SM-coalesced store streams by access key, held only while this
+        #: analysis' program runs (:func:`get_analysis` releases them).
+        self._store_streams: dict[tuple, LineStream] = {}
+        #: Store streams :meth:`store_streams` rebuilt after a release. A
+        #: host count like ``WindowMemo.hits``; it never enters a result.
+        self.stream_rebuilds = 0
         self._home_gpu_arr: "Optional[np.ndarray]" = None
         self._phase_min_readers: dict[Phase, tuple] = {}
         self._phase_max_writers: dict[Phase, tuple] = {}
@@ -240,9 +250,24 @@ class ProgramAnalysis:
 
         Returns ``[(AccessFootprint, LineStream, atomic: bool), ...]`` in
         program order — the exact input the GPS unit consumes. The streams
-        are shared per-access products; callers must not mutate them.
+        are shared per-access products; callers must not mutate them. A
+        stream released since it was coalesced is expanded and coalesced
+        again here (counted in :attr:`stream_rebuilds`).
         """
-        return [(fp, fp.coalesced, fp.is_atomic) for fp in self.footprint(kernel).stores]
+        table = self._store_streams
+        out = []
+        for fp in self.footprint(kernel).stores:
+            key = (fp.access, fp.buffer_base)
+            stream = table.get(key)
+            if stream is None:
+                stream = table[key] = sm_coalesce(expand_range(fp.access, fp.buffer_base))
+                self.stream_rebuilds += 1
+            out.append((fp, stream, fp.is_atomic))
+        return out
+
+    def release_streams(self) -> None:
+        """Drop every held store stream; :meth:`store_streams` rebuilds on demand."""
+        self._store_streams = {}
 
     def coalescer_stats(self, kernel: KernelSpec) -> CoalescerStats:
         """SM-coalescer accounting for one kernel's store stream.
@@ -260,13 +285,13 @@ class ProgramAnalysis:
         if fp is None:
             access, base = key
             stream = streams[key] = expand_range(access, base)
-            coalesced = stats = None
+            stats = None
             if access.op.is_store:
                 stats = CoalescerStats()
-                coalesced = sm_coalesce(stream, stats)
+                self._store_streams[key] = sm_coalesce(stream, stats)
             fp = self._products[key] = AccessFootprint(
                 access, base, stream.pages(self.page_size), stream.total_bytes,
-                len(stream), coalesced, stats,
+                len(stream), stats,
             )
         return fp
 
@@ -395,11 +420,16 @@ def _bytes_by_kind(fps: list) -> dict:
 #: pooled or serial, so a grid of more programs than this (the whole paper
 #: holds 48) still builds and analyses each once. The bound keeps a
 #: long-lived ``repro serve`` process from growing with every distinct
-#: program it sees.
+#: program it sees: it retains each cached program's products (page sets,
+#: byte and transaction counts, coalescer stats, L2 rates, window memo),
+#: and store streams only for the program it ran last.
 ANALYSIS_CACHE_SIZE = 32
 
 _ANALYSIS_CACHE: "OrderedDict[tuple, ProgramAnalysis]" = OrderedDict()
 _ANALYSIS_LOCK = threading.Lock()
+#: The program of the last :func:`get_analysis` call: only its analyses
+#: keep their store streams.
+_RUNNING_PROGRAM: "Optional[TraceProgram]" = None
 
 
 def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis:
@@ -412,7 +442,14 @@ def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis
     and the L2 geometry. Two programs that share a name and buffer layout
     but differ in any access get separate entries. The cache is an LRU of
     :data:`ANALYSIS_CACHE_SIZE` entries; a hit refreshes recency.
+
+    A call for a different program object than the last call's releases
+    the store streams of every other program's analyses. The runner shares
+    one program object per build recipe, so a page-size or L2 sweep of one
+    program keeps its streams, and a grid, which runs each program's jobs
+    back to back, rebuilds none.
     """
+    global _RUNNING_PROGRAM
     key = (
         program_fingerprint(program, config.page_size),
         config.gpu.l2_bytes,
@@ -423,14 +460,21 @@ def get_analysis(program: TraceProgram, config: SystemConfig) -> ProgramAnalysis
         analysis = _ANALYSIS_CACHE.get(key)
         if analysis is not None:
             _ANALYSIS_CACHE.move_to_end(key)
-            return analysis
-        analysis = _ANALYSIS_CACHE[key] = ProgramAnalysis(program, config)
-        while len(_ANALYSIS_CACHE) > ANALYSIS_CACHE_SIZE:
-            _ANALYSIS_CACHE.popitem(last=False)
+        else:
+            analysis = _ANALYSIS_CACHE[key] = ProgramAnalysis(program, config)
+            while len(_ANALYSIS_CACHE) > ANALYSIS_CACHE_SIZE:
+                _ANALYSIS_CACHE.popitem(last=False)
+        if program is not _RUNNING_PROGRAM:
+            _RUNNING_PROGRAM = program
+            for other in _ANALYSIS_CACHE.values():
+                if other is not analysis and other.program is not program:
+                    other.release_streams()
         return analysis
 
 
 def clear_analysis_cache() -> None:
     """Drop all memoised analyses (tests that tweak global state use this)."""
+    global _RUNNING_PROGRAM
     with _ANALYSIS_LOCK:
         _ANALYSIS_CACHE.clear()
+        _RUNNING_PROGRAM = None

@@ -35,6 +35,14 @@ same order, so a coarse key gives the same wrong value on both sides;
 recomputes every kernel of the warm analysis with no memo at all. The
 relation runs on a small L2, so that kernels' reads spill and a kernel's
 hit rate depends on which lines it reads.
+
+A fourth relation covers the store-stream release path
+(``differential-released-streams``): ``gps`` runs once, the process moves
+on to another program (which releases the first program's store streams),
+and ``gps`` then runs the first program again at a write-queue size no
+earlier run used, so every window misses the memo and replays streams
+rebuilt on demand. That run must match a cold one, on the vectorised path
+and under ``REPRO_SCALAR_REPLAY=1``.
 """
 
 from __future__ import annotations
@@ -78,6 +86,10 @@ WARM_COLD_PARADIGMS = ("um", "memcpy")
 #: L2 size of the warm-process relation: small enough that fuzzed kernels'
 #: reads spill, so equal hit rates cannot hide a coarse L2 memo key.
 WARM_COLD_L2_BYTES = 64 * 1024
+
+#: Write-queue size of the release relation's second run. No other run of
+#: that relation uses it, so every window misses the window memo.
+RELEASED_QUEUE_ENTRIES = 48
 
 
 def canonical_payload(result: SimulationResult) -> str:
@@ -290,6 +302,45 @@ def _warm_cold_case(spec: FuzzSpec, link, report: CaseReport) -> None:
     clear_analysis_cache()
 
 
+def _released_case(spec: FuzzSpec, link, report: CaseReport) -> None:
+    """A GPS run on rebuilt store streams must match a cold run."""
+    def build(seed: int):
+        return generate_program(seed, spec.num_gpus, scale=spec.scale, iterations=spec.iterations)
+
+    base = SimJob(
+        spec.workload_name, "gps", spec.num_gpus, link, spec.scale, spec.iterations
+    ).resolved_config()
+    config = dataclasses.replace(
+        base, gps=dataclasses.replace(base.gps, write_queue_entries=RELEASED_QUEUE_ENTRIES)
+    )
+    for mode, scalar in (("vectorised", None), ("REPRO_SCALAR_REPLAY=1", "1")):
+        with _scoped_env(REPRO_SCALAR_REPLAY=scalar):
+            clear_analysis_cache()
+            program = build(spec.seed)
+            PARADIGMS["gps"](program, base).run()
+            get_analysis(build(spec.seed + 1), base)  # moving on releases the streams
+            executor = PARADIGMS["gps"](program, config)
+            warm = canonical_payload(executor.run())
+            rebuilt = executor.analysis.stream_rebuilds
+            clear_analysis_cache()
+            cold = canonical_payload(PARADIGMS["gps"](build(spec.seed), config).run())
+            clear_analysis_cache()
+        if warm != cold:
+            report.violations.append(Violation(
+                "differential-released-streams",
+                f"gps ({mode}): payload on rebuilt store streams differs from a cold run",
+            ))
+        elif not rebuilt and any(  # GPS publishes the stores of non-setup phases
+            a.op.is_store
+            for phase in program.phases if phase.iteration >= 0
+            for k in phase.kernels for a in k.accesses
+        ):
+            report.violations.append(Violation(
+                "differential-released-streams",
+                f"gps ({mode}): no store stream was rebuilt after its release",
+            ))
+
+
 def check_memo_free(analysis: ProgramAnalysis) -> "list[Violation]":
     """Every kernel's footprint against a recomputation with no memo at all.
 
@@ -423,6 +474,7 @@ def run_differential(
         _direct_case(case.spec, paradigms, link, case)
         _metamorphic_case(case.spec, paradigms, link, case)
         _warm_cold_case(case.spec, link, case)
+        _released_case(case.spec, link, case)
 
     # Cache path: populate a throwaway persistent cache, drop the memo so
     # the second pass must deserialise from disk, then compare.

@@ -106,6 +106,22 @@ class TestMatchesScalarWalk:
         assert kernel_hits(lines, num_sets, assoc) == reference_hits(lines, num_sets, assoc)
 
 
+class TestIndexTypes:
+    def test_each_type_follows_its_bound(self):
+        assert warm_lru._index_dtype(3072) is np.int16
+        assert warm_lru._index_dtype(2**15 - 1) is np.int16
+        assert warm_lru._index_dtype(2**15) is np.int32
+        assert warm_lru._index_dtype(2**31) is np.int64
+
+    def test_set_indices_wider_than_int16(self):
+        # Every access lands in a set above int16's range, so set indices
+        # and slots widen to int32 while positions stay int32.
+        num_sets, assoc = 40_000, 2
+        rng = np.random.default_rng(7)
+        lines = rng.integers(32_768, num_sets, size=40_000) + num_sets * rng.integers(0, 4, size=40_000)
+        assert kernel_hits(lines, num_sets, assoc) == reference_hits(lines, num_sets, assoc)
+
+
 class TestWorkingMemory:
     def test_skewed_stream_builds_no_padded_matrix(self):
         # One set with 20 000 accesses and 3071 sets with 20 each: a padded

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.gpu.sm_coalescer import sm_coalesce
+from repro.harness.runner import SimJob, clear_run_cache, run_many
+from repro.harness.runner.parallel import job_program
 from repro.memory.address_space import AddressSpace
 from repro.paradigms import PARADIGMS
 from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
+from repro.trace.expand import expand_range
 from repro.trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from repro.trace.records import AccessRange, MemOp, PatternKind, PatternSpec
 from repro.verify import canonical_payload, check_memo_free, generate_program
@@ -300,6 +304,106 @@ class TestSharedCache:
         warm = canonical_payload(PARADIGMS["memcpy"](stripped, config).run())
         clear_analysis_cache()
         assert warm == cold
+
+
+FAST = dict(scale=TINY, iterations=2)
+
+
+def _held_streams(program: TraceProgram) -> dict:
+    """``{access key: (lines, bytes)}`` every cached analysis of ``program`` holds."""
+    held: dict = {}
+    for analysis in analysis_module._ANALYSIS_CACHE.values():
+        if analysis.program is program:
+            for key, stream in analysis._store_streams.items():
+                held[key] = (stream.lines.tobytes(), stream.bytes_per_txn.tobytes())
+    return held
+
+
+def _stream_rebuilds() -> int:
+    return sum(a.stream_rebuilds for a in analysis_module._ANALYSIS_CACHE.values())
+
+
+@pytest.fixture
+def cold_runner():
+    clear_run_cache()
+    clear_analysis_cache()
+    yield
+    clear_run_cache()
+    clear_analysis_cache()
+
+
+class TestStoreStreamRetention:
+    """Only the running program's analyses keep their SM-coalesced store streams."""
+
+    def test_only_the_last_program_holds_its_streams(self, cold_runner):
+        # Group sizes 3, 2, 1: the serial walk runs the largest group first,
+        # so ct runs last.
+        groups = {"jacobi": ("gps", "memcpy", "um"), "pagerank": ("gps", "rdl"), "ct": ("gps",)}
+        jobs = [SimJob(app, p, 2, **FAST) for app, paradigms in groups.items() for p in paradigms]
+        run_many(jobs, max_workers=1)
+        programs = {app: job_program(SimJob(app, "gps", 2, **FAST)) for app in groups}
+        assert _held_streams(programs["jacobi"]) == {}
+        assert _held_streams(programs["pagerank"]) == {}
+        last = programs["ct"]
+        base = get_analysis(last, repro.default_system(2))
+        want = {}
+        for kernel in last.iter_kernels():
+            for access in kernel.accesses:
+                if access.op.is_store:
+                    key = (access, base.buffer_base(access.buffer))
+                    stream = sm_coalesce(expand_range(*key))
+                    want[key] = (stream.lines.tobytes(), stream.bytes_per_txn.tobytes())
+        assert want
+        assert _held_streams(last) == want
+
+    def test_a_config_grid_of_one_program_rebuilds_nothing(self, cold_runner):
+        base = repro.default_system(2)
+        jobs = [
+            SimJob("jacobi", "gps", 2, config=dataclasses.replace(
+                base, gps=dataclasses.replace(
+                    base.gps, write_queue_entries=entries, gps_tlb_entries=tlb)), **FAST)
+            for entries in (32, 128, 512) for tlb in (8, 32)
+        ]
+        run_many(jobs, max_workers=1)
+        assert len({job.key() for job in jobs}) == 6
+        assert _stream_rebuilds() == 0
+
+    def test_alternating_page_sizes_of_one_program_rebuild_nothing(self, cold_runner):
+        configs = [repro.default_system(2), repro.default_system(2).with_page_size(repro.PAGE_2M)]
+        jobs = [
+            SimJob("jacobi", paradigm, 2, config=config, **FAST)
+            for paradigm in ("gps", "gps_nosub") for config in configs
+        ]
+        run_many(jobs, max_workers=1)
+        program = job_program(jobs[0])
+        analyses = [a for a in analysis_module._ANALYSIS_CACHE.values() if a.program is program]
+        assert len(analyses) == 2
+        assert all(a._store_streams for a in analyses)
+        assert _stream_rebuilds() == 0
+
+    def test_a_revisited_program_rebuilds_each_stream_once(self, cold_runner):
+        base = repro.default_system(2)
+
+        def gps(app: str, entries: int) -> SimJob:
+            config = dataclasses.replace(
+                base, gps=dataclasses.replace(base.gps, write_queue_entries=entries))
+            return SimJob(app, "gps", 2, config=config, **FAST)
+
+        run_many([gps("jacobi", 32)], max_workers=1)
+        analysis = get_analysis(job_program(gps("jacobi", 32)), base)
+        before = {key: (s.lines.copy(), s.bytes_per_txn.copy())
+                  for key, s in analysis._store_streams.items()}
+        run_many([gps("ct", 32)], max_workers=1)
+        assert analysis._store_streams == {} and analysis.stream_rebuilds == 0
+        run_many([gps("jacobi", 128)], max_workers=1)
+        rebuilt = analysis.stream_rebuilds
+        assert rebuilt == len(analysis._store_streams) > 0
+        for key, stream in analysis._store_streams.items():
+            lines, nbytes = before[key]
+            assert np.array_equal(stream.lines, lines)
+            assert np.array_equal(stream.bytes_per_txn, nbytes)
+        run_many([gps("jacobi", 512)], max_workers=1)
+        assert analysis.stream_rebuilds == rebuilt
 
 
 def _without_accesses(program: TraceProgram, gpu: int, buffer: str) -> TraceProgram:

@@ -7,10 +7,12 @@ import os
 import pytest
 
 from repro.core.gps_unit import GPSUnit
+from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis
 from repro.verify.differential import (
     CaseReport,
     _compare_path,
+    _released_case,
     _scoped_env,
     _warm_cold_case,
     canonical_payload,
@@ -130,6 +132,34 @@ class TestWarmColdRelation:
         report = CaseReport(FuzzSpec(0, 2, 0.25, 2))
         _warm_cold_case(report.spec, "pcie6", report)
         assert [v.message.split(":")[0] for v in report.violations] == [paradigm]
+
+
+class TestReleasedStreamsRelation:
+    def test_rebuilt_streams_match_cold(self):
+        for seed in range(3):
+            report = CaseReport(FuzzSpec(seed, 2, 0.25, 2))
+            _released_case(report.spec, "pcie6", report)
+            assert report.ok, [str(v) for v in report.violations]
+
+    def test_catches_a_rebuild_that_skips_the_coalescer(self, monkeypatch):
+        # The footprint coalesces with stats, a rebuild without: only a
+        # rebuilt stream goes uncoalesced, and no cold run rebuilds.
+        real = analysis_module.sm_coalesce
+        monkeypatch.setattr(
+            analysis_module, "sm_coalesce",
+            lambda stream, stats=None: stream if stats is None else real(stream, stats),
+        )
+        report = CaseReport(FuzzSpec(0, 2, 0.25, 2))
+        _released_case(report.spec, "pcie6", report)
+        assert [v.check for v in report.violations] == ["differential-released-streams"] * 2
+
+    def test_catches_an_unexercised_release(self, monkeypatch):
+        monkeypatch.setattr(ProgramAnalysis, "release_streams", lambda analysis: None)
+        report = CaseReport(FuzzSpec(0, 2, 0.25, 2))
+        _released_case(report.spec, "pcie6", report)
+        assert [v.message.split(": ")[1] for v in report.violations] == [
+            "no store stream was rebuilt after its release"
+        ] * 2
 
 
 class TestRunDifferential:
