@@ -22,7 +22,9 @@ machine-dependent, so the committed ``BENCH_service.json`` gates two
 machine-independent quantities instead: the warm/cold p50 speedup ratio
 (a cache hit answered at HTTP round-trip speed vs a full engine run) and
 the dedup rate ``(coalesced + cache_hits) / submitted``, which is exactly
-determined by the phase script above.
+determined by the phase script above. ``--check`` also gates two exact
+counts of the warm phase: every submit answers ``cache_hit: true``, and
+``host.fleet.jobs_computed`` in ``/metrics`` does not move.
 
 Usage:
     python benchmarks/bench_service.py --out BENCH_service.json
@@ -121,22 +123,22 @@ def run_load() -> "tuple[list[dict], dict]":
     client = ServiceClient(live.url, timeout=120.0)
     workloads = sorted(WORKLOADS)
 
-    def submit(workload: str, iterations: int) -> "tuple[str, str, float]":
+    def submit(workload: str, iterations: int) -> "tuple[dict, float]":
         job = client.submit(
             workload, paradigm="gps", gpus=GPUS, link=LINK,
             scale=SCALE, iterations=iterations,
         )
-        return job["id"], job["client_trace"]["trace_id"], time.perf_counter()
+        return job, time.perf_counter()
 
     try:
         # Phase 1: cold, closed loop — every job simulates.
         cold_lat: "list[float]" = []
         cold_ids: "list[str]" = []
         for name in workloads:
-            job_id, _, t0 = submit(name, COLD_ITERATIONS)
-            client.wait(job_id, timeout=600.0)
+            job, t0 = submit(name, COLD_ITERATIONS)
+            client.wait(job["id"], timeout=600.0)
             cold_lat.append(time.perf_counter() - t0)
-            cold_ids.append(job_id)
+            cold_ids.append(job["id"])
         cold_wait = [client.status(job_id)["wait_s"] for job_id in cold_ids]
         cold_run = [client.status(job_id)["run_s"] for job_id in cold_ids]
         cold_overhead = [
@@ -145,23 +147,27 @@ def run_load() -> "tuple[list[dict], dict]":
         ]
 
         # Phase 2: warm, closed loop — every job is a memo-cache hit.
+        computed_before = client.metrics()["host.fleet.jobs_computed"]
         warm_lat: "list[float]" = []
+        warm_misses = 0
         for name in workloads:
-            job_id, _, t0 = submit(name, COLD_ITERATIONS)
-            client.wait(job_id, timeout=60.0)
+            job, t0 = submit(name, COLD_ITERATIONS)
+            warm_misses += not job["cache_hit"]
+            client.wait(job["id"], timeout=60.0)
             warm_lat.append(time.perf_counter() - t0)
+        warm_computed = client.metrics()["host.fleet.jobs_computed"] - computed_before
 
         # Phase 3: duplicate-pair bursts — the second submission dedups
         # (coalesces while in flight, cache-hits if already done).
         burst_lat: "list[float]" = []
         first_trace = None
         for name in workloads[:BURST_PAIRS]:
-            id_a, trace_a, t_a = submit(name, BURST_ITERATIONS)
-            id_b, _, t_b = submit(name, BURST_ITERATIONS)
-            first_trace = first_trace or trace_a
-            client.wait(id_a, timeout=600.0)
+            job_a, t_a = submit(name, BURST_ITERATIONS)
+            job_b, t_b = submit(name, BURST_ITERATIONS)
+            first_trace = first_trace or job_a["client_trace"]["trace_id"]
+            client.wait(job_a["id"], timeout=600.0)
             done_a = time.perf_counter()
-            client.wait(id_b, timeout=600.0)
+            client.wait(job_b["id"], timeout=600.0)
             done_b = time.perf_counter()
             burst_lat.extend((done_a - t_a, done_b - t_b))
 
@@ -213,6 +219,8 @@ def run_load() -> "tuple[list[dict], dict]":
         "cold_p50_ms": _ms(cold_lat, 50.0),
         "warm_p50_ms": _ms(warm_lat, 50.0),
         "warm_vs_cold_speedup": round(speedup, 2),
+        "warm_misses": warm_misses,
+        "warm_jobs_computed": warm_computed,
     }
     return results, summary
 
@@ -222,7 +230,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="write BENCH_service.json here")
     parser.add_argument("--check", default=None,
                         help="compare against a committed BENCH_service.json; "
-                             "exit 1 on speedup regression >85%% or any dedup drift")
+                             "exit 1 on speedup regression >85%%, any dedup drift, "
+                             "or a warm submit that computes")
     args = parser.parse_args(argv)
 
     with scoped_env(REPRO_NO_CACHE="1", REPRO_MAX_WORKERS="1", REPRO_SERVICE_URL=None):
@@ -269,6 +278,12 @@ def main(argv=None) -> int:
               f"(baseline {base_dedup:.6f}) {status}")
         if status != "ok":
             regressions += 1
+        # Exact counts: a warm submit is answered from the cache, never run.
+        for name in ("warm_misses", "warm_jobs_computed"):
+            status = "ok" if summary[name] == 0 else "FAILED"
+            print(f"  {name} {summary[name]} (must be 0) {status}")
+            if status != "ok":
+                regressions += 1
         if regressions:
             print(f"FAIL: {regressions} gate(s) failed vs baseline")
             return 1

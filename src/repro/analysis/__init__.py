@@ -32,7 +32,7 @@ The harness runner calls :func:`check_program` (with the job's paradigm)
 before every simulation it computes.
 """
 
-from .cache import CacheStats, cache_size, cache_stats, clear_cache
+from .cache import cache_size, cache_stats, clear_cache
 from .dataflow import AccessSite, ProgramDataflow
 from .diagnostics import (
     Diagnostic,
@@ -76,7 +76,6 @@ __all__ = [
     "ALL_PARADIGMS",
     "AccessSite",
     "AnalysisContext",
-    "CacheStats",
     "DEFAULT_PAGE_SIZE",
     "Diagnostic",
     "Footprint",

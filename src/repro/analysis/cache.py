@@ -1,19 +1,21 @@
 """In-process analysis-result cache keyed by program fingerprint.
 
-The runner re-analyzes the same program once per (workload, paradigm, GPU
-count) job even though the diagnostics only depend on the program and the
-page size. Diagnostics are immutable (frozen dataclasses all the way
-down), so one analysis can be shared freely: the cache stores the final
-diagnostic tuple under ``(program_fingerprint, select, ignore)`` and a
-small LRU bound keeps a long-lived service process from accumulating
-unboundedly. ``analyze_program(..., use_cache=False)`` bypasses it.
+Diagnostics depend only on the program's content and the page size, so a
+sweep that runs one program under many paradigms and configs analyzes it
+once. Diagnostics are immutable (frozen dataclasses all the way down), so
+one analysis can be shared freely: the cache stores the final diagnostic
+tuple under ``(program_fingerprint, select, ignore)`` and a small LRU
+bound keeps a long-lived service process from accumulating unboundedly.
+``analyze_program(..., use_cache=False)`` bypasses it. Lookups and
+evictions are counted under ``host.diagnostics.{hits,misses,evictions}``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
+from ..obs.host import HOST
+from ..obs.registry import ScopedRegistry
 from .diagnostics import Diagnostic
 
 #: Cache key: (program fingerprint, selected codes, ignored codes).
@@ -22,41 +24,20 @@ CacheKey = tuple[str, tuple[str, ...], tuple[str, ...]]
 #: Entries kept before least-recently-used eviction.
 MAX_ENTRIES = 512
 
-
-@dataclass(slots=True)
-class CacheStats:
-    """Hit/miss/eviction counters for observability and benchmarks."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups served."""
-        return self.hits + self.misses
-
-    def to_dict(self) -> dict:
-        """JSON-safe form."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
 _entries: "OrderedDict[CacheKey, tuple[Diagnostic, ...]]" = OrderedDict()
-_stats = CacheStats()
+_HITS = HOST.counter("host.diagnostics.hits")
+_MISSES = HOST.counter("host.diagnostics.misses")
+_EVICTIONS = HOST.counter("host.diagnostics.evictions")
 
 
 def cache_get(key: CacheKey) -> "tuple[Diagnostic, ...] | None":
     """Cached diagnostics for ``key``, refreshing its recency."""
     cached = _entries.get(key)
     if cached is None:
-        _stats.misses += 1
+        _MISSES.add()
         return None
     _entries.move_to_end(key)
-    _stats.hits += 1
+    _HITS.add()
     return cached
 
 
@@ -66,12 +47,15 @@ def cache_put(key: CacheKey, diagnostics: "tuple[Diagnostic, ...]") -> None:
     _entries.move_to_end(key)
     while len(_entries) > MAX_ENTRIES:
         _entries.popitem(last=False)
-        _stats.evictions += 1
+        _EVICTIONS.add()
 
 
-def cache_stats() -> CacheStats:
-    """The live counter object (mutates as the cache is used)."""
-    return _stats
+def cache_stats() -> ScopedRegistry:
+    """The cache's live counts, the ``host.diagnostics`` scope.
+
+    ``as_dict()`` gives ``hits``, ``misses`` and ``evictions``.
+    """
+    return HOST.scope("host.diagnostics")
 
 
 def cache_size() -> int:
@@ -80,6 +64,6 @@ def cache_size() -> int:
 
 
 def clear_cache() -> None:
-    """Drop every entry and reset the counters."""
+    """Drop every entry and zero the counts."""
     _entries.clear()
-    _stats.hits = _stats.misses = _stats.evictions = 0
+    cache_stats().zero()

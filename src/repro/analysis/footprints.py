@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..obs.host import HOST
 from ..trace.io import program_to_dict
 from ..trace.program import TraceProgram
 from .intervals import page_round
@@ -29,6 +30,8 @@ if TYPE_CHECKING:
 
 #: Bump when rule semantics change: it invalidates every cached analysis.
 ANALYZER_REVISION = "2"
+
+_FINGERPRINTS = HOST.counter("host.fingerprints")
 
 
 def page_count(start: int, end: int, page_size: int) -> int:
@@ -125,5 +128,6 @@ def program_fingerprint(
     digest.update(b"|")
     digest.update(payload.encode("utf-8"))
     fingerprint = digest.hexdigest()
+    _FINGERPRINTS.add()
     memo[(page_size, revision)] = (copy.deepcopy(program.metadata), fingerprint)
     return fingerprint

@@ -363,7 +363,7 @@ def _cmd_figure(args) -> int:
     from .harness.experiments import run_figures
     from .harness.export import to_json
     from .harness.report import format_speedup_matrix, format_table
-    from .harness.runner import cache_stats, fleet_stats
+    from .obs.host import HOST
 
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
@@ -383,13 +383,46 @@ def _cmd_figure(args) -> int:
     if args.json:
         to_json(payloads[names[0]] if len(names) == 1 else payloads, path=args.json)
         print(f"(wrote {args.json})")
-    stats = cache_stats()
-    if stats.lookups:
-        print(f"cache: {stats.report()}")
-    fleet = fleet_stats()
-    if fleet.runs:
-        print(fleet.report())
+    for line in _host_report(HOST.as_dict()):
+        print(line)
     return 0
+
+
+def _host_report(snapshot: dict) -> "list[str]":
+    """The ``cache:`` line and ``fleet:`` block ``figure`` prints after its grid.
+
+    Built from a ``host.*`` snapshot; a line whose counts are all zero is left out.
+    """
+    def count(name: str):
+        return snapshot.get(f"host.{name}", 0)
+
+    lines = []
+    hits = count("results.memory_hits") + count("results.disk_hits")
+    lookups = hits + count("results.misses")
+    if lookups:
+        lines.append(
+            f"cache: {hits}/{lookups} hits ({count('results.memory_hits')} memory, "
+            f"{count('results.disk_hits')} disk, {count('results.misses')} misses; "
+            f"{100.0 * hits / lookups:.0f}% hit rate)"
+        )
+    if count("fleet.runs"):
+        failed = count("fleet.jobs_failed")
+        failed_note = f", {failed} failed" if failed else ""
+        lines.append(
+            f"fleet: {count('fleet.runs')} run_many call(s), "
+            f"{count('fleet.jobs_submitted')} jobs submitted "
+            f"({count('fleet.jobs_cached')} cached, {count('fleet.jobs_computed')} computed"
+            f"{failed_note}, {count('fleet.wall_s'):.2f}s compute wall-clock)"
+        )
+        head, tail = "host.fleet.workers.", ".jobs"
+        workers = [name[len(head):-len(tail)] for name in snapshot
+                   if name.startswith(head) and name.endswith(tail)]
+        for worker in sorted(workers):
+            jobs = count(f"fleet.workers.{worker}.jobs")
+            if jobs:  # a worker zeroed by clear_run_cache has no row
+                wall = count(f"fleet.workers.{worker}.wall_s")
+                lines.append(f"  {worker}: {jobs} job(s), {wall:.2f}s")
+    return lines
 
 
 def _cmd_cache(args) -> int:

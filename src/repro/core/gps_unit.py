@@ -33,6 +33,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from ..config import CACHE_BLOCK, GPSConfig
+from ..obs.host import HOST
 from ..trace.expand import LineStream
 from .gps_page_table import GPSPageTable
 from .gps_tlb import GPSTLB
@@ -100,18 +101,20 @@ class WindowReplay:
     stats_delta: np.ndarray
 
 
+_MEMO_HITS = HOST.counter("host.window_memo.hits")
+_MEMO_MISSES = HOST.counter("host.window_memo.misses")
+
+
 class WindowMemo:
     """Content-keyed :class:`WindowReplay` values shared across jobs.
 
     One lives on each :class:`repro.system.analysis.ProgramAnalysis`, so
-    every config and paradigm of one program shares it. ``hits`` and
-    ``misses`` count lookups; they never reach result payloads.
+    every config and paradigm of one program shares it. Lookups are counted
+    under ``host.window_memo.{hits,misses}``; they never reach result payloads.
     """
 
     def __init__(self) -> None:
         self._windows: dict = {}
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._windows)
@@ -120,10 +123,10 @@ class WindowMemo:
         """The value under ``key``, computing it with ``replay()`` on a miss."""
         value = self._windows.get(key)
         if value is None:
-            self.misses += 1
+            _MEMO_MISSES.add()
             value = self._windows[key] = replay()
         else:
-            self.hits += 1
+            _MEMO_HITS.add()
         return value
 
 

@@ -24,7 +24,6 @@ from .experiments import (
 )
 from .report import format_table, geomean
 from .runner import (
-    CacheStats,
     SimJob,
     cache_stats,
     clear_disk_cache,
@@ -56,7 +55,6 @@ __all__ = [
     "run_speedup",
     "run_many",
     "SimJob",
-    "CacheStats",
     "cache_stats",
     "clear_run_cache",
     "clear_disk_cache",

@@ -354,8 +354,10 @@ def _gps_tlb_reduce(s: dict, results: dict) -> dict:
         drained = []
         for kernel in kernels:
             for _, stream, atomic in analysis.store_streams(kernel):
-                lines = _interleave_cta_slices(stream.lines)
-                batch = queue.process_stream_batch(lines, stream.bytes_per_txn, atomic=atomic)
+                order = _cta_weave(len(stream))
+                batch = queue.process_stream_batch(
+                    stream.lines[order], stream.bytes_per_txn[order], atomic=atomic
+                )
                 drained.append(batch.lines)
             drained.append(queue.flush_batch().lines)
         vpns = np.concatenate(drained) // lines_per_page
@@ -394,28 +396,23 @@ def gps_tlb_sensitivity(scale=None, tlb_sizes=None, workloads=None, num_gpus=Non
     return run_figures(["gps-tlb"], **locals())["gps-tlb"]
 
 
-def _interleave_cta_slices(lines, ways: int = 8, chunk: int = 32):
-    """Round-robin ``ways`` contiguous slices of a stream in ``chunk`` txns.
+def _cta_weave(n: int, ways: int = 8, chunk: int = 32) -> np.ndarray:
+    """Issue order of an ``n``-txn stream: ``ways`` slices round-robin in ``chunk`` txns.
 
-    Approximates the issue order of a grid whose CTAs each own one slice
-    of the shard and make progress concurrently.
+    Approximates the issue order of a grid whose CTAs each own one
+    contiguous slice of the shard (``np.array_split`` sizes) and make
+    progress concurrently. A stream shorter than ``ways * chunk`` keeps its
+    order. Index both of a stream's arrays with it, so each line keeps its
+    payload.
     """
-    n = lines.shape[0]
+    index = np.arange(n)
     if n < ways * chunk:
-        return lines
-    slices = np.array_split(lines, ways)
-    out = np.empty(n, dtype=lines.dtype)
-    pos = 0
-    offsets = [0] * ways
-    while pos < n:
-        for i, piece in enumerate(slices):
-            take = piece[offsets[i] : offsets[i] + chunk]
-            if take.shape[0] == 0:
-                continue
-            out[pos : pos + take.shape[0]] = take
-            pos += take.shape[0]
-            offsets[i] += chunk
-    return out
+        return index
+    size, extra = divmod(n, ways)
+    starts = np.arange(ways) * size + np.minimum(np.arange(ways), extra)
+    piece = np.searchsorted(starts, index, side="right") - 1
+    rounds = (index - starts[piece]) // chunk
+    return np.argsort(rounds * ways + piece, kind="stable")
 
 
 # -- Section 7.4: page-size sensitivity -------------------------------------------

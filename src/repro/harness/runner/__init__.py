@@ -12,7 +12,10 @@ cached at two levels:
 ``run_many`` fans uncached jobs across a process pool, one task per trace
 program; the figure drivers in :mod:`repro.harness.experiments` submit their
 whole grids through it. Each process builds a program once and shares it
-across every job that runs on it.
+across every job that runs on it. Cache outcomes, fan-outs and pool tasks
+are counted in the process's one record of host work,
+:data:`repro.obs.host.HOST` (``host.results.*``, ``host.fleet.*``,
+``host.pool.tasks``).
 ``run_many_settled(..., traced=True)`` is the same path with each computed
 run's engine spans shipped back beside its result (the service uses it).
 
@@ -20,7 +23,7 @@ Every uncached job's trace is gated through the static analyzer
 (:func:`repro.analysis.check_program`) before it simulates, so a workload
 generator bug cannot silently corrupt a figure. ``run_simulation`` and
 ``run_speedup`` are one ``run_many`` call each, so every computed result is
-stored, and counted in :class:`FleetStats`, by the same code.
+stored, and counted under ``host.fleet.*``, by the same code.
 
 Environment knobs: ``REPRO_NO_CACHE`` (disable the persistent layer),
 ``REPRO_CACHE_DIR`` (cache directory, default ``.repro-cache/``),
@@ -30,25 +33,22 @@ Environment knobs: ``REPRO_NO_CACHE`` (disable the persistent layer),
 from __future__ import annotations
 
 from ...config import LinkConfig, SystemConfig
+from ...obs.host import HOST
+from ...obs.registry import ScopedRegistry
 from ...system.results import SimulationResult
 from . import memo
 from .disk import DEFAULT_CACHE_DIR, DiskCache
 from .fingerprint import MODEL_FINGERPRINT, SimJob, job_key, resolve_link
-from .parallel import clear_programs, fleet_stats, run_many, run_many_settled
-from .stats import CacheStats, FleetStats, WorkerStats
+from .parallel import clear_programs, run_many, run_many_settled
 
 __all__ = [
-    "CacheStats",
     "DEFAULT_CACHE_DIR",
-    "FleetStats",
     "MODEL_FINGERPRINT",
     "SimJob",
-    "WorkerStats",
     "cache_stats",
     "clear_disk_cache",
     "clear_run_cache",
     "disk_cache_info",
-    "fleet_stats",
     "job_key",
     "resolve_link",
     "run_many",
@@ -99,19 +99,23 @@ def run_speedup(
 def clear_run_cache() -> None:
     """Drop memoised results and programs (tests that mutate global knobs use this).
 
-    Also zeroes the :class:`CacheStats` and :class:`FleetStats` counters and
-    detaches the persistent cache handle so it is re-resolved from the
-    environment on next use. Records already on disk are kept; see
+    Also zeroes every ``host.*`` count in place (bound handles keep
+    counting) and detaches the persistent cache handle so it is re-resolved
+    from the environment on next use. Records already on disk are kept; see
     :func:`clear_disk_cache`.
     """
     memo.clear()
     clear_programs()
-    fleet_stats().reset()
+    HOST.zero()
 
 
-def cache_stats() -> CacheStats:
-    """This process's live cache counters."""
-    return memo.stats()
+def cache_stats() -> ScopedRegistry:
+    """This process's result-cache counts, the ``host.results`` scope.
+
+    ``as_dict()`` gives ``memory_hits``, ``disk_hits`` and ``misses`` (one
+    per lookup), plus ``disk_writes``, ``disk_errors`` and ``evictions``.
+    """
+    return HOST.scope("host.results")
 
 
 def clear_disk_cache() -> int:

@@ -10,6 +10,7 @@ bytes are flushed and fsynced to a temp file *before* the atomic
 can observe a torn record — the published name either holds the complete
 old record or the complete new one. Corrupt files (e.g. a stray partial
 temp promoted by hand) are dropped on read and counted as evictions.
+Outcomes are counted under ``host.results.{disk_writes,disk_errors,evictions}``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import json
 import os
 from pathlib import Path
 
+from ...obs.host import HOST
 from ...system.results import SimulationResult
 from .fingerprint import MODEL_FINGERPRINT
-from .stats import CacheStats
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -28,13 +29,16 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: On-disk record format version.
 RECORD_VERSION = 1
 
+_DISK_WRITES = HOST.counter("host.results.disk_writes")
+_DISK_ERRORS = HOST.counter("host.results.disk_errors")
+_EVICTIONS = HOST.counter("host.results.evictions")
+
 
 class DiskCache:
     """Fingerprint-keyed JSON store for :class:`SimulationResult` records."""
 
-    def __init__(self, directory: "str | Path", stats: "CacheStats | None" = None) -> None:
+    def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
-        self.stats = stats if stats is not None else CacheStats()
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -54,7 +58,7 @@ class DiskCache:
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            self.stats.disk_errors += 1
+            _DISK_ERRORS.add()
             self._evict(path)
             return None
         try:
@@ -64,7 +68,7 @@ class DiskCache:
                 raise ValueError("record does not match its filename")
             return SimulationResult.from_dict(payload["result"])
         except (AttributeError, KeyError, TypeError, ValueError):
-            self.stats.disk_errors += 1
+            _DISK_ERRORS.add()
             self._evict(path)
             return None
 
@@ -92,18 +96,18 @@ class DiskCache:
                 os.fsync(handle.fileno())
             os.replace(tmp, self._path(key))
         except OSError:
-            self.stats.disk_errors += 1
+            _DISK_ERRORS.add()
             try:
                 tmp.unlink()
             except OSError:
                 pass
             return
-        self.stats.disk_writes += 1
+        _DISK_WRITES.add()
 
     def _evict(self, path: Path) -> None:
         try:
             path.unlink()
-            self.stats.evictions += 1
+            _EVICTIONS.add()
         except OSError:
             pass
 
@@ -116,7 +120,7 @@ class DiskCache:
                 removed += 1
             except OSError:
                 pass
-        self.stats.evictions += removed
+        _EVICTIONS.add(removed)
         return removed
 
     def record_paths(self) -> "list[Path]":

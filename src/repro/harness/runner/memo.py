@@ -7,7 +7,8 @@ Lookup order: in-memory LRU (same-object hits, preserving the historical
 not grow with every distinct job; an evicted key falls through to disk.
 Environment knobs are re-read whenever they change, so tests can flip
 ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` with a plain
-``monkeypatch.setenv`` and the next lookup honours them.
+``monkeypatch.setenv`` and the next lookup honours them. Each lookup lands
+in exactly one of ``host.results.{memory_hits,disk_hits,misses}``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
+from ...obs.host import HOST
 from ...system.results import SimulationResult
 from .disk import DEFAULT_CACHE_DIR, DiskCache
-from .stats import CacheStats
 
 #: Results the memory layer keeps, least recently used evicted first: the
 #: same bound as the service's finished-job records (``JOB_RECORDS``).
@@ -27,7 +28,9 @@ RESULT_MEMO_SIZE = 4096
 
 _RESULT_CACHE: "OrderedDict[str, SimulationResult]" = OrderedDict()
 _RESULT_LOCK = threading.Lock()
-_STATS = CacheStats()
+_MEMORY_HITS = HOST.counter("host.results.memory_hits")
+_DISK_HITS = HOST.counter("host.results.disk_hits")
+_MISSES = HOST.counter("host.results.misses")
 _DISK: "DiskCache | None" = None
 _DISK_ENV: "tuple | None" = None
 
@@ -53,7 +56,7 @@ def disk_cache() -> "DiskCache | None":
         if no_cache and no_cache != "0":
             _DISK = None
         else:
-            _DISK = DiskCache(Path(cache_dir or DEFAULT_CACHE_DIR), _STATS)
+            _DISK = DiskCache(Path(cache_dir or DEFAULT_CACHE_DIR))
     return _DISK
 
 
@@ -64,16 +67,16 @@ def lookup(key: str) -> "SimulationResult | None":
         if cached is not None:
             _RESULT_CACHE.move_to_end(key)
     if cached is not None:
-        _STATS.memory_hits += 1
+        _MEMORY_HITS.add()
         return cached
     disk = disk_cache()
     if disk is not None:
         result = disk.get(key)
         if result is not None:
-            _STATS.disk_hits += 1
+            _DISK_HITS.add()
             _remember(key, result)
             return result
-    _STATS.misses += 1
+    _MISSES.add()
     return None
 
 
@@ -95,7 +98,7 @@ def _remember(key: str, result: SimulationResult) -> None:
 
 
 def clear() -> None:
-    """Drop the in-memory memo, zero the counters, and detach the disk handle.
+    """Drop the in-memory memo and detach the disk handle.
 
     The handle is re-resolved from the environment on the next lookup —
     tests that mutate global knobs between runs (the clear-between-mutations
@@ -105,11 +108,5 @@ def clear() -> None:
     global _DISK, _DISK_ENV
     with _RESULT_LOCK:
         _RESULT_CACHE.clear()
-    _STATS.reset()
     _DISK = None
     _DISK_ENV = None
-
-
-def stats() -> CacheStats:
-    """Live counters for this process."""
-    return _STATS

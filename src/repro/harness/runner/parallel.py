@@ -16,6 +16,11 @@ or a single pending program falls back to plain serial execution.
 Traced and untraced runs share every step: :func:`compute_job` is the one
 compute function both the serial and the pool paths call, and ``traced``
 only decides whether it ships the run's engine spans back beside the result.
+
+Every call is counted under ``host.fleet.*`` (submitted, cached, computed
+and failed jobs, compute wall-clock, and per worker ``host.fleet.workers.*``)
+and every pool task under ``host.pool.tasks``; a task's own ``host.*`` counts
+come back beside its results and join the parent's record.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from ...analysis import check_program
+from ...obs import host
+from ...obs.host import HOST
 from ...obs.span import Span
 from ...system.analysis import ANALYSIS_CACHE_SIZE
 from ...system.executor import simulate
@@ -36,24 +43,24 @@ from ...trace.program import TraceProgram
 from ...workloads.registry import get_workload
 from . import memo
 from .fingerprint import SimJob
-from .stats import FleetStats
 
 #: Serial fallback threshold: a pool is not worth forking below this many
 #: uncached jobs.
 _MIN_PARALLEL_JOBS = 3
 
-#: Process-wide fan-out accounting (see :func:`fleet_stats`).
-_FLEET = FleetStats()
+_BUILT = HOST.counter("host.programs.built")
+_POOL_TASKS = HOST.counter("host.pool.tasks")
+_RUNS = HOST.counter("host.fleet.runs")
+_SUBMITTED = HOST.counter("host.fleet.jobs_submitted")
+_CACHED = HOST.counter("host.fleet.jobs_cached")
+_COMPUTED = HOST.counter("host.fleet.jobs_computed")
+_FAILED = HOST.counter("host.fleet.jobs_failed")
+_WALL = HOST.counter("host.fleet.wall_s")
 
 #: Built programs by :meth:`SimJob.program_key`, least recently used evicted
 #: first. Bounded like the analyses built from them.
 _PROGRAMS: "OrderedDict[tuple, TraceProgram]" = OrderedDict()
 _PROGRAMS_LOCK = threading.Lock()
-
-
-def fleet_stats() -> FleetStats:
-    """This process's live ``run_many`` fan-out counters."""
-    return _FLEET
 
 
 def job_program(job: SimJob) -> TraceProgram:
@@ -73,6 +80,7 @@ def job_program(job: SimJob) -> TraceProgram:
     program = get_workload(job.workload).build(
         job.num_gpus, scale=job.scale, iterations=job.iterations
     )
+    _BUILT.add()
     with _PROGRAMS_LOCK:
         program = _PROGRAMS.setdefault(key, program)
         _PROGRAMS.move_to_end(key)
@@ -121,15 +129,18 @@ def compute_job(
     return result, executor.engine.spans()
 
 
-def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[int, list[tuple]]":
+def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[int, list[tuple], dict]":
     """Run ``jobs`` back to back in this process; the pool's one entry point.
 
-    Returns ``(pid, slots)`` with one ``(outcome, wall_clock, spans)`` slot
-    per job, where ``outcome`` is the result or the exception the job
-    raised: one failing job never takes its neighbours down. Each job goes
-    through the module global :func:`compute_job`, so anything wrapping
-    that name (tracers, test doubles) sees every job.
+    Returns ``(pid, slots, counts)`` with one ``(outcome, wall_clock, spans)``
+    slot per job, where ``outcome`` is the result or the exception the job
+    raised: one failing job never takes its neighbours down. ``counts`` is
+    the ``host.*`` work the jobs did (:func:`repro.obs.host.delta`), which a
+    pool's parent adds to its own record. Each job goes through the module
+    global :func:`compute_job`, so anything wrapping that name (tracers,
+    test doubles) sees every job.
     """
+    before = HOST.as_dict()
     slots: "list[tuple]" = []
     for job in jobs:
         t0 = time.perf_counter()
@@ -139,7 +150,7 @@ def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[int, list[tuple]
             slots.append((exc, time.perf_counter() - t0, None))
             continue
         slots.append((result, time.perf_counter() - t0, spans))
-    return os.getpid(), slots
+    return os.getpid(), slots, host.delta(before)
 
 
 def _worker_init() -> None:
@@ -226,9 +237,9 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
         else:
             pending[key] = job
 
-    _FLEET.runs += 1
-    _FLEET.jobs_submitted += len(jobs)
-    _FLEET.jobs_cached += len(jobs) - len(pending)
+    _RUNS.add()
+    _SUBMITTED.add(len(jobs))
+    _CACHED.add(len(jobs) - len(pending))
 
     groups: "dict[tuple, list[str]]" = {}
     for key, job in pending.items():
@@ -237,10 +248,13 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
     def settle(group: "list[str]", slots: "list[tuple]", worker: str) -> None:
         for key, (outcome, wall, spans) in zip(group, slots):
             if isinstance(outcome, Exception):
-                _FLEET.jobs_failed += 1
+                _FAILED.add()
                 outcomes[key] = (outcome, None)
                 continue
-            _FLEET.record_job(worker, wall)
+            _COMPUTED.add()
+            _WALL.add(wall)
+            HOST.add(f"host.fleet.workers.{worker}.jobs")
+            HOST.add(f"host.fleet.workers.{worker}.wall_s", wall)
             outcomes[key] = (memo.store(key, outcome, pending[key].meta()), spans)
 
     # One task per program, largest first, so the longest tasks start before
@@ -251,7 +265,7 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
     workers = _resolve_workers(max_workers, len(pending), len(groups))
     if workers <= 1:
         order = [key for group in by_size for key in group]
-        pid, slots = _compute_jobs([pending[key] for key in order], traced)
+        pid, slots, _ = _compute_jobs([pending[key] for key in order], traced)
         settle(order, slots, f"pid{pid} (serial)")
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
@@ -259,13 +273,15 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
                 pool.submit(_compute_jobs, [pending[key] for key in group], traced): group
                 for group in by_size
             }
+            _POOL_TASKS.add(len(futures))
             for future in as_completed(futures):
                 group = futures[future]
                 try:
-                    pid, slots = future.result()
+                    pid, slots, counts = future.result()
                 except Exception as exc:  # BrokenProcessPool: the whole task is lost
                     settle(group, [(exc, 0.0, None)] * len(group), "")
                     continue
+                host.merge(counts)
                 settle(group, slots, f"pid{pid}")
     if traced:
         return [outcomes[key] for key in keys]

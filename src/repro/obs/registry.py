@@ -146,6 +146,15 @@ class CounterRegistry:
         """A view of this registry with every name prefixed by ``prefix.``."""
         return ScopedRegistry(self, prefix)
 
+    def zero(self, prefix: str = "") -> None:
+        """Zero every counter named ``prefix...`` in place.
+
+        The counters stay registered, so handles bound to them keep counting.
+        """
+        for name, counter in list(self._counters.items()):
+            if name.startswith(prefix):
+                counter.value = 0
+
     def as_dict(self) -> "dict[str, Number]":
         """Snapshot: counters, gauges, resolved providers, plus roll-ups.
 
@@ -154,7 +163,8 @@ class CounterRegistry:
         explicitly registered aggregate.
         """
         flat: dict[str, Number] = {}
-        for name, counter in self._counters.items():
+        # A copy: another thread may register a counter mid-snapshot.
+        for name, counter in list(self._counters.items()):
             flat[name] = counter.value
         flat.update(self._gauges)
         for name, histogram in self._histograms.items():
@@ -206,3 +216,19 @@ class ScopedRegistry:
     def scope(self, prefix: str) -> "ScopedRegistry":
         """A deeper scope."""
         return ScopedRegistry(self._parent, self._name(prefix))
+
+    def zero(self) -> None:
+        """Zero every counter under this scope in place."""
+        self._parent.zero(self._name(""))
+
+    def as_dict(self) -> "dict[str, Number]":
+        """This scope's part of the parent's snapshot, names without the prefix."""
+        head = self._name("")
+        return {
+            name[len(head):]: value
+            for name, value in self._parent.as_dict().items()
+            if name.startswith(head)
+        }
+
+    # The benchmark reads the analyzer's counts under this name.
+    to_dict = as_dict

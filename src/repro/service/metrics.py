@@ -9,11 +9,12 @@ matches the hardware counters the simulator already exports:
   cache_hits / rejected) plus live ``depth`` and ``inflight`` gauges;
 * ``service.jobs.*`` — completion outcomes (completed / failed / retried);
 * ``service.scheduler.*`` — batch fan-out accounting;
-* ``service.latency.*`` — wait (queue) and run (simulate) histograms;
-* ``service.runner.*`` — a lazy provider bridging the harness runner's
-  :class:`~repro.harness.runner.CacheStats` /
-  :class:`~repro.harness.runner.FleetStats` (cache hit ratio, jobs
-  computed) into the same snapshot.
+* ``service.latency.*`` — wait (queue) and run (simulate) histograms.
+
+The snapshot also carries the process's one record of host work,
+:data:`repro.obs.host.HOST` (``host.results.*``, ``host.fleet.*`` and the
+memo counts), merged in as it stands at scrape time; rates such as a cache
+hit ratio are the reader's arithmetic.
 
 Counters are created eagerly so the ``/metrics`` payload exposes a stable
 key set from the first scrape, before any job has been submitted.
@@ -21,8 +22,8 @@ key set from the first scrape, before any job has been submitted.
 
 from __future__ import annotations
 
-from ..harness.runner import cache_stats, fleet_stats
 from ..obs import CounterRegistry
+from ..obs.host import HOST
 from ..obs.registry import Number
 
 #: Latency bucket upper bounds, in seconds (1 ms .. 1 min).
@@ -44,21 +45,6 @@ _COUNTERS = (
 )
 
 
-def _runner_bridge() -> "dict[str, Number]":
-    """Snapshot of the harness runner's cache/fleet counters."""
-    cache = cache_stats()
-    fleet = fleet_stats()
-    return {
-        "cache.hit_rate": cache.hit_rate,
-        "cache.hits": cache.hits,
-        "cache.lookups": cache.lookups,
-        "fleet.jobs_computed": fleet.jobs_computed,
-        "fleet.jobs_cached": fleet.jobs_cached,
-        "fleet.jobs_failed": fleet.jobs_failed,
-        "fleet.wall_clock_s": fleet.wall_clock,
-    }
-
-
 class ServiceMetrics:
     """The service's counter/gauge/histogram surface over one registry."""
 
@@ -72,7 +58,6 @@ class ServiceMetrics:
         scope.gauge("queue.inflight", 0)
         self.wait_latency = scope.histogram("latency.wait_s", LATENCY_BUCKETS_S)
         self.run_latency = scope.histogram("latency.run_s", LATENCY_BUCKETS_S)
-        scope.provide("runner", _runner_bridge)
 
     # -- submission outcomes -------------------------------------------------
 
@@ -131,5 +116,5 @@ class ServiceMetrics:
     # -- export --------------------------------------------------------------
 
     def snapshot(self) -> "dict[str, Number]":
-        """The full registry snapshot served at ``GET /metrics``."""
-        return self.registry.as_dict()
+        """The registry snapshot plus the ``host.*`` record, served at ``GET /metrics``."""
+        return dict(sorted({**self.registry.as_dict(), **HOST.as_dict()}.items()))

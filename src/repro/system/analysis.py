@@ -39,9 +39,15 @@ from ..core.gps_unit import WindowMemo
 from ..core.write_queue import scalar_replay_enabled
 from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from ..memory.address_space import AddressSpace
+from ..obs.host import HOST
 from ..trace.expand import LineStream, expand_range
 from ..trace.program import BufferSpec, KernelSpec, Phase, TraceProgram
 from ..trace.records import AccessRange, MemOp, PatternKind, Scope
+
+
+_ANALYSES_BUILT = HOST.counter("host.analyses.built")
+_STREAMS_REBUILT = HOST.counter("host.streams.rebuilt")
+_WARM_L2_CALLS = HOST.counter("host.warm_l2.calls")
 
 
 @dataclass
@@ -137,15 +143,13 @@ class ProgramAnalysis:
         #: SM-coalesced store streams by access key, held only while this
         #: analysis' program runs (:func:`get_analysis` releases them).
         self._store_streams: dict[tuple, LineStream] = {}
-        #: Store streams :meth:`store_streams` rebuilt after a release. A
-        #: host count like ``WindowMemo.hits``; it never enters a result.
-        self.stream_rebuilds = 0
         self._home_gpu_arr: "Optional[np.ndarray]" = None
         self._phase_min_readers: dict[Phase, tuple] = {}
         self._phase_max_writers: dict[Phase, tuple] = {}
         #: GPS write-queue window outcomes, shared by every config and GPS
         #: variant that runs this program (keyed by window content).
         self.window_memo = WindowMemo()
+        _ANALYSES_BUILT.add()
 
     # -- layout ---------------------------------------------------------------
 
@@ -252,7 +256,7 @@ class ProgramAnalysis:
         program order — the exact input the GPS unit consumes. The streams
         are shared per-access products; callers must not mutate them. A
         stream released since it was coalesced is expanded and coalesced
-        again here (counted in :attr:`stream_rebuilds`).
+        again here (counted under ``host.streams.rebuilt``).
         """
         table = self._store_streams
         out = []
@@ -261,7 +265,7 @@ class ProgramAnalysis:
             stream = table.get(key)
             if stream is None:
                 stream = table[key] = sm_coalesce(expand_range(fp.access, fp.buffer_base))
-                self.stream_rebuilds += 1
+                _STREAMS_REBUILT.add()
             out.append((fp, stream, fp.is_atomic))
         return out
 
@@ -346,6 +350,7 @@ class ProgramAnalysis:
             rate = 0.0
         else:
             num_sets = set_count(gpu.l2_bytes, gpu.cache_block, gpu.l2_assoc)
+            _WARM_L2_CALLS.add()
             rate = warm_lru_hits(all_lines, num_sets, gpu.l2_assoc) / all_lines.shape[0]
         self._l2_memo[key] = rate
         return rate

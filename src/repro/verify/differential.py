@@ -63,6 +63,7 @@ from ..config import CACHE_BLOCK, LinkConfig
 from ..gpu.sm_coalescer import CoalescerStats, sm_coalesce
 from ..harness.runner import SimJob, clear_run_cache, resolve_link, run_many
 from ..names import DEFAULT_VERIFY_PARADIGMS
+from ..obs.host import HOST
 from ..paradigms import PARADIGMS
 from ..system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
 from ..system.results import SimulationResult
@@ -313,15 +314,16 @@ def _released_case(spec: FuzzSpec, link, report: CaseReport) -> None:
     config = dataclasses.replace(
         base, gps=dataclasses.replace(base.gps, write_queue_entries=RELEASED_QUEUE_ENTRIES)
     )
+    rebuilds = HOST.counter("host.streams.rebuilt")
     for mode, scalar in (("vectorised", None), ("REPRO_SCALAR_REPLAY=1", "1")):
         with _scoped_env(REPRO_SCALAR_REPLAY=scalar):
             clear_analysis_cache()
             program = build(spec.seed)
             PARADIGMS["gps"](program, base).run()
             get_analysis(build(spec.seed + 1), base)  # moving on releases the streams
-            executor = PARADIGMS["gps"](program, config)
-            warm = canonical_payload(executor.run())
-            rebuilt = executor.analysis.stream_rebuilds
+            before = rebuilds.value
+            warm = canonical_payload(PARADIGMS["gps"](program, config).run())
+            rebuilt = rebuilds.value - before
             clear_analysis_cache()
             cold = canonical_payload(PARADIGMS["gps"](build(spec.seed), config).run())
             clear_analysis_cache()

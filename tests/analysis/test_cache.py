@@ -39,16 +39,16 @@ class TestAnalysisCache:
     def test_second_analysis_hits(self):
         p = make_program()
         analyze_program(p)
-        before = cache_stats().hits
+        before = cache_stats().as_dict()["hits"]
         analyze_program(p)
-        assert cache_stats().hits == before + 1
+        assert cache_stats().as_dict()["hits"] == before + 1
 
     def test_equal_programs_share_an_entry(self):
         """The key is the fingerprint, not object identity."""
         analyze_program(make_program())
         analyze_program(make_program())
         assert cache_size() == 1
-        assert cache_stats().hits == 1
+        assert cache_stats().as_dict()["hits"] == 1
 
     def test_different_select_is_a_different_entry(self):
         p = make_program()
@@ -80,7 +80,7 @@ class TestAnalysisCache:
         for i in range(MAX_ENTRIES + 5):
             analyze_program(make_program(name=f"p{i}", length=128 + i * 128))
         assert cache_size() == MAX_ENTRIES
-        assert cache_stats().evictions == 5
+        assert cache_stats().as_dict()["evictions"] == 5
 
 
 class TestDeterministicOrdering:

@@ -148,3 +148,19 @@ def pagerank_program():
 def build(workload: str, num_gpus: int = 4, scale: float = TINY, iterations: int = 2):
     """Convenience builder used throughout the suite."""
     return repro.get_workload(workload).build(num_gpus, scale=scale, iterations=iterations)
+
+
+def memo_lookups() -> "tuple[int, int]":
+    """This process's window-memo ``(misses, hits)``, from ``host.window_memo``."""
+    from repro.obs.host import HOST
+
+    return (
+        HOST.counter("host.window_memo.misses").value,
+        HOST.counter("host.window_memo.hits").value,
+    )
+
+
+def memo_lookups_since(start: "tuple[int, int]") -> "tuple[int, int]":
+    """The ``(misses, hits)`` added since an earlier :func:`memo_lookups`."""
+    misses, hits = memo_lookups()
+    return misses - start[0], hits - start[1]

@@ -9,6 +9,7 @@ from repro.config import GPSConfig
 from repro.core.gps_page_table import GPSPageTable
 from repro.core.gps_unit import GPSUnit, WindowMemo
 from repro.trace.expand import LineStream
+from tests.conftest import memo_lookups, memo_lookups_since
 
 LINES_PER_PAGE = GPSConfig().page_size // 128
 
@@ -263,6 +264,7 @@ class TestWindowMemo:
     @settings(max_examples=120, deadline=None)
     def test_keyed_window_equals_eager(self, case):
         memo = WindowMemo()
+        start = memo_lookups()
         for job, (tlb_entries, warmup) in enumerate(zip(case["tlbs"], case["warmups"])):
             eager_unit, eager_table = memo_unit(case, tlb_entries, warmup)
             eager = observed(eager_unit, eager_table, run_window(eager_unit, case, False))
@@ -270,7 +272,7 @@ class TestWindowMemo:
             keyed = observed(keyed_unit, keyed_table, run_window(keyed_unit, case, True))
             assert keyed == eager
             # The first job misses, the second hits despite another TLB.
-            assert (memo.misses, memo.hits) == (1, job)
+            assert memo_lookups_since(start) == (1, job)
 
     @given(case=memo_windows())
     @settings(max_examples=40, deadline=None)
@@ -278,16 +280,18 @@ class TestWindowMemo:
         # Back-to-back windows: the second starts with a warm TLB and
         # accumulated stats, which the hit must extend, not replace.
         memo = WindowMemo()
+        start = memo_lookups()
         eager_unit, eager_table = memo_unit(case, 16, [])
         keyed_unit, keyed_table = memo_unit(case, 16, [], memo)
         for _ in range(2):
             eager = observed(eager_unit, eager_table, run_window(eager_unit, case, False))
             keyed = observed(keyed_unit, keyed_table, run_window(keyed_unit, case, True))
             assert keyed == eager
-        assert (memo.misses, memo.hits) == (1, 1)
+        assert memo_lookups_since(start) == (1, 1)
 
     def test_other_watermark_misses(self):
         memo = WindowMemo()
+        start = memo_lookups()
         case = {
             "streams": [(stream(list(range(40)) * 2), False)],
             "subscribers": [{1, 2}] * MEMO_PAGES,
@@ -299,7 +303,7 @@ class TestWindowMemo:
             assert observed(
                 keyed_unit, keyed_table, run_window(keyed_unit, case, True)
             ) == observed(eager_unit, eager_table, run_window(eager_unit, case, False))
-        assert (memo.misses, memo.hits) == (2, 0)
+        assert memo_lookups_since(start) == (2, 0)
 
     def test_keyless_store_replays_deferred_ones_first(self):
         case = {
@@ -310,12 +314,13 @@ class TestWindowMemo:
         eager_unit, eager_table = memo_unit(case, 32, [])
         eager = observed(eager_unit, eager_table, run_window(eager_unit, case, False))
         memo = WindowMemo()
+        start = memo_lookups()
         mixed_unit, mixed_table = memo_unit(case, 32, [], memo)
         (first, _), (second, _) = case["streams"]
         mixed_unit.process_stores(first, key="first")
         mixed_unit.process_stores(second)  # keyless: the window goes eager
         assert observed(mixed_unit, mixed_table, mixed_unit.sync()) == eager
-        assert (memo.misses, memo.hits) == (0, 0)
+        assert memo_lookups_since(start) == (0, 0)
 
     def test_values_are_read_only_int64(self):
         memo = WindowMemo()
@@ -335,6 +340,7 @@ class TestWindowMemo:
     def test_scalar_replay_bypasses_memo(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALAR_REPLAY", "1")
         memo = WindowMemo()
+        start = memo_lookups()
         case = {
             "streams": [(stream([0, 1, 0]), False)],
             "write_queue": 8,
@@ -343,4 +349,4 @@ class TestWindowMemo:
         unit, _ = memo_unit(case, 32, [], memo)
         window = run_window(unit, case, True)
         assert window.writes_to == {1: 2}
-        assert len(memo) == 0 and memo.misses == 0
+        assert len(memo) == 0 and memo_lookups_since(start) == (0, 0)

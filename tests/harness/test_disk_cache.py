@@ -18,7 +18,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.config import PCIE6
-from repro.harness.runner import clear_run_cache
+from repro.harness.runner import cache_stats, clear_run_cache
 from repro.harness.runner.disk import DiskCache
 
 
@@ -53,6 +53,7 @@ class TestCrashSafePut:
     ):
         cache = DiskCache(tmp_path)
         cache.put("k1", results["memcpy"], {"workload": "jacobi"})
+        errors = cache_stats().counter("disk_errors").value
         published = (tmp_path / "k1.json").read_text()
 
         # Crash injection: the temp file holds partial (unsynced) bytes
@@ -70,7 +71,7 @@ class TestCrashSafePut:
         assert loaded is not None
         assert loaded.to_dict() == results["memcpy"].to_dict()
         # ... the failure was counted, and the partial temp was cleaned up.
-        assert cache.stats.disk_errors == 1
+        assert cache_stats().counter("disk_errors").value == errors + 1
         assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_failed_write_to_fresh_key_publishes_nothing(
@@ -85,13 +86,15 @@ class TestCrashSafePut:
 
     def test_put_survives_crash_then_succeeds(self, tmp_path, monkeypatch, results):
         cache = DiskCache(tmp_path)
+        before = cache_stats().as_dict()
         with monkeypatch.context() as patched:
             patched.setattr(os, "fsync", lambda fd: (_ for _ in ()).throw(OSError()))
             cache.put("k1", results["memcpy"])
         cache.put("k1", results["gps"])
         assert cache.get("k1").to_dict() == results["gps"].to_dict()
-        assert cache.stats.disk_writes == 1
-        assert cache.stats.disk_errors == 1
+        after = cache_stats().as_dict()
+        assert after["disk_writes"] == before["disk_writes"] + 1
+        assert after["disk_errors"] == before["disk_errors"] + 1
 
 
 class TestMemoisedScan:

@@ -139,6 +139,40 @@ class TestGPSTLB:
         rates = result["hit_rate"]["ct"]
         assert rates[32] >= rates[2]
 
+    def test_woven_stream_keeps_each_line_with_its_payload(self, monkeypatch):
+        # Every transaction of the synthetic stream carries its own payload,
+        # so a weave that reorders the lines but not the payloads shows.
+        import numpy as np
+
+        from repro.core.write_queue import RemoteWriteQueue
+        from repro.harness import experiments
+        from repro.trace.expand import LineStream
+
+        n = 1000
+        stream = LineStream(np.arange(n, dtype=np.int64) * 3, np.arange(1, n + 1, dtype=np.int32))
+
+        class OneStream:
+            def store_streams(self, kernel):
+                return [(None, stream, False)]
+
+        config = repro.default_system(2)
+        monkeypatch.setattr(
+            experiments, "_store_streams_of", lambda workload, s: ({"k": None}, OneStream(), config)
+        )
+        passed = []
+        real = RemoteWriteQueue.process_stream_batch
+
+        def recording(self, lines, nbytes, atomic=False):
+            passed.append((lines.copy(), np.asarray(nbytes).copy()))
+            return real(self, lines, nbytes, atomic=atomic)
+
+        monkeypatch.setattr(RemoteWriteQueue, "process_stream_batch", recording)
+        experiments._gps_tlb_reduce({"num_gpus": 2, "workloads": ["jacobi"], "tlb_sizes": (32,)}, {})
+        ((lines, nbytes),) = passed
+        assert not np.array_equal(lines, stream.lines)  # the stream was woven
+        original = set(zip(stream.lines.tolist(), stream.bytes_per_txn.tolist()))
+        assert set(zip(lines.tolist(), nbytes.tolist())) == original
+
 
 class TestPageSize:
     def test_64k_is_sweet_spot(self):

@@ -9,7 +9,8 @@ import pytest
 from repro.cli import main
 from repro.harness import experiments
 from repro.harness.export import to_json
-from repro.harness.runner import clear_run_cache, fleet_stats
+from repro.harness.runner import clear_run_cache
+from repro.obs.host import HOST
 
 SMALL = dict(scale=0.1, iterations=2, workloads=["jacobi", "ct"])
 
@@ -65,13 +66,13 @@ def test_every_payload_matches_its_pinned_digest(serial):
 def test_a_union_is_one_run_many_and_each_figure_its_own_payload(serial):
     names = ["fig1", "fig8", "fig11", "fig13"]
     payloads = experiments.run_figures(names, **SMALL)
-    fleet = fleet_stats()
-    assert fleet.runs == 1
-    computed = fleet.jobs_computed
+    assert HOST.counter("host.fleet.runs").value == 1
+    computed = HOST.counter("host.fleet.jobs_computed").value
     for name in names:
         driver, _, _ = PINNED[name]
         assert getattr(experiments, driver)(**SMALL) == payloads[name], name
-    assert fleet_stats().jobs_computed == computed  # the second pass simulates nothing
+    # The second pass simulates nothing.
+    assert HOST.counter("host.fleet.jobs_computed").value == computed
 
 
 def test_an_override_no_figure_takes_is_rejected():

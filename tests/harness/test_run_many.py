@@ -13,14 +13,29 @@ from repro.harness.runner import (
     clear_disk_cache,
     clear_run_cache,
     disk_cache_info,
-    fleet_stats,
     run_many,
     run_many_settled,
     run_simulation,
     run_speedup,
 )
+from repro.obs.host import HOST
 
 FAST = dict(scale=0.1, iterations=2)
+
+
+def fleet(name: str):
+    """One ``host.fleet`` count of this process."""
+    return HOST.counter(f"host.fleet.{name}").value
+
+
+def workers() -> "dict[str, int]":
+    """Jobs computed per worker, for every worker that computed one."""
+    head, tail = "host.fleet.workers.", ".jobs"
+    return {
+        name[len(head):-len(tail)]: jobs
+        for name, jobs in HOST.as_dict().items()
+        if name.startswith(head) and name.endswith(tail) and jobs
+    }
 
 
 class TestRunMany:
@@ -91,7 +106,7 @@ class TestRunMany:
         assert calls["n"] == 2  # one per *distinct* job
         # ... and the shared result fans back out to every repeat slot.
         assert results[0] is results[2] is results[3]
-        assert fleet_stats().jobs_computed == 2
+        assert fleet("jobs_computed") == 2
 
 
 class TestRunManySettled:
@@ -123,8 +138,8 @@ class TestRunManySettled:
         ok, bad, bad2 = run_many_settled(jobs, max_workers=1)
         assert ok.total_time > 0
         assert isinstance(bad, RuntimeError) and bad is bad2
-        assert fleet_stats().jobs_failed == 1
-        assert fleet_stats().jobs_computed == 1
+        assert fleet("jobs_failed") == 1
+        assert fleet("jobs_computed") == 1
 
     def test_pool_worker_crash_lands_in_its_slot(self):
         # The monkeypatch test above only exercises the serial fallback; a
@@ -140,16 +155,14 @@ class TestRunManySettled:
             SimJob("fuzz/5", "gps", 2, scale=0.1, iterations=0),  # poison
             SimJob("pagerank", "gps", 2, **FAST),
         ]
-        before = fleet_stats().jobs_failed
+        before = fleet("jobs_failed")
         ok_a, poisoned, ok_b = run_many_settled(jobs, max_workers=2)
         assert ok_a.total_time > 0 and ok_a.paradigm == "memcpy"
         assert ok_b.total_time > 0 and ok_b.program_name == "pagerank"
         assert isinstance(poisoned, TraceError)
-        assert fleet_stats().jobs_failed == before + 1
+        assert fleet("jobs_failed") == before + 1
         # The two healthy jobs really went through the pool.
-        assert any(
-            "(serial)" not in w.worker for w in fleet_stats().workers.values()
-        )
+        assert any("(serial)" not in worker for worker in workers())
 
     def test_run_many_raises_first_failure(self, monkeypatch):
         from repro.harness.runner import parallel
@@ -181,7 +194,7 @@ class TestProgramGroupedPool:
         assert len(results) == len(jobs)
         for job, result in zip(jobs, results):
             assert (result.program_name, result.paradigm) == (job.workload, job.paradigm)
-        assert any("(serial)" not in w.worker for w in fleet_stats().workers.values())
+        assert any("(serial)" not in worker for worker in workers())
         clear_run_cache()
         serial = run_many(jobs, max_workers=1)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in serial]
@@ -205,8 +218,8 @@ class TestProgramGroupedPool:
                 assert isinstance(outcome, RuntimeError)
             else:
                 assert outcome.program_name == job.workload
-        assert fleet_stats().jobs_failed == 1
-        assert fleet_stats().jobs_computed == len(jobs) - 1
+        assert fleet("jobs_failed") == 1
+        assert fleet("jobs_computed") == len(jobs) - 1
 
     def test_each_program_runs_in_one_worker(self, monkeypatch):
         from repro.harness.runner import parallel
@@ -238,9 +251,9 @@ class TestProgramGroupedPool:
     def test_small_or_single_program_batches_run_serially(self, jobs):
         clear_run_cache()
         run_many(jobs, max_workers=2)
-        (worker,) = fleet_stats().workers.values()
-        assert "(serial)" in worker.worker
-        assert worker.jobs == len(jobs)
+        ((worker, jobs_done),) = workers().items()
+        assert "(serial)" in worker
+        assert jobs_done == len(jobs)
 
 
 class TestProgramIdentity:
@@ -427,56 +440,59 @@ class TestFleetStats:
             SimJob("jacobi", "memcpy", 2, **FAST),  # in-batch duplicate
         ]
         run_many(jobs, max_workers=1)
-        fleet = fleet_stats()
-        assert fleet.runs == 1
-        assert fleet.jobs_submitted == 3
-        assert fleet.jobs_cached == 1  # the duplicate never reaches a worker
-        assert fleet.jobs_computed == 2
-        assert fleet.wall_clock > 0
-        (worker,) = fleet.workers.values()
-        assert worker.jobs == 2
-        assert "(serial)" in worker.worker
+        assert fleet("runs") == 1
+        assert fleet("jobs_submitted") == 3
+        assert fleet("jobs_cached") == 1  # the duplicate never reaches a worker
+        assert fleet("jobs_computed") == 2
+        assert fleet("wall_s") > 0
+        ((worker, jobs_done),) = workers().items()
+        assert jobs_done == 2
+        assert "(serial)" in worker
 
     def test_warm_second_call_counts_cached(self):
         clear_run_cache()
         jobs = [SimJob("jacobi", "memcpy", 2, **FAST)]
         run_many(jobs)
         run_many(jobs)
-        fleet = fleet_stats()
-        assert fleet.runs == 2
-        assert fleet.jobs_submitted == 2
-        assert fleet.jobs_cached == 1
-        assert fleet.jobs_computed == 1
+        assert fleet("runs") == 2
+        assert fleet("jobs_submitted") == 2
+        assert fleet("jobs_cached") == 1
+        assert fleet("jobs_computed") == 1
 
     def test_clear_run_cache_resets(self):
+        from repro.harness.runner import memo
+
         clear_run_cache()
         run_many([SimJob("jacobi", "memcpy", 2, **FAST)])
-        assert fleet_stats().runs == 1
+        assert fleet("runs") == 1
         clear_run_cache()
-        fleet = fleet_stats()
-        assert fleet.runs == 0
-        assert fleet.jobs_submitted == 0
-        assert not fleet.workers
+        assert fleet("runs") == 0
+        assert fleet("jobs_submitted") == 0
+        assert not workers()
+        # Handles bound at import keep counting after the zeroing.
+        run_many([SimJob("jacobi", "memcpy", 2, **FAST)])
+        assert memo._MISSES.value == cache_stats().as_dict()["misses"] == 1
 
     def test_as_dict_and_report(self):
+        from repro.cli import _host_report
+
         clear_run_cache()
         run_many([SimJob("jacobi", "gps", 2, **FAST)])
-        fleet = fleet_stats()
-        payload = json.loads(json.dumps(fleet.as_dict()))
-        assert payload["jobs_computed"] == 1
-        (worker,) = payload["workers"]
-        assert worker["jobs"] == 1
-        assert fleet.report().startswith("fleet: 1 run_many call(s)")
+        payload = json.loads(json.dumps(HOST.as_dict()))
+        assert payload["host.fleet.jobs_computed"] == 1
+        cache, head, row = _host_report(payload)
+        assert cache == "cache: 0/1 hits (0 memory, 0 disk, 1 misses; 0% hit rate)"
+        assert head.startswith("fleet: 1 run_many call(s), 1 jobs submitted (0 cached, 1 computed, ")
+        assert row.startswith("  pid") and "(serial): 1 job(s), " in row
 
     def test_run_simulation_and_run_speedup_go_through_run_many(self):
         clear_run_cache()
         run_simulation("jacobi", "gps", 2, **FAST)
         run_speedup("jacobi", "gps", 2, **FAST)  # the multi-GPU job is a memo hit
-        fleet = fleet_stats()
-        assert fleet.runs == 2
-        assert fleet.jobs_submitted == 3
-        assert fleet.jobs_cached == 1
-        assert fleet.jobs_computed == 2
+        assert fleet("runs") == 2
+        assert fleet("jobs_submitted") == 3
+        assert fleet("jobs_cached") == 1
+        assert fleet("jobs_computed") == 2
         clear_run_cache()
 
 
@@ -547,7 +563,7 @@ class TestDiskCache:
         clear_run_cache()  # drops the memo, keeps the disk records
         b = run_simulation("ct", "gps", 4, **FAST)
         assert a is not b
-        assert cache_stats().disk_hits == 1
+        assert cache_stats().as_dict()["disk_hits"] == 1
         assert b.total_time == a.total_time
         assert b.interconnect_bytes == a.interconnect_bytes
         assert b.subscriber_histogram == a.subscriber_histogram
@@ -564,10 +580,10 @@ class TestDiskCache:
         clear_run_cache()
         result = run_simulation("jacobi", "memcpy", 2, **FAST)
         assert result.total_time > 0
-        stats = cache_stats()
-        assert stats.disk_errors == 1
-        assert stats.evictions == 1
-        assert stats.misses == 1
+        stats = cache_stats().as_dict()
+        assert stats["disk_errors"] == 1
+        assert stats["evictions"] == 1
+        assert stats["misses"] == 1
 
     def test_non_dict_json_record_recomputed(self, disk_cache):
         # Satellite hardening: a record that parses as JSON but is not an
@@ -580,9 +596,9 @@ class TestDiskCache:
             clear_run_cache()
             result = run_simulation("jacobi", "memcpy", 2, **FAST)
             assert result.total_time > 0
-            stats = cache_stats()
-            assert stats.disk_errors == 1, garbage
-            assert stats.misses == 1, garbage
+            stats = cache_stats().as_dict()
+            assert stats["disk_errors"] == 1, garbage
+            assert stats["misses"] == 1, garbage
         # Non-dict payloads are also skipped (not fatal) when enumerating.
         path.write_text('"just-a-string"')
         info = disk_cache_info()
@@ -596,7 +612,7 @@ class TestDiskCache:
         run_simulation("jacobi", "gps", 2, **FAST)  # evicts the memcpy result
         again = run_simulation("jacobi", "memcpy", 2, **FAST)
         assert again is not first
-        assert cache_stats().disk_hits == 1
+        assert cache_stats().as_dict()["disk_hits"] == 1
         assert again.to_dict() == first.to_dict()
 
     def test_clear_disk_cache(self, disk_cache):
@@ -614,27 +630,29 @@ class TestDiskCache:
 
 class TestCacheStats:
     def test_counters(self):
+        from repro.cli import _host_report
+
         clear_run_cache()
         run_simulation("jacobi", "memcpy", 2, **FAST)
         run_simulation("jacobi", "memcpy", 2, **FAST)
-        stats = cache_stats()
-        assert stats.misses == 1
-        assert stats.memory_hits == 1
-        assert stats.lookups == 2
-        assert stats.hit_rate == 0.5
-        assert "hit rate" in stats.report()
-        assert stats.as_dict()["lookups"] == 2
+        stats = cache_stats().as_dict()
+        assert stats["misses"] == 1
+        assert stats["memory_hits"] == 1
+        assert stats["disk_hits"] == 0
+        assert _host_report(HOST.as_dict())[0] == (
+            "cache: 1/2 hits (1 memory, 0 disk, 1 misses; 50% hit rate)"
+        )
 
     def test_clear_resets_stats_and_handle(self, tmp_path, monkeypatch):
         # Satellite: clear_run_cache must reset the disk handle *and* the
         # counters, so the clear-between-mutations pattern stays sound.
         clear_run_cache()
         run_simulation("jacobi", "memcpy", 2, **FAST)
-        assert cache_stats().lookups == 1
+        assert cache_stats().as_dict()["misses"] == 1
         monkeypatch.setenv("REPRO_NO_CACHE", "")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_run_cache()
-        assert cache_stats().lookups == 0
+        assert set(cache_stats().as_dict().values()) == {0}
         run_simulation("jacobi", "memcpy", 2, **FAST)
         # The re-resolved handle honours the new environment.
         assert disk_cache_info()["directory"] == str(tmp_path)

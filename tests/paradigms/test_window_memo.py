@@ -17,7 +17,7 @@ import repro
 from repro.paradigms import PARADIGMS
 from repro.system.analysis import clear_analysis_cache, get_analysis
 from repro.verify import canonical_payload
-from tests.conftest import build
+from tests.conftest import build, memo_lookups, memo_lookups_since
 
 VARIANTS = ("gps", "gps_nosub", "gps_nocoalesce")
 WRITE_QUEUES = (16, 128)
@@ -64,11 +64,13 @@ def test_shuffled_warm_grid_matches_cold_jobs(workload):
         for gps_tlb in GPS_TLBS
     ]
     random.Random(workload).shuffle(grid)
+    start = memo_lookups()
     warm = {job: run(program, job[0], config_for(*job[1:])) for job in grid}
     memo = get_analysis(program, config_for(*WRITE_QUEUES[:1], *GPS_TLBS[:1])).window_memo
     # Each distinct window replays once; everything else is a hit.
-    assert memo.misses == len(memo)
-    assert memo.hits > 0
+    misses, hits = memo_lookups_since(start)
+    assert misses == len(memo)
+    assert hits > 0
     for job in grid:
         clear_analysis_cache()
         cold = run(program, job[0], config_for(*job[1:]))
@@ -78,10 +80,9 @@ def test_shuffled_warm_grid_matches_cold_jobs(workload):
 
 def memo_delta(program, paradigm: str, config) -> "tuple[int, int]":
     """``(misses, hits)`` one job adds to its program's window memo."""
-    memo = get_analysis(program, config).window_memo
-    misses, hits = memo.misses, memo.hits
+    start = memo_lookups()
     run(program, paradigm, config)
-    return memo.misses - misses, memo.hits - hits
+    return memo_lookups_since(start)
 
 
 def test_gps_tlb_size_never_misses():

@@ -8,7 +8,8 @@ transport around the deterministic runner, never a source of drift.
 
 import json
 
-from repro.harness.runner import SimJob, clear_run_cache, fleet_stats, run_many
+from repro.harness.runner import SimJob, clear_run_cache, run_many
+from repro.obs.host import HOST
 from repro.workloads.registry import workload_names
 
 FAST = dict(scale=0.1, iterations=2)
@@ -48,7 +49,7 @@ class TestEndToEnd:
             == len(DUPLICATED)
         )
         # Exactly 8 distinct simulations ran, not 10.
-        assert metrics["service.runner.fleet.jobs_computed"] == 8
+        assert metrics["host.fleet.jobs_computed"] == 8
 
         # Byte-match against the direct in-process API on identical jobs.
         direct = run_many(
@@ -61,4 +62,4 @@ class TestEndToEnd:
             )
         # ... and the direct pass was served from the shared memo: the
         # service populated it, so nothing recomputed.
-        assert fleet_stats().jobs_computed == 8
+        assert HOST.counter("host.fleet.jobs_computed").value == 8

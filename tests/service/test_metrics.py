@@ -1,4 +1,4 @@
-"""ServiceMetrics: stable key set, latency histograms, runner bridge."""
+"""ServiceMetrics: stable key set, latency histograms, the host record in the snapshot."""
 
 import json
 
@@ -25,8 +25,8 @@ class TestStableSurface:
             "service.scheduler.batched_jobs",
             "service.latency.wait_s.count",
             "service.latency.run_s.count",
-            "service.runner.cache.hit_rate",
-            "service.runner.fleet.jobs_computed",
+            "host.results.memory_hits",
+            "host.fleet.jobs_computed",
         ):
             assert name in snapshot, name
 
@@ -75,7 +75,8 @@ class TestRunnerBridge:
         metrics = ServiceMetrics()
         run_many([SimJob("jacobi", "memcpy", 2, scale=0.1, iterations=2)], max_workers=1)
         snapshot = metrics.snapshot()
-        assert snapshot["service.runner.fleet.jobs_computed"] == 1
-        assert snapshot["service.runner.cache.lookups"] == 1
+        assert snapshot["host.fleet.jobs_computed"] == 1
+        assert snapshot["host.results.misses"] == 1
+        assert snapshot["host.programs.built"] == 1
         clear_run_cache()
-        assert metrics.snapshot()["service.runner.fleet.jobs_computed"] == 0
+        assert metrics.snapshot()["host.fleet.jobs_computed"] == 0

@@ -262,7 +262,7 @@ class TestJobFlow:
         metrics = client.metrics()
         assert metrics["service.queue.coalesced"] == 1
         assert metrics["service.jobs.completed"] == 2
-        assert metrics["service.runner.fleet.jobs_computed"] == 1
+        assert metrics["host.fleet.jobs_computed"] == 1
 
     def test_cache_hit_completes_instantly(self, live_service):
         client = live_service.client()
@@ -336,7 +336,7 @@ class TestResultWait:
         assert status_a == status_b == 200
         assert (a["id"], b["id"]) == (primary["id"], duplicate["id"])
         assert a["result"] == b["result"]
-        assert client.metrics()["service.runner.fleet.jobs_computed"] == 1
+        assert client.metrics()["host.fleet.jobs_computed"] == 1
 
     def test_failed_job_is_a_500_and_logs_nothing(self, gated, caplog):
         caplog.set_level(logging.ERROR, logger="asyncio")

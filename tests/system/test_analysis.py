@@ -12,6 +12,7 @@ from repro.gpu.sm_coalescer import sm_coalesce
 from repro.harness.runner import SimJob, clear_run_cache, run_many
 from repro.harness.runner.parallel import job_program
 from repro.memory.address_space import AddressSpace
+from repro.obs.host import HOST
 from repro.paradigms import PARADIGMS
 from repro.system import analysis as analysis_module
 from repro.system.analysis import ProgramAnalysis, clear_analysis_cache, get_analysis
@@ -320,7 +321,7 @@ def _held_streams(program: TraceProgram) -> dict:
 
 
 def _stream_rebuilds() -> int:
-    return sum(a.stream_rebuilds for a in analysis_module._ANALYSIS_CACHE.values())
+    return HOST.counter("host.streams.rebuilt").value
 
 
 @pytest.fixture
@@ -394,16 +395,16 @@ class TestStoreStreamRetention:
         before = {key: (s.lines.copy(), s.bytes_per_txn.copy())
                   for key, s in analysis._store_streams.items()}
         run_many([gps("ct", 32)], max_workers=1)
-        assert analysis._store_streams == {} and analysis.stream_rebuilds == 0
+        assert analysis._store_streams == {} and _stream_rebuilds() == 0
         run_many([gps("jacobi", 128)], max_workers=1)
-        rebuilt = analysis.stream_rebuilds
+        rebuilt = _stream_rebuilds()
         assert rebuilt == len(analysis._store_streams) > 0
         for key, stream in analysis._store_streams.items():
             lines, nbytes = before[key]
             assert np.array_equal(stream.lines, lines)
             assert np.array_equal(stream.bytes_per_txn, nbytes)
         run_many([gps("jacobi", 512)], max_workers=1)
-        assert analysis.stream_rebuilds == rebuilt
+        assert _stream_rebuilds() == rebuilt
 
 
 def _without_accesses(program: TraceProgram, gpu: int, buffer: str) -> TraceProgram:

@@ -29,14 +29,14 @@ class TestInterconnectComparison:
         clear_run_cache()
 
     def test_sweep_is_one_grid_of_distinct_jobs(self, example, capsys):
-        from repro.harness.runner import fleet_stats
+        from repro.obs.host import HOST
 
         rows = example.sweep(2, scale=0.05, iterations=1)
-        fleet = fleet_stats()
-        assert fleet.runs == 1
+        fleet = HOST.scope("host.fleet").as_dict()
+        assert fleet["runs"] == 1
         # Every (link, paradigm, app) job plus one 1-GPU baseline per (link, app).
         distinct = len(example.LINKS) * len(example.APPS) * (len(example.PARADIGMS) + 1)
-        assert fleet.jobs_submitted == fleet.jobs_computed == distinct == 75
+        assert fleet["jobs_submitted"] == fleet["jobs_computed"] == distinct == 75
         assert [row[0] for row in rows] == [
             example.repro.LINKS_BY_NAME[link].name for link in example.LINKS
         ]

@@ -28,12 +28,13 @@ import repro
 from repro.analysis import Severity, analyze_program
 from repro.harness.runner import (
     SimJob,
+    cache_stats,
     clear_run_cache,
-    fleet_stats,
     run_many,
     run_simulation,
 )
 from repro.harness.runner.disk import DiskCache
+from repro.obs.host import HOST
 from repro.paradigms import PARADIGMS
 from repro.trace.io import load_program, program_to_dict
 from repro.verify import canonical_payload, check_result, generate_program
@@ -110,8 +111,9 @@ class TestPastBugBehaviours:
         cache.put("deadbeef", result)
         record = tmp_path / "deadbeef.json"
         record.write_text(record.read_text()[: record.stat().st_size // 2])
+        evictions = cache_stats().counter("evictions").value
         assert cache.get("deadbeef") is None
-        assert cache.stats.evictions == 1
+        assert cache_stats().counter("evictions").value == evictions + 1
 
     def test_half_written_record_is_valid_json_but_wrong_shape(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -126,7 +128,7 @@ class TestPastBugBehaviours:
         )
         results = run_many([job, job, job], max_workers=1)
         assert results[0] is results[1] is results[2]
-        stats = fleet_stats()
-        assert stats.jobs_submitted >= 3
-        assert stats.jobs_computed == 1
+        fleet = HOST.scope("host.fleet").as_dict()
+        assert fleet["jobs_submitted"] >= 3
+        assert fleet["jobs_computed"] == 1
         clear_run_cache()
