@@ -209,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-size", type=int, help="max simulations per scheduler batch")
     serve.add_argument("--max-retries", type=int, help="retry budget per job")
     serve.add_argument(
-        "--workers", type=int, help="simulation worker processes per batch"
+        "--workers", type=int,
+        help="width of the service's worker pool: batches in flight at once (1 = in-process)",
     )
     def _add_client_args(p) -> None:
         p.add_argument(

@@ -13,12 +13,20 @@ persistent cache, so disk records are written exactly once and never race.
 ``REPRO_MAX_WORKERS=1``, fewer than :data:`_MIN_PARALLEL_JOBS` pending jobs,
 or a single pending program falls back to plain serial execution.
 
+A call either owns its pool or borrows one. A grid call forks a pool,
+sized by ``max_workers``, and joins it before returning. A caller that
+keeps a :class:`WorkerPool` (the service does, for its whole life) passes
+it as ``pool``: every pending program goes to those warm workers, whatever
+the batch size, and several threads may call with one pool at once. Both
+send their program groups down the same path.
+
 Traced and untraced runs share every step: :func:`compute_job` is the one
 compute function both the serial and the pool paths call, and ``traced``
 only decides whether it ships the run's engine spans back beside the result.
 
 Every call is counted under ``host.fleet.*`` (submitted, cached, computed
-and failed jobs, compute wall-clock, and per worker ``host.fleet.workers.*``)
+and failed jobs, compute wall-clock, and per worker ``host.fleet.workers.*``,
+named by pool slot ``w0``..``w{n-1}``, or ``serial`` in the calling process)
 and every pool task under ``host.pool.tasks``; a task's own ``host.*`` counts
 come back beside its results and join the parent's record.
 """
@@ -31,6 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 
 from ...analysis import check_program
 from ...obs import host
@@ -129,10 +138,15 @@ def compute_job(
     return result, executor.engine.spans()
 
 
-def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[int, list[tuple], dict]":
+#: This process's name in ``host.fleet.workers.*``: a pool worker's slot
+#: (``w0``..) once :func:`_worker_init` has run, else ``serial``.
+_WORKER = "serial"
+
+
+def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[str, list[tuple], dict]":
     """Run ``jobs`` back to back in this process; the pool's one entry point.
 
-    Returns ``(pid, slots, counts)`` with one ``(outcome, wall_clock, spans)``
+    Returns ``(worker, slots, counts)`` with one ``(outcome, wall_clock, spans)``
     slot per job, where ``outcome`` is the result or the exception the job
     raised: one failing job never takes its neighbours down. ``counts`` is
     the ``host.*`` work the jobs did (:func:`repro.obs.host.delta`), which a
@@ -150,13 +164,82 @@ def _compute_jobs(jobs: "list[SimJob]", traced: bool) -> "tuple[int, list[tuple]
             slots.append((exc, time.perf_counter() - t0, None))
             continue
         slots.append((result, time.perf_counter() - t0, spans))
-    return os.getpid(), slots, host.delta(before)
+    return _WORKER, slots, host.delta(before)
 
 
-def _worker_init() -> None:
-    # Workers only compute: the parent stores every result, so a worker
-    # never writes the disk cache.
+def _worker_init(slots) -> None:
+    """Take the next free slot name of this worker's pool; never write the disk cache."""
+    global _WORKER
+    _WORKER = slots.get()
+    # Workers only compute: the parent stores every result.
     os.environ["REPRO_NO_CACHE"] = "1"
+
+
+def _open_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes, named ``w0``..``w{workers-1}``.
+
+    Fork, stated: a worker inherits the parent's imports, where spawn or
+    forkserver would import the simulator again in each one. Each slot's
+    ``host.fleet.workers.*`` names exist from the start, so the record's
+    names stay the same however many pools a process opens.
+    """
+    context = multiprocessing.get_context("fork")
+    slots = context.SimpleQueue()
+    for slot in range(workers):
+        slots.put(f"w{slot}")
+        HOST.counter(f"host.fleet.workers.w{slot}.jobs")
+        HOST.counter(f"host.fleet.workers.w{slot}.wall_s")
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=context, initializer=_worker_init, initargs=(slots,)
+    )
+
+
+class WorkerPool:
+    """A warm pool one caller keeps across :func:`run_many_settled` calls.
+
+    The workers fork on the first :meth:`submit`, not at construction, and
+    keep their program and analysis memos from call to call. The fork runs
+    in the submitting thread, which holds no lock a worker takes; the one
+    lock every thread shares, ``HOST``'s, is made afresh in each child
+    (:mod:`repro.obs.registry`). A worker lost
+    mid-task breaks the whole pool (every task on it fails with
+    ``BrokenProcessPool``); the next :meth:`submit` then forks a fresh one.
+    :meth:`close` joins the workers; a later submit raises ``RuntimeError``.
+    """
+
+    def __init__(self, workers: int) -> None:
+        if workers < 2:
+            raise ValueError("a worker pool needs at least 2 workers")
+        self.workers = workers
+        self._executor: "ProcessPoolExecutor | None" = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def _current(self, broken: "ProcessPoolExecutor | None" = None) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._executor is None or self._executor is broken:
+                self._executor = _open_pool(self.workers)
+            return self._executor
+
+    def submit(self, fn, *args):
+        """Submit one task, on a fresh pool if the current one is broken."""
+        executor = self._current()
+        try:
+            return executor.submit(fn, *args)
+        except BrokenProcessPool:
+            # Its workers are already gone; join its manager thread.
+            executor.shutdown(wait=True)
+            return self._current(broken=executor).submit(fn, *args)
+
+    def close(self) -> None:
+        """Cancel queued tasks, wait for running ones and join every worker."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
 
 def env_int(name: str, default: "int | None") -> "int | None":
@@ -171,11 +254,11 @@ def env_int(name: str, default: "int | None") -> "int | None":
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _resolve_workers(max_workers: "int | None", pending: int, programs: int) -> int:
-    """Pool width for ``pending`` jobs over ``programs`` programs; 1 means serial.
+def pool_width(max_workers: "int | None" = None) -> int:
+    """``max_workers``, else ``REPRO_MAX_WORKERS``, else the CPU count; 1 means serial.
 
     A process started by :mod:`multiprocessing` (a pool worker, under any
-    start method) always runs serially: a worker never forks a pool of its own.
+    start method) always gets 1: a worker never forks a pool of its own.
     """
     if multiprocessing.parent_process() is not None:
         return 1
@@ -183,9 +266,15 @@ def _resolve_workers(max_workers: "int | None", pending: int, programs: int) -> 
         max_workers = env_int("REPRO_MAX_WORKERS", None)
         if max_workers is None:
             max_workers = os.cpu_count() or 1
-    if max_workers <= 1 or pending < _MIN_PARALLEL_JOBS or programs < 2:
+    return max(max_workers, 1)
+
+
+def _resolve_workers(max_workers: "int | None", pending: int, programs: int) -> int:
+    """Pool width for ``pending`` jobs over ``programs`` programs; 1 means serial."""
+    width = pool_width(max_workers)
+    if pending < _MIN_PARALLEL_JOBS or programs < 2:
         return 1
-    return min(max_workers, programs)
+    return min(width, programs)
 
 
 def _job_keys(jobs: "list[SimJob]") -> "list[str]":
@@ -207,7 +296,12 @@ def _job_keys(jobs: "list[SimJob]") -> "list[str]":
     return keys
 
 
-def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = False) -> list:
+def run_many_settled(
+    jobs,
+    max_workers: "int | None" = None,
+    traced: bool = False,
+    pool: "WorkerPool | None" = None,
+) -> list:
     """Run a job list, returning a per-job outcome instead of raising.
 
     Same caching, dedup, and fan-out behaviour as :func:`run_many`, but a
@@ -216,6 +310,11 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
     Duplicate jobs share one outcome — including a shared failure. Callers
     that need per-job retry (the service scheduler) use this entry point;
     everyone else wants :func:`run_many`.
+
+    With ``pool``, every pending program runs on that borrowed
+    :class:`WorkerPool` and ``max_workers`` is ignored; without one, the
+    call forks a pool of its own when the batch is worth it and joins it
+    before returning.
 
     With ``traced`` on, each slot is an ``(outcome, spans)`` pair instead:
     ``spans`` is the run's engine span list from :func:`compute_job`, or
@@ -262,30 +361,42 @@ def run_many_settled(jobs, max_workers: "int | None" = None, traced: bool = Fals
     # order, so each program's jobs run back to back there too and a union
     # of more programs than the program memo holds builds each one once.
     by_size = sorted(groups.values(), key=len, reverse=True)
-    workers = _resolve_workers(max_workers, len(pending), len(groups))
-    if workers <= 1:
-        order = [key for group in by_size for key in group]
-        pid, slots, _ = _compute_jobs([pending[key] for key in order], traced)
-        settle(order, slots, f"pid{pid} (serial)")
+    if pool is not None:
+        _fan_out(pool, by_size, pending, traced, settle)
+    elif (workers := _resolve_workers(max_workers, len(pending), len(groups))) > 1:
+        with _open_pool(workers) as owned:
+            _fan_out(owned, by_size, pending, traced, settle)
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
-            futures = {
-                pool.submit(_compute_jobs, [pending[key] for key in group], traced): group
-                for group in by_size
-            }
-            _POOL_TASKS.add(len(futures))
-            for future in as_completed(futures):
-                group = futures[future]
-                try:
-                    pid, slots, counts = future.result()
-                except Exception as exc:  # BrokenProcessPool: the whole task is lost
-                    settle(group, [(exc, 0.0, None)] * len(group), "")
-                    continue
-                host.merge(counts)
-                settle(group, slots, f"pid{pid}")
+        order = [key for group in by_size for key in group]
+        worker, slots, _ = _compute_jobs([pending[key] for key in order], traced)
+        settle(order, slots, worker)
     if traced:
         return [outcomes[key] for key in keys]
     return [outcomes[key][0] for key in keys]
+
+
+def _fan_out(pool, groups: "list[list[str]]", pending: dict, traced: bool, settle) -> None:
+    """Run each program group as one task on ``pool``, settling as tasks finish.
+
+    A task that cannot be submitted, or whose worker is lost, fails every
+    job of its group with that exception; the other groups are untouched.
+    """
+    futures = {}
+    for group in groups:
+        try:
+            futures[pool.submit(_compute_jobs, [pending[key] for key in group], traced)] = group
+        except RuntimeError as exc:  # BrokenProcessPool, or a pool already shut down
+            settle(group, [(exc, 0.0, None)] * len(group), "")
+    _POOL_TASKS.add(len(futures))
+    for future in as_completed(futures):
+        group = futures[future]
+        try:
+            worker, slots, counts = future.result()
+        except Exception as exc:  # BrokenProcessPool: the whole task is lost
+            settle(group, [(exc, 0.0, None)] * len(group), "")
+            continue
+        host.merge(counts)
+        settle(group, slots, worker)
 
 
 def run_many(jobs, max_workers: "int | None" = None) -> "list[SimulationResult]":

@@ -17,10 +17,11 @@ record in the parent.
 
 from __future__ import annotations
 
-from .registry import CounterRegistry, Number
+from .registry import CounterRegistry, Number, SharedCounter
 
-#: This process's host counts, every name under ``host.``.
-HOST = CounterRegistry()
+#: This process's host counts, every name under ``host.``. The service's
+#: event loop and its runner threads add to it at once, so every add locks.
+HOST = CounterRegistry(counter=SharedCounter)
 
 
 def delta(since: "dict[str, Number]") -> "dict[str, Number]":

@@ -19,7 +19,9 @@ Hardware models publish in one of two ways:
 from __future__ import annotations
 
 import bisect
+import os
 import re
+import threading
 from typing import Callable, Sequence, Union
 
 Number = Union[int, float]
@@ -42,6 +44,30 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
+
+
+_SHARED_LOCK = threading.Lock()
+
+
+def _new_shared_lock() -> None:
+    # A forked child starts with this lock free, whichever parent thread
+    # held it at the fork.
+    global _SHARED_LOCK
+    _SHARED_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_shared_lock)
+
+
+class SharedCounter(Counter):
+    """A counter several threads add to: each add holds one process-wide lock."""
+
+    __slots__ = ()
+
+    def add(self, amount: Number = 1) -> None:
+        """Increment by ``amount`` (default 1), exactly under concurrent adds."""
+        with _SHARED_LOCK:
+            self.value += amount
 
 
 #: Default histogram bucket bounds: latencies in seconds from 1 ms to 1 min.
@@ -102,9 +128,14 @@ class CounterRegistry:
     lands on ``gpu0.gps_tlb.misses``). On snapshot, any name under a
     ``gpuN.`` scope also contributes to an aggregate entry with the scope
     stripped, unless that aggregate name was registered explicitly.
+
+    ``counter`` is the class of every counter made here: a registry that
+    several threads write, such as :data:`repro.obs.host.HOST`, passes
+    :class:`SharedCounter`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, counter: "type[Counter]" = Counter) -> None:
+        self._counter_type = counter
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Number] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -114,7 +145,8 @@ class CounterRegistry:
         """Get or create the named counter."""
         counter = self._counters.get(name)
         if counter is None:
-            counter = self._counters[name] = Counter(name)
+            # setdefault: two threads creating one name share one counter.
+            counter = self._counters.setdefault(name, self._counter_type(name))
         return counter
 
     def add(self, name: str, amount: Number = 1) -> None:

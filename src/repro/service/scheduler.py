@@ -2,7 +2,7 @@
 
 The scheduler is one long-lived coroutine that repeatedly:
 
-1. waits for the queue to become non-empty;
+1. waits for a free batch slot, then for the queue to become non-empty;
 2. pops up to ``batch_size`` groups, highest priority first, and packs them
    into one :func:`repro.harness.runner.run_many_settled` call, pushed off
    the event loop with ``asyncio.to_thread`` so the loop keeps serving HTTP
@@ -14,17 +14,23 @@ The scheduler is one long-lived coroutine that repeatedly:
    hands its engine spans to :meth:`JobQueue.finish` with the result, so by
    the time a client sees ``state: done``, the job's trace is complete.
 
+With a :class:`~repro.harness.runner.parallel.WorkerPool`, up to
+``pool.workers`` batches are in flight at once, each on its own runner
+thread over the one shared pool, so a job that arrives while a batch runs
+starts on the free worker at once. Without one there is one slot: a batch
+runs in-process and the next waits for it.
+
 The loop never sleeps. A lone job dispatches at once; work that arrives
-while a batch runs queues up and leaves together as the next batch, and
-duplicates coalesce in the queue either way. Simulations are
+while every slot is busy queues up and leaves together as the next batch,
+and duplicates coalesce in the queue either way. Simulations are
 deterministic, so a retry gains nothing by waiting.
 
 Shutdown is graceful by default: :meth:`BatchScheduler.stop` with
 ``drain=True`` waits until every queued and running group has settled
 before cancelling the loop. ``drain=False`` fails the queued groups and the
-running batch at once: their futures resolve with :class:`ServiceClosed`,
-while the runner thread finishes in the background and its outcomes are
-dropped.
+running batches at once: their futures resolve with :class:`ServiceClosed`,
+while the runner threads finish in the background and their outcomes are
+dropped. The pool belongs to the caller, which joins it.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import asyncio
 import itertools
 
 from ..harness.runner import run_many_settled
+from ..harness.runner.parallel import WorkerPool
 from .metrics import ServiceMetrics
 from .queue import Job, JobQueue, ServiceClosed
 
@@ -40,8 +47,9 @@ from .queue import Job, JobQueue, ServiceClosed
 class BatchScheduler:
     """Drains the :class:`JobQueue` into ``run_many_settled`` batches.
 
-    ``runner`` is called as ``runner(sims, max_workers, traced=True)`` and
-    returns one ``(outcome, spans)`` pair per simulation.
+    ``runner`` is called as ``runner(sims, max_workers, traced=True,
+    pool=pool)`` and returns one ``(outcome, spans)`` pair per simulation.
+    ``pool`` is borrowed: its width is the number of batches in flight.
     """
 
     def __init__(
@@ -52,6 +60,7 @@ class BatchScheduler:
         batch_size: int = 8,
         max_retries: int = 2,
         max_workers: "int | None" = None,
+        pool: "WorkerPool | None" = None,
         runner=run_many_settled,
     ) -> None:
         if batch_size < 1:
@@ -61,9 +70,12 @@ class BatchScheduler:
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.max_workers = max_workers
+        self.pool = pool
+        self._slots = pool.workers if pool is not None else 1
         self._runner = runner
         self._batch_seq = itertools.count(1)
         self._task: "asyncio.Task | None" = None
+        self._batches: "set[asyncio.Task]" = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -85,24 +97,28 @@ class BatchScheduler:
             await self.queue.wait_idle()
         else:
             self.queue.abort_queued()
-        # Claim the task before awaiting so concurrent stop() calls are
-        # harmless no-ops.
+        # Claim the tasks before awaiting so concurrent stop() calls are
+        # harmless no-ops. A cancelled batch fails its jobs as it unwinds.
         task, self._task = self._task, None
         if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+            batches, self._batches = self._batches, set()
+            for running in (task, *batches):
+                running.cancel()
+            await asyncio.gather(task, *batches, return_exceptions=True)
 
     # -- the loop ------------------------------------------------------------
 
     async def _run(self) -> None:
         while True:
+            if len(self._batches) >= self._slots:
+                await asyncio.wait(self._batches, return_when=asyncio.FIRST_COMPLETED)
+                continue
             await self.queue.wait_nonempty()
             batch = self.queue.pop_ready(self.batch_size)
             if batch:
-                await self._execute(batch)
+                running = asyncio.get_running_loop().create_task(self._execute(batch))
+                self._batches.add(running)
+                running.add_done_callback(self._batches.discard)
 
     async def _execute(self, batch: "list[Job]") -> None:
         batch_seq = next(self._batch_seq)
@@ -111,7 +127,9 @@ class BatchScheduler:
         self.metrics.batch_started(len(batch))
         sims = [job.sim for job in batch]
         try:
-            slots = await asyncio.to_thread(self._runner, sims, self.max_workers, traced=True)
+            slots = await asyncio.to_thread(
+                self._runner, sims, self.max_workers, traced=True, pool=self.pool
+            )
         except asyncio.CancelledError:
             stopped = ServiceClosed("service shut down while the job was running")
             for job in batch:

@@ -2,7 +2,9 @@
 
 One process hosts the whole serving stack — HTTP frontend, one priority
 queue and one batching scheduler — in a single event loop; simulations
-run off-loop via the harness runner's process pool. The API surface:
+run off-loop on one warm worker pool that the service keeps for its whole
+life (forked on the first batch, joined at shutdown), up to pool-width
+batches at once. The API surface:
 
 ==========================  ==================================================
 ``POST /jobs``              submit a simulation; ``202`` + job status payload
@@ -49,7 +51,7 @@ from urllib.parse import parse_qs
 
 from ..config import LINKS_BY_NAME
 from ..harness.runner import SimJob
-from ..harness.runner.parallel import env_int
+from ..harness.runner.parallel import WorkerPool, env_int, pool_width
 from ..obs.distributed import parse_traceparent
 from ..obs.export import chrome_trace
 from ..obs.span import CATEGORY_CLIENT, CLOCK_SERVICE, CLOCK_SIM, Span
@@ -168,7 +170,12 @@ def parse_job_payload(payload) -> "tuple[SimJob, int]":
 
 
 class SimulationService:
-    """Job queue + batching scheduler + HTTP frontend on one event loop."""
+    """Job queue + batching scheduler + HTTP frontend on one event loop.
+
+    ``pool`` is the service's one :class:`WorkerPool`, ``None`` when the
+    pool width (``max_workers``, else ``REPRO_MAX_WORKERS``, else the CPU
+    count) is 1: batches then run one at a time in this process.
+    """
 
     def __init__(
         self,
@@ -178,12 +185,15 @@ class SimulationService:
         self.settings = settings if settings is not None else ServiceSettings.from_env()
         self.metrics = ServiceMetrics(registry)
         self.queue = JobQueue(self.metrics, max_depth=self.settings.queue_depth)
+        width = pool_width(self.settings.max_workers)
+        self.pool = WorkerPool(width) if width > 1 else None
         self.scheduler = BatchScheduler(
             self.queue,
             self.metrics,
             batch_size=self.settings.batch_size,
             max_retries=self.settings.max_retries,
             max_workers=self.settings.max_workers,
+            pool=self.pool,
         )
         self._server: "asyncio.Server | None" = None
         self._stopped: "asyncio.Event | None" = None
@@ -215,11 +225,17 @@ class SimulationService:
         await self._stopped.wait()
 
     async def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting work, settle (or abort) the backlog, close up."""
+        """Stop accepting work, settle (or abort) the backlog, close up.
+
+        The worker pool is joined before the listener stops, so no worker
+        outlives the server.
+        """
         if self._server is None:
             return
         self.queue.close()
         await self.scheduler.stop(drain=drain)
+        if self.pool is not None:
+            await asyncio.to_thread(self.pool.close)
         self._server.close()
         # Every job has settled, so a long-poll still pending has woken:
         # let its answer go out before the loop stops.

@@ -424,10 +424,11 @@ def _bytes_by_kind(fps: list) -> dict:
 #: used evicted first. ``run_many`` runs each program's jobs back to back,
 #: pooled or serial, so a grid of more programs than this (the whole paper
 #: holds 48) still builds and analyses each once. The bound keeps a
-#: long-lived ``repro serve`` process from growing with every distinct
-#: program it sees: it retains each cached program's products (page sets,
-#: byte and transaction counts, coalescer stats, L2 rates, window memo),
-#: and store streams only for the program it ran last.
+#: long-lived ``repro serve`` from growing with every distinct program it
+#: sees. Retention is per process, so in the service it is per worker of its
+#: warm pool: each worker retains the products of the programs it ran (page
+#: sets, byte and transaction counts, coalescer stats, L2 rates, window
+#: memo), and store streams only for the program it ran last.
 ANALYSIS_CACHE_SIZE = 32
 
 _ANALYSIS_CACHE: "OrderedDict[tuple, ProgramAnalysis]" = OrderedDict()

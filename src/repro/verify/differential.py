@@ -8,8 +8,8 @@ The repo has four ways to obtain a :class:`SimulationResult` for the same
    written by a previous process;
 3. **pool**   — ``run_many``'s process-pool fan-out, crossing a fork and a
    pickle boundary;
-4. **service** — the live asyncio service, crossing an HTTP and a JSON
-   boundary on top.
+4. **service** — the live asyncio service on its 2-worker pool, crossing
+   a fork, an HTTP and a JSON boundary, with batches side by side.
 
 Simulations are deterministic, so all four must agree *byte-for-byte* on
 the canonical JSON of ``to_dict()``. A divergence is localised by the
@@ -174,7 +174,7 @@ class ServiceHandle:
         from ..service import ServiceSettings, SimulationService
 
         settings = ServiceSettings(
-            host="127.0.0.1", port=0, batch_size=8, max_retries=1, max_workers=1,
+            host="127.0.0.1", port=0, batch_size=8, max_retries=1, max_workers=2,
         )
         self.service: "SimulationService | None" = None
         self._started = threading.Event()
@@ -502,8 +502,8 @@ def run_differential(
         clear_run_cache()
 
     if use_service:
-        say("service: HTTP round-trip through a live in-process server")
-        with _scoped_env(REPRO_NO_CACHE="1", REPRO_MAX_WORKERS="1"):
+        say("service: HTTP round-trip through a live in-process server on a 2-worker pool")
+        with _scoped_env(REPRO_NO_CACHE="1", REPRO_MAX_WORKERS=None):
             clear_run_cache()
             handle = ServiceHandle()
             try:

@@ -1,6 +1,12 @@
 """Tests for the hierarchical counter/gauge registry."""
 
+import os
+import signal
+import sys
+import threading
+
 from repro.obs import CounterRegistry
+from repro.obs.registry import SharedCounter
 
 
 class TestCounters:
@@ -29,6 +35,42 @@ class TestCounters:
         reg.add("z.last")
         reg.add("a.first")
         assert list(reg.as_dict()) == ["a.first", "z.last"]
+
+
+class TestSharedCounters:
+    def test_adds_from_many_threads_are_exact(self):
+        reg = CounterRegistry(counter=SharedCounter)
+        counter = reg.counter("hits")
+
+        def work():
+            for _ in range(5000):
+                counter.add()
+                reg.add("fresh.name", 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert reg.as_dict() == {"fresh.name": 40000, "hits": 20000}
+
+    def test_a_forked_child_never_inherits_the_held_lock(self):
+        from repro.obs import registry
+
+        counter = CounterRegistry(counter=SharedCounter).counter("n")
+        with registry._SHARED_LOCK:
+            pid = os.fork()
+            if pid == 0:  # the child: an add must not block on the parent's hold
+                signal.alarm(5)
+                counter.add()
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestProviders:

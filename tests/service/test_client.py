@@ -99,9 +99,9 @@ class TestWait:
 
 class TestRoundTrips:
     def test_cold_run_is_one_submit_and_one_result_request(self, live_service):
-        def slow(sims, max_workers=None, traced=False):
+        def slow(sims, max_workers=None, traced=False, pool=None):
             time.sleep(0.2)  # several poll intervals of a polling client
-            return run_many_settled(sims, max_workers, traced=traced)
+            return run_many_settled(sims, max_workers, traced=traced, pool=pool)
 
         live_service.service.scheduler._runner = slow
         client = live_service.client()

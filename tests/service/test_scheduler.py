@@ -21,8 +21,8 @@ def sim(gpus=2, **kwargs):
 class StubRunner:
     """Records batches; fails each fingerprint a configurable number of times.
 
-    Called like ``run_many_settled(sims, max_workers, traced=True)``: one
-    ``(outcome, spans)`` pair per simulation, with no engine spans.
+    Called like ``run_many_settled(sims, max_workers, traced=True, pool=None)``:
+    one ``(outcome, spans)`` pair per simulation, with no engine spans.
     """
 
     def __init__(self, fail_times=0):
@@ -30,7 +30,7 @@ class StubRunner:
         self.fail_times = fail_times
         self.failures = {}
 
-    def __call__(self, sims, max_workers=None, traced=False):
+    def __call__(self, sims, max_workers=None, traced=False, pool=None):
         self.batches.append(list(sims))
         outcomes = []
         for job in sims:
@@ -167,7 +167,7 @@ class TestRetry:
 
     def test_one_bad_job_does_not_poison_batch(self):
         class OneBadApple(StubRunner):
-            def __call__(self, sims, max_workers=None, traced=False):
+            def __call__(self, sims, max_workers=None, traced=False, pool=None):
                 self.batches.append(list(sims))
                 return [
                     (RuntimeError("always broken") if job.num_gpus == 1
@@ -229,7 +229,7 @@ class TestDrain:
         release = threading.Event()
         started = threading.Event()
 
-        def blocked(sims, max_workers=None, traced=False):
+        def blocked(sims, max_workers=None, traced=False, pool=None):
             started.set()
             release.wait(10)
             return [("late", None) for _ in sims]

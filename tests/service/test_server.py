@@ -63,12 +63,12 @@ def gated(fast_settings):
         live=live, running=threading.Event(), release=threading.Event(), fail=None
     )
 
-    def runner(sims, max_workers=None, traced=False):
+    def runner(sims, max_workers=None, traced=False, pool=None):
         gate.running.set()
         gate.release.wait(30)
         if gate.fail is not None:
             return [(gate.fail, None) for _ in sims]
-        return run_many_settled(sims, max_workers, traced=traced)
+        return run_many_settled(sims, max_workers, traced=traced, pool=pool)
 
     live.service.scheduler._runner = runner
     yield gate
@@ -410,7 +410,7 @@ class TestBackpressure:
         # one queue slot, and job C finds the queue full.
         running, release = threading.Event(), threading.Event()
 
-        def blocked(sims, max_workers=None, traced=False):
+        def blocked(sims, max_workers=None, traced=False, pool=None):
             running.set()
             release.wait(30)
             return [(RuntimeError("released"), None) for _ in sims]
