@@ -2,7 +2,7 @@
 """Service-path latency benchmark: closed-loop load over the live HTTP API.
 
 Boots a full :class:`repro.service.SimulationService` (HTTP frontend +
-batch scheduler + serial runner) on an ephemeral port and drives it with
+scheduler + serial runner) on an ephemeral port and drives it with
 three workload phases through the blocking client SDK:
 
 * **cold** — one distinct simulation per registered workload, closed loop
@@ -115,8 +115,6 @@ def run_load() -> "tuple[list[dict], dict]":
         host="127.0.0.1",
         port=0,
         queue_depth=64,
-        batch_size=4,
-        max_retries=1,
         max_workers=1,
     )
     live = _LiveService(settings)

@@ -197,20 +197,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the simulation service (JSON over HTTP)",
         description=(
             "Host the asyncio simulation service: a bounded priority job "
-            "queue with request coalescing. The scheduler dispatches queued "
-            "jobs at once, up to --batch-size per call to the harness "
-            "runner's process pool. Defaults come from REPRO_SERVICE_* "
-            "environment variables; flags override. See docs/SERVICE.md."
+            "queue with request coalescing. The scheduler dispatches each "
+            "queued job at once on its own call to the harness runner, one "
+            "per worker of the service's pool. REPRO_SERVICE_HOST and "
+            "REPRO_SERVICE_PORT set the bind address; flags override. "
+            "See docs/SERVICE.md."
         ),
     )
     serve.add_argument("--host", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, help="bind port (default 8787; 0 = ephemeral)")
     serve.add_argument("--queue-depth", type=int, help="max queued simulations before 429s")
-    serve.add_argument("--batch-size", type=int, help="max simulations per scheduler batch")
-    serve.add_argument("--max-retries", type=int, help="retry budget per job")
     serve.add_argument(
         "--workers", type=int,
-        help="width of the service's worker pool: batches in flight at once (1 = in-process)",
+        help="width of the service's worker pool: jobs in flight at once (1 = in-process)",
     )
     def _add_client_args(p) -> None:
         p.add_argument(
@@ -663,8 +662,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             queue_depth=args.queue_depth,
-            batch_size=args.batch_size,
-            max_retries=args.max_retries,
             max_workers=args.workers,
         )
     except ValueError as exc:

@@ -220,6 +220,11 @@ class WorkerPool:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
             if self._executor is None or self._executor is broken:
+                if broken is not None:
+                    # Its workers are already gone; join its manager thread.
+                    # Under the lock, so only one of the threads that found
+                    # it broken shuts it down.
+                    broken.shutdown(wait=True)
                 self._executor = _open_pool(self.workers)
             return self._executor
 
@@ -229,8 +234,6 @@ class WorkerPool:
         try:
             return executor.submit(fn, *args)
         except BrokenProcessPool:
-            # Its workers are already gone; join its manager thread.
-            executor.shutdown(wait=True)
             return self._current(broken=executor).submit(fn, *args)
 
     def close(self) -> None:

@@ -2,7 +2,7 @@
 
 A single run's spans (:meth:`repro.sim.engine.Engine.spans`) stop at the
 boundary of one simulation; the service stitches a *request's* journey —
-client submit → HTTP → queue wait → scheduler batch → pool worker → engine
+client submit → HTTP → queue wait → dispatch attempt → pool worker → engine
 spans — into one trace of :class:`~repro.obs.span.Span` records, derived
 from its job records on demand (:meth:`repro.service.queue.JobQueue.trace`).
 This module holds what that needs besides the record: W3C-style

@@ -9,9 +9,10 @@ the full reference):
 * :class:`JobQueue` (``queue.py``) — bounded priority queue with
   backpressure and request coalescing on config fingerprints;
   priority-then-FIFO dispatch;
-* :class:`BatchScheduler` (``scheduler.py``) — drains the queue, without
-  waiting, into :func:`repro.harness.runner.run_many_settled` batches of
-  at most ``batch_size``, with bounded per-job retry and graceful drain;
+* :class:`Scheduler` (``scheduler.py``) — drains the queue, without
+  waiting, one :func:`repro.harness.runner.run_many_settled` call per job
+  group, up to pool-width groups in flight; only a group whose worker was
+  lost is retried, once; graceful drain;
 * :class:`SimulationService` (``server.py``) + :class:`ServiceClient`
   (``client.py``) — the asyncio HTTP frontend over one queue and one
   scheduler, and its blocking consumer;
@@ -38,19 +39,18 @@ if TYPE_CHECKING:
     from .client import ClientError, JobFailed, ServiceClient, service_url
     from .metrics import LATENCY_BUCKETS_S, ServiceMetrics
     from .queue import Job, JobQueue, JobState, QueueFull, ServiceClosed
-    from .scheduler import BatchScheduler
+    from .scheduler import Scheduler
     from .server import ServiceSettings, SimulationService, parse_job_payload, serve
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".client": ("ClientError", "JobFailed", "ServiceClient", "service_url"),
     ".metrics": ("LATENCY_BUCKETS_S", "ServiceMetrics"),
     ".queue": ("Job", "JobQueue", "JobState", "QueueFull", "ServiceClosed"),
-    ".scheduler": ("BatchScheduler",),
+    ".scheduler": ("Scheduler",),
     ".server": ("ServiceSettings", "SimulationService", "parse_job_payload", "serve"),
 })
 
 __all__ = [
-    "BatchScheduler",
     "ClientError",
     "Job",
     "JobFailed",
@@ -58,6 +58,7 @@ __all__ = [
     "JobState",
     "LATENCY_BUCKETS_S",
     "QueueFull",
+    "Scheduler",
     "ServiceClosed",
     "ServiceClient",
     "ServiceMetrics",

@@ -8,7 +8,8 @@ matches the hardware counters the simulator already exports:
 * ``service.queue.*`` — submission outcomes (accepted / coalesced /
   cache_hits / rejected) plus live ``depth`` and ``inflight`` gauges;
 * ``service.jobs.*`` — completion outcomes (completed / failed / retried);
-* ``service.scheduler.*`` — batch fan-out accounting;
+  every accepted job dispatches once and every retry once more, so
+  dispatches are ``queue.accepted + jobs.retried``;
 * ``service.latency.*`` — wait (queue) and run (simulate) histograms.
 
 The snapshot also carries the process's one record of host work,
@@ -39,8 +40,6 @@ _COUNTERS = (
     "jobs.completed",
     "jobs.failed",
     "jobs.retried",
-    "scheduler.batches",
-    "scheduler.batched_jobs",
     "trace.spans_attached",
 )
 
@@ -88,11 +87,6 @@ class ServiceMetrics:
 
     # -- execution outcomes --------------------------------------------------
 
-    def batch_started(self, jobs: int) -> None:
-        """The scheduler dispatched one batch of ``jobs`` unique simulations."""
-        self._scope.add("scheduler.batches")
-        self._scope.add("scheduler.batched_jobs", jobs)
-
     def job_completed(self, wait_s: float, run_s: float) -> None:
         """One job finished successfully; record its latency split."""
         self._scope.add("jobs.completed")
@@ -100,11 +94,11 @@ class ServiceMetrics:
         self.run_latency.observe(run_s)
 
     def job_failed(self) -> None:
-        """One job exhausted its retries and failed."""
+        """One job failed: it raised, lost its worker twice, or the service stopped."""
         self._scope.add("jobs.failed")
 
     def job_retried(self) -> None:
-        """One job failed an attempt and was requeued."""
+        """One job lost its worker process and was requeued."""
         self._scope.add("jobs.retried")
 
     # -- tracing -------------------------------------------------------------

@@ -86,7 +86,6 @@ class Attempt:
     start: float
     end: "float | None" = None
     failed: bool = False
-    batch: "dict | None" = None  # {"batch_seq", "batch_size"} of the scheduler batch
 
 
 @dataclass(eq=False)
@@ -287,7 +286,7 @@ class Job:
             )
         ]
         for number, attempt in enumerate(self.dispatches, 1):
-            attrs: dict = {"attempt": number, **(attempt.batch or {})}
+            attrs: dict = {"attempt": number}
             if attempt.failed:
                 attrs["failed"] = True
             spans.append(
@@ -494,27 +493,23 @@ class JobQueue:
 
     def pop_ready(self, limit: int) -> "list[Job]":
         """Dequeue up to ``limit`` primary jobs, highest priority first."""
-        batch: "list[Job]" = []
-        while self._heap and len(batch) < limit:
+        ready: "list[Job]" = []
+        while self._heap and len(ready) < limit:
             _, _, key = heapq.heappop(self._heap)
             if key not in self._queued:
                 continue
             self._queued.discard(key)
-            batch.append(self._groups[key])
+            ready.append(self._groups[key])
         if not self._heap:
             self._nonempty.clear()
         self._gauges()
-        return batch
+        return ready
 
-    def mark_running(self, key: str, batch: "dict | None" = None) -> None:
-        """Transition a group to RUNNING: one more dispatch attempt starts.
-
-        ``batch`` names the scheduler batch that picked the group up
-        (``batch_seq``, ``batch_size``); it lands on the ``run`` span.
-        """
+    def mark_running(self, key: str) -> None:
+        """Transition a group to RUNNING: one more dispatch attempt starts."""
         self._running.add(key)
         primary = self._groups[key]
-        primary.dispatches.append(Attempt(self._clock(), batch=batch))
+        primary.dispatches.append(Attempt(self._clock()))
         for job in primary.members:
             job.state = JobState.RUNNING
         self._gauges()

@@ -1,10 +1,10 @@
 """The simulation service: a stdlib-only JSON-over-HTTP asyncio server.
 
 One process hosts the whole serving stack — HTTP frontend, one priority
-queue and one batching scheduler — in a single event loop; simulations
-run off-loop on one warm worker pool that the service keeps for its whole
-life (forked on the first batch, joined at shutdown), up to pool-width
-batches at once. The API surface:
+queue and one scheduler — in a single event loop; simulations run off-loop
+on one warm worker pool that the service keeps for its whole life (forked
+on the first job, joined at shutdown), one job group per worker at once.
+The API surface:
 
 ==========================  ==================================================
 ``POST /jobs``              submit a simulation; ``202`` + job status payload
@@ -32,8 +32,10 @@ batches at once. The API surface:
 
 Submission body: ``{"workload": "jacobi", "paradigm": "gps", "gpus": 4,
 "link": "pcie6", "scale": 0.5, "iterations": 8, "priority": 0}`` — every
-field but ``workload`` optional. Ops knobs come from ``REPRO_SERVICE_*``
-environment variables via :meth:`ServiceSettings.from_env`.
+field but ``workload`` optional. The four settings are
+:class:`ServiceSettings`; ``repro serve`` has a flag for each, and the bind
+address may also come from ``REPRO_SERVICE_HOST`` and ``REPRO_SERVICE_PORT``
+(:meth:`ServiceSettings.from_env`).
 
 The HTTP layer is deliberately minimal (HTTP/1.1, ``Connection: close``,
 JSON bodies only): the service fronts a trusted local/CI network, and
@@ -64,7 +66,7 @@ from ..workloads.registry import (
 )
 from .metrics import ServiceMetrics
 from .queue import JobQueue, JobState, QueueFull, ServiceClosed
-from .scheduler import BatchScheduler
+from .scheduler import Scheduler
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -93,34 +95,30 @@ def _qlast(query: "dict[str, list[str]]", name: str) -> "str | None":
 
 @dataclass(frozen=True)
 class ServiceSettings:
-    """Tunable knobs of one service instance (see ``docs/SERVICE.md``).
+    """The settings of one service instance (see ``docs/SERVICE.md``).
 
-    ``batch_size`` caps the groups in one runner call; it never holds a
-    dispatch back. ``max_retries`` is the extra attempts a failed group
-    gets; each retry is queued at once, at the group's original position.
+    ``max_workers`` is the pool width, and so the number of job groups in
+    flight; ``None`` takes :func:`pool_width`'s default.
     """
 
     host: str = "127.0.0.1"
     port: int = 8787
     queue_depth: int = 256
-    batch_size: int = 8
-    max_retries: int = 2
     max_workers: "int | None" = None
 
     @classmethod
     def from_env(cls, **overrides) -> "ServiceSettings":
-        """Settings from ``REPRO_SERVICE_*`` variables, then ``overrides``.
+        """The bind address from the environment, then ``overrides``.
 
-        Only overrides whose value is not ``None`` apply, so CLI flags can
-        pass through unset options without clobbering the environment. A
-        malformed number raises ``ValueError`` naming the variable.
+        ``REPRO_SERVICE_HOST`` and ``REPRO_SERVICE_PORT`` are the only
+        variables read. Only overrides whose value is not ``None`` apply, so
+        CLI flags can pass through unset options without clobbering the
+        environment. A malformed port raises ``ValueError`` naming the
+        variable.
         """
         values = {
             "host": os.environ.get("REPRO_SERVICE_HOST") or cls.host,
             "port": env_int("REPRO_SERVICE_PORT", cls.port),
-            "queue_depth": env_int("REPRO_SERVICE_QUEUE_DEPTH", cls.queue_depth),
-            "batch_size": env_int("REPRO_SERVICE_BATCH_SIZE", cls.batch_size),
-            "max_retries": env_int("REPRO_SERVICE_MAX_RETRIES", cls.max_retries),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -170,11 +168,11 @@ def parse_job_payload(payload) -> "tuple[SimJob, int]":
 
 
 class SimulationService:
-    """Job queue + batching scheduler + HTTP frontend on one event loop.
+    """Job queue + scheduler + HTTP frontend on one event loop.
 
     ``pool`` is the service's one :class:`WorkerPool`, ``None`` when the
     pool width (``max_workers``, else ``REPRO_MAX_WORKERS``, else the CPU
-    count) is 1: batches then run one at a time in this process.
+    count) is 1: jobs then run one at a time in this process.
     """
 
     def __init__(
@@ -187,14 +185,7 @@ class SimulationService:
         self.queue = JobQueue(self.metrics, max_depth=self.settings.queue_depth)
         width = pool_width(self.settings.max_workers)
         self.pool = WorkerPool(width) if width > 1 else None
-        self.scheduler = BatchScheduler(
-            self.queue,
-            self.metrics,
-            batch_size=self.settings.batch_size,
-            max_retries=self.settings.max_retries,
-            max_workers=self.settings.max_workers,
-            pool=self.pool,
-        )
+        self.scheduler = Scheduler(self.queue, pool=self.pool)
         self._server: "asyncio.Server | None" = None
         self._stopped: "asyncio.Event | None" = None
         self._answering: "set[asyncio.Task]" = set()  # read a request, not yet replied

@@ -9,7 +9,7 @@ The repo has four ways to obtain a :class:`SimulationResult` for the same
 3. **pool**   — ``run_many``'s process-pool fan-out, crossing a fork and a
    pickle boundary;
 4. **service** — the live asyncio service on its 2-worker pool, crossing
-   a fork, an HTTP and a JSON boundary, with batches side by side.
+   a fork, an HTTP and a JSON boundary, with jobs side by side.
 
 Simulations are deterministic, so all four must agree *byte-for-byte* on
 the canonical JSON of ``to_dict()``. A divergence is localised by the
@@ -173,9 +173,7 @@ class ServiceHandle:
 
         from ..service import ServiceSettings, SimulationService
 
-        settings = ServiceSettings(
-            host="127.0.0.1", port=0, batch_size=8, max_retries=1, max_workers=2,
-        )
+        settings = ServiceSettings(host="127.0.0.1", port=0, max_workers=2)
         self.service: "SimulationService | None" = None
         self._started = threading.Event()
 

@@ -65,8 +65,6 @@ def fast_settings(monkeypatch) -> ServiceSettings:
         host="127.0.0.1",
         port=0,
         queue_depth=32,
-        batch_size=4,
-        max_retries=1,
         max_workers=1,
     )
 

@@ -21,8 +21,6 @@ class TestStableSurface:
             "service.jobs.completed",
             "service.jobs.failed",
             "service.jobs.retried",
-            "service.scheduler.batches",
-            "service.scheduler.batched_jobs",
             "service.latency.wait_s.count",
             "service.latency.run_s.count",
             "host.results.memory_hits",

@@ -1,7 +1,7 @@
-"""The service's one warm worker pool: batches side by side, crashes, shutdown.
+"""The service's one warm worker pool: jobs side by side, crashes, shutdown.
 
 A service with 2 workers keeps one :class:`WorkerPool` for its whole life
-and keeps up to two batches in flight on it. Gated runners (held in the
+and keeps up to two job groups in flight on it. Gated runners (held in the
 server's runner threads) and a compute function that kills its worker with
 ``os._exit`` (patched in before the pool forks) drive each case.
 """
@@ -13,6 +13,8 @@ import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.harness.runner import SimJob, clear_run_cache, run_many_settled
 from repro.harness.runner import parallel
 from repro.harness.runner.parallel import WorkerPool
 from repro.obs.host import HOST
-from repro.service import BatchScheduler, JobQueue, JobState, ServiceMetrics
+from repro.service import JobQueue, JobState, Scheduler, ServiceMetrics
 
 from .conftest import LiveService
 
@@ -43,13 +45,9 @@ def _wait_for(path, timeout=30.0):
 
 @pytest.fixture
 def pooled(fast_settings):
-    """A live service on a 2-worker pool; joined (and checked) on the way out.
-
-    One job per batch: a batch settles when its last job does, so each job
-    here settles on its own.
-    """
+    """A live service on a 2-worker pool; joined (and checked) on the way out."""
     clear_run_cache()
-    live = LiveService(dataclasses.replace(fast_settings, max_workers=2, batch_size=1))
+    live = LiveService(dataclasses.replace(fast_settings, max_workers=2))
     yield live
     live.stop(drain=False)
     clear_run_cache()
@@ -57,7 +55,7 @@ def pooled(fast_settings):
 
 
 def _gate(live):
-    """Hold every batch in its runner thread until ``release`` is set."""
+    """Hold every dispatch in its runner thread until ``release`` is set."""
     release = threading.Event()
 
     def runner(sims, max_workers=None, traced=False, pool=None):
@@ -75,7 +73,7 @@ class TestBatchesSideBySide:
         try:
             a = client.submit("jacobi", **FAST)
             b = client.submit("pagerank", **FAST)
-            # With one batch at a time, b would sit queued behind a.
+            # With one job at a time, b would sit queued behind a.
             _until(lambda: {client.status(j["id"])["state"] for j in (a, b)} == {"running"})
             assert client.healthz()["inflight"] == 2
         finally:
@@ -84,7 +82,7 @@ class TestBatchesSideBySide:
         assert client.wait(b["id"])["state"] == "done"
 
     def test_counts_are_exact_under_concurrent_batches(self, pooled):
-        # Both batches settle on their own runner threads at once.
+        # Both jobs settle on their own runner threads at once.
         barrier = threading.Barrier(2, timeout=30)
 
         def runner(sims, max_workers=None, traced=False, pool=None):
@@ -97,7 +95,9 @@ class TestBatchesSideBySide:
         for ticket in tickets:
             assert client.wait(ticket["id"])["state"] == "done"
         metrics = client.metrics()
-        assert metrics["service.scheduler.batches"] == 2
+        # One dispatch per accepted job, none retried.
+        assert metrics["service.queue.accepted"] == 2
+        assert metrics["service.jobs.retried"] == 0
         assert metrics["service.jobs.completed"] == 2
         assert metrics["host.fleet.jobs_computed"] == 2
         # One lookup at submit (the cache-hit check) and one in the runner.
@@ -125,7 +125,7 @@ class TestWorkerLoss:
                 time.sleep(30)  # terminated with its broken pool
             return real(job, traced)
 
-        # Patched before the first batch, so the pool's workers fork with it.
+        # Patched before the first job, so the pool's workers fork with it.
         monkeypatch.setattr(parallel, "compute_job", crashing)
         client = pooled.client()
         poison = client.submit("sssp", **FAST)
@@ -148,6 +148,34 @@ class TestWorkerLoss:
         fresh = client.submit("jacobi", **FAST)
         assert client.wait(fresh["id"], timeout=60)["state"] == "done"
         assert len(multiprocessing.active_children()) == 2
+
+
+    def test_concurrent_submits_shut_a_broken_pool_down_once(self, monkeypatch):
+        # Two runner threads find the pool broken at once: one of them
+        # replaces it, and it is shut down once (twice closes its pipes
+        # twice, and the second close raises EBADF in that thread).
+        both_inside = threading.Barrier(2, timeout=10)
+        shutdowns = []
+
+        class Broken:
+            def submit(self, fn, *args):
+                both_inside.wait()
+                raise BrokenProcessPool("a worker was lost")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shutdowns.append(self)
+
+        class Fresh:
+            def submit(self, fn, *args):
+                return "submitted"
+
+        executors = iter([Broken(), Fresh()])
+        monkeypatch.setattr(parallel, "_open_pool", lambda workers: next(executors))
+        pool = WorkerPool(2)
+        with ThreadPoolExecutor(2) as threads:
+            submitted = list(threads.map(lambda _: pool.submit(print), range(2)))
+        assert submitted == ["submitted", "submitted"]
+        assert len(shutdowns) == 1
 
 
 class TestLifecycle:
@@ -188,9 +216,7 @@ class TestLifecycle:
             metrics = ServiceMetrics()
             queue = JobQueue(metrics)
             # The stub never submits, so the pool never forks.
-            scheduler = BatchScheduler(
-                queue, metrics, batch_size=1, pool=WorkerPool(2), runner=blocked
-            )
+            scheduler = Scheduler(queue, pool=WorkerPool(2), runner=blocked)
             jobs = [queue.submit(SimJob(name, "gps", 2, scale=0.1, iterations=2))
                     for name in ("jacobi", "pagerank")]
             scheduler.start()

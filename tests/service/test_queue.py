@@ -119,8 +119,8 @@ class TestDispatchOrder:
 
         async def body():
             jobs = [q.submit(sim(gpus=gpus)) for gpus in (1, 2, 4, 8)]
-            batch = q.pop_ready(4)
-            assert [j.id for j in batch] == [j.id for j in jobs]
+            ready = q.pop_ready(4)
+            assert [j.id for j in ready] == [j.id for j in jobs]
 
         in_loop(lambda: body())
 
@@ -130,8 +130,8 @@ class TestDispatchOrder:
         async def body():
             low = q.submit(sim(gpus=1), priority=0, client="a")
             high = q.submit(sim(gpus=2), priority=5, client="b")
-            batch = q.pop_ready(2)
-            assert [j.id for j in batch] == [high.id, low.id]
+            ready = q.pop_ready(2)
+            assert [j.id for j in ready] == [high.id, low.id]
 
         in_loop(lambda: body())
 
@@ -162,8 +162,8 @@ class TestDispatchOrder:
             high = q.submit(sim(gpus=2), priority=5)
             mid_a = q.submit(sim(gpus=4), priority=2)
             mid_b = q.submit(sim(gpus=8), priority=2)
-            batch = q.pop_ready(10)
-            assert [j.id for j in batch] == [high.id, mid_a.id, mid_b.id, low.id]
+            ready = q.pop_ready(10)
+            assert [j.id for j in ready] == [high.id, mid_a.id, mid_b.id, low.id]
 
         in_loop(lambda: body())
 

@@ -52,10 +52,10 @@ def raw_exchange(service, data: bytes):
 
 @pytest.fixture
 def gated(fast_settings):
-    """A live service whose runner holds every batch until ``release`` is set.
+    """A live service whose runner holds every dispatch until ``release`` is set.
 
-    Released, the batch runs for real, or, with ``fail`` set to an
-    exception, fails every simulation in it with that exception.
+    Released, the job runs for real, or, with ``fail`` set to an
+    exception, fails with that exception.
     """
     clear_run_cache()
     live = LiveService(fast_settings)
@@ -238,7 +238,7 @@ class TestJobFlow:
         live = gated.live
         client = live.client()
         # Two submissions race in over separate connections while the
-        # runner holds the first batch: exactly one simulation must run.
+        # runner holds the first one: exactly one simulation must run.
         # Unheld, a run of a few ms can finish before the second arrives.
         jobs = {}
 
@@ -278,7 +278,7 @@ class TestJobFlow:
     def test_failed_job_reports_error(self, live_service, monkeypatch):
         # Break the compute path itself: with REPRO_MAX_WORKERS=1 the
         # scheduler computes serially in this process, so the patch reaches
-        # the server thread and the job fails on every retry.
+        # the server thread. The failure is deterministic: no retry.
         from repro.harness.runner import parallel
 
         def explode(job, traced=False):
@@ -292,10 +292,10 @@ class TestJobFlow:
         status = client.status(job["id"])
         assert status["state"] == "failed"
         assert "injected compute failure" in status["error"]
-        assert status["attempts"] == 2  # initial + fast_settings' 1 retry
+        assert status["attempts"] == 1
         metrics = client.metrics()
         assert metrics["service.jobs.failed"] == 1
-        assert metrics["service.jobs.retried"] == 1
+        assert metrics["service.jobs.retried"] == 0
 
 
 class TestResultWait:
@@ -463,11 +463,7 @@ class TestShutdown:
 class TestSettings:
     @pytest.mark.parametrize(
         "name, value",
-        [
-            ("REPRO_SERVICE_PORT", "abc"),
-            ("REPRO_SERVICE_MAX_RETRIES", "two"),
-            ("REPRO_SERVICE_QUEUE_DEPTH", "deep"),
-        ],
+        [("REPRO_SERVICE_PORT", "abc")],
     )
     def test_malformed_env_number_names_the_variable(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
@@ -476,10 +472,10 @@ class TestSettings:
 
     def test_env_numbers_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_PORT", "9000")
-        monkeypatch.setenv("REPRO_SERVICE_MAX_RETRIES", "3")
-        monkeypatch.setenv("REPRO_SERVICE_BATCH_SIZE", "2")
         settings = ServiceSettings.from_env()
-        assert (settings.port, settings.max_retries, settings.batch_size) == (9000, 3, 2)
+        assert settings.port == 9000
+        # How bench/serve.py builds its server: an override beats the variable.
+        assert ServiceSettings.from_env(port=0).port == 0
 
 
 class TestPayloadValidation:

@@ -74,7 +74,7 @@ def drive_full_chain(clock: FakeClock, engine=ENGINE_SPANS) -> "tuple[JobQueue, 
         job = queue.submit(sim(), trace=context)
         clock.tick(0.5)  # queue wait
         (primary,) = queue.pop_ready(1)
-        queue.mark_running(primary.key, {"batch_seq": 1, "batch_size": 1})
+        queue.mark_running(primary.key)
         clock.tick(2.0)  # the attempt runs
         queue.finish(primary.key, result=None, spans=engine)
         assert job.state.value == "done"
@@ -208,7 +208,7 @@ class TestCoalescedTraces:
             clock.tick(0.25)
             (primary,) = queue.pop_ready(1)
             assert primary.id == job_a.id
-            queue.mark_running(primary.key, {"batch_seq": 1, "batch_size": 1})
+            queue.mark_running(primary.key)
             clock.tick(1.0)
             queue.finish(primary.key, result=None, spans=ENGINE_SPANS)
             assert job_a.state.value == job_b.state.value == "done"
@@ -311,13 +311,13 @@ class TestDerivedTrace:
             job = queue.submit(sim(), trace=context)
             clock.tick(0.5)
             (primary,) = queue.pop_ready(1)
-            queue.mark_running(primary.key, {"batch_seq": 1, "batch_size": 1})
+            queue.mark_running(primary.key)
             clock.tick(1.0)
             assert queue.record_attempt(primary.key) == 1
             queue.requeue(primary.key)
             clock.tick(0.25)
             queue.pop_ready(1)
-            queue.mark_running(primary.key, {"batch_seq": 2, "batch_size": 1})
+            queue.mark_running(primary.key)
             clock.tick(2.0)
             queue.finish(primary.key, result=None, spans=ENGINE_SPANS)
             return job
@@ -326,8 +326,8 @@ class TestDerivedTrace:
         spans = queue.trace(context.trace_id)
         runs = sorted((s for s in spans if s.name == "run"), key=lambda s: s.start)
         assert [r.attrs for r in runs] == [
-            {"attempt": 1, "batch_seq": 1, "batch_size": 1, "failed": True},
-            {"attempt": 2, "batch_seq": 2, "batch_size": 1},
+            {"attempt": 1, "failed": True},
+            {"attempt": 2},
         ]
         assert [(r.start, r.end) for r in runs] == [(1000.5, 1001.5), (1001.75, 1003.75)]
         assert runs[0].span_id != runs[1].span_id

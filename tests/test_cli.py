@@ -232,7 +232,7 @@ class TestServiceVerbs:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("REPRO_SERVICE_PORT", "abc"), ("REPRO_SERVICE_QUEUE_DEPTH", "soon")],
+        [("REPRO_SERVICE_PORT", "abc")],
     )
     def test_serve_malformed_env_number_exits_2(self, capsys, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
